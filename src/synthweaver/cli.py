@@ -58,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write the training dataset and its manifest")
     common(p)
     p.add_argument("--window", type=int, default=None, help="history window size")
-    p.add_argument("--format", choices=["jsonl"], default="jsonl", help="output format")
-    p.add_argument(
-        "--merge",
-        action="store_true",
-        help="merge all sites into one dataset (the default and only behavior)",
-    )
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("stats", help="write corpus statistics for the run")

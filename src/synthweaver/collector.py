@@ -32,12 +32,7 @@ from .oracle import (
     render,
 )
 from .promptvars import element_lines, history_hint, img_info, page_context, state_action_block
-
-EventHook = Callable[[str, dict[str, Any]], None]
-
-
-def _noop_event(_kind: str, _data: dict[str, Any]) -> None:
-    return None
+from .runstore import EventHook, noop_event
 
 
 def normalize_url(url: str) -> str:
@@ -108,7 +103,7 @@ class Collector:
         oracle: OracleClient,
         config: RunConfig,
         *,
-        on_event: EventHook = _noop_event,
+        on_event: EventHook = noop_event,
     ) -> None:
         self.oracle = oracle
         self.config = config
@@ -136,11 +131,11 @@ class Collector:
         )
 
     def next_action(
-        self, task: Task, obs: Observation, history: tuple[Step, ...], *, site: str
+        self, task: Task, obs: Observation, history: tuple[Step, ...]
     ) -> tuple[NextActionReply, Decimal]:
         """Pick the next action; one corrective re-ask on a bad element ref."""
         prompt = self._next_action_prompt(task, obs, history)
-        reply = self.oracle.call(prompt, site=site, stage="collect")
+        reply = self.oracle.call(prompt, site=task.site, stage="collect")
         cost = reply.cost_usd
         parsed: NextActionReply = reply.parsed
         action = parsed.action
@@ -155,7 +150,7 @@ class Collector:
                 variables=prompt.variables,
                 images=prompt.images,
             )
-            retry = self.oracle.call(correction, site=site, stage="collect")
+            retry = self.oracle.call(correction, site=task.site, stage="collect")
             cost += retry.cost_usd
             parsed = retry.parsed
         return parsed, cost
@@ -170,7 +165,6 @@ class Collector:
         history: tuple[Step, ...],
         obs_after: Observation,
         *,
-        site: str,
         stalled: bool,
     ) -> tuple[RefineTaskReply, Decimal]:
         window = history[-self.config.context_window :]
@@ -189,14 +183,14 @@ class Collector:
                 "img_info": img_info(obs_after),
             },
         )
-        reply = self.oracle.call(prompt, site=site, stage="collect")
+        reply = self.oracle.call(prompt, site=task.site, stage="collect")
         return reply.parsed, reply.cost_usd
 
     # ------------------------------------------------------------------
     # episode loop
     # ------------------------------------------------------------------
 
-    def collect_trajectory(self, task: Task, session: Any, *, site: str) -> Trajectory:
+    def collect_trajectory(self, task: Task, session: Any) -> Trajectory:
         cfg = self.config
         steps: list[Step] = []
         cost = Decimal("0")
@@ -209,7 +203,7 @@ class Collector:
         while len(steps) < cfg.step_budget:
             obs = session.observe()
             window = tuple(steps[-cfg.context_window :])
-            reply, call_cost = self.next_action(task, obs, window, site=site)
+            reply, call_cost = self.next_action(task, obs, window)
             cost += call_cost
             action = reply.action
             step = Step(
@@ -228,7 +222,7 @@ class Collector:
             self.on_event(
                 "collect.step",
                 {
-                    "site": site,
+                    "site": task.site,
                     "task_id": task.id,
                     "index": step.index,
                     "action": render_action(action),
@@ -240,7 +234,7 @@ class Collector:
             if refine_count < cfg.max_refines_per_task:
                 obs_after = session.observe()
                 check, check_cost = self.check_refine(
-                    task, tuple(steps), obs_after, site=site, stalled=stalled
+                    task, tuple(steps), obs_after, stalled=stalled
                 )
                 cost += check_cost
                 if check.need_to_refine:
@@ -251,7 +245,7 @@ class Collector:
                     self.on_event(
                         "collect.refined",
                         {
-                            "site": site,
+                            "site": task.site,
                             "task_id": task.id,
                             "step_index": step.index,
                             "trigger": trigger.value,
@@ -275,35 +269,14 @@ class Collector:
             return StepOutcome(changed=False, error=str(exc))
         return StepOutcome(changed=outcome.changed, error=outcome.error)
 
-    # ------------------------------------------------------------------
-    # site-level driver
-    # ------------------------------------------------------------------
-
-    def collect_site(
-        self,
-        tasks: list[Task],
-        session_factory: Callable[[], Any],
-        *,
-        site: str,
-    ) -> tuple[list[Trajectory], list[dict[str, Any]]]:
-        """Collect every task on a fresh session; failures become records."""
-        trajectories: list[Trajectory] = []
-        failures: list[dict[str, Any]] = []
-        for task in tasks:
-            result = self.collect_one(task, session_factory, site=site)
-            if isinstance(result, Trajectory):
-                trajectories.append(result)
-            else:
-                failures.append(result)
-        return trajectories, failures
-
     def collect_one(
-        self, task: Task, session_factory: Callable[[], Any], *, site: str
+        self, task: Task, session_factory: Callable[[], Any]
     ) -> Trajectory | dict[str, Any]:
+        """Collect one task on a fresh session; a reply that never validates
+        becomes a failure record instead of an exception."""
         try:
-            return self.collect_trajectory(task, session_factory(), site=site)
+            return self.collect_trajectory(task, session_factory())
         except SchemaViolation as exc:
-            self.on_event(
-                "collect.failed", {"site": site, "task_id": task.id, "error": str(exc)}
-            )
-            return {"site": site, "task_id": task.id, "error": str(exc)}
+            failure = {"site": task.site, "task_id": task.id, "error": str(exc)}
+            self.on_event("collect.failed", failure)
+            return failure

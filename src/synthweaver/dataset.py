@@ -107,7 +107,7 @@ class ObservationSink:
 
 
 def export_dataset(
-    trajectories: list[tuple[str, Trajectory]],
+    trajectories: list[Trajectory],
     out_dir: str | Path,
     *,
     window: int = DEFAULT_WINDOW,
@@ -119,12 +119,12 @@ def export_dataset(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(trajectories, key=lambda pair: (pair[0], pair[1].id))
+    ordered = sorted(trajectories, key=lambda t: (t.site, t.id))
     sink = ObservationSink()
     lines: list[str] = []
-    for site, trajectory in ordered:
-        for step_index, example in enumerate(split_examples(trajectory, window)):
-            meta = {"site": site, "trajectory_id": trajectory.id, "step_index": step_index}
+    for t in ordered:
+        for step_index, example in enumerate(split_examples(t, window)):
+            meta = {"site": t.site, "trajectory_id": t.id, "step_index": step_index}
             lines.append(canonical_json(_example_record(example, meta, sink)))
 
     dataset_bytes = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
@@ -170,8 +170,8 @@ def _mean(values: list[float]) -> float:
 
 
 def corpus_stats(
-    raw: list[tuple[str, Trajectory]],
-    refined: list[tuple[str, Trajectory]],
+    raw: list[Trajectory],
+    refined: list[Trajectory],
     decisions: list[dict[str, Any]],
 ) -> dict[str, Any]:
     """Per-site and overall corpus statistics.
@@ -179,13 +179,13 @@ def corpus_stats(
     Terminal-class and decision percentages are over the raw trajectories;
     mean_steps is over the refined (exported) corpus.
     """
-    sites = sorted({site for site, _ in raw} | {site for site, _ in refined})
+    sites = sorted({t.site for t in raw} | {t.site for t in refined})
     out: dict[str, Any] = {"overall": _site_stats(raw, refined, decisions)}
     by_site = {}
     for site in sites:
         by_site[site] = _site_stats(
-            [(s, t) for s, t in raw if s == site],
-            [(s, t) for s, t in refined if s == site],
+            [t for t in raw if t.site == site],
+            [t for t in refined if t.site == site],
             [d for d in decisions if d.get("site") == site],
         )
     out["by_site"] = by_site
@@ -193,13 +193,13 @@ def corpus_stats(
 
 
 def _site_stats(
-    raw: list[tuple[str, Trajectory]],
-    refined: list[tuple[str, Trajectory]],
+    raw: list[Trajectory],
+    refined: list[Trajectory],
     decisions: list[dict[str, Any]],
 ) -> dict[str, Any]:
     n_raw = len(raw)
     terminal_counts = {t.value: 0 for t in Terminal}
-    for _, trajectory in raw:
+    for trajectory in raw:
         terminal_counts[trajectory.terminal.value] += 1
     decision_counts = {"keep": 0, "refine": 0, "drop": 0}
     scores: list[float] = []
@@ -209,14 +209,14 @@ def _site_stats(
             decision_counts[decision] += 1
         if isinstance(record.get("score"), int):
             scores.append(float(record["score"]))
-    cost = sum((t.cost_usd for _, t in raw), Decimal("0"))
+    cost = sum((t.cost_usd for t in raw), Decimal("0"))
     return {
         "n_trajectories_raw": n_raw,
         "n_trajectories_refined": len(refined),
         "terminal_pct": {k: _pct(v, n_raw) for k, v in terminal_counts.items()},
         "decision_pct": {k: _pct(v, n_raw) for k, v in decision_counts.items()},
-        "mean_refines": _mean([float(t.refine_count) for _, t in raw]),
-        "mean_steps": _mean([float(len(t.steps)) for _, t in refined]),
+        "mean_refines": _mean([float(t.refine_count) for t in raw]),
+        "mean_steps": _mean([float(len(t.steps)) for t in refined]),
         "mean_judge_score": _mean(scores),
         "collection_cost_usd": str(cost),
     }

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .actions import Action, ActionKind, ELEMENT_KINDS, validate_action
-from .errors import ElementNotFound, InvalidGraph, SchemaError, SessionTerminal
+from .errors import ElementNotFound, SchemaError, SessionTerminal
 from .model import Element, Observation, observation_fingerprint
 
 SCHEMA_VERSION = 1
@@ -84,14 +84,6 @@ def _substitute(template: str, state: dict[str, str]) -> str:
     return _PLACEHOLDER.sub(lambda m: state.get(m.group(1), ""), template)
 
 
-def validate_graph(graph: SiteGraph) -> None:
-    """Raise InvalidGraph when the graph violates its invariants."""
-    try:
-        _check_graph(graph)
-    except SchemaError as exc:
-        raise InvalidGraph(str(exc)) from None
-
-
 def _check_graph(graph: SiteGraph) -> None:
     if not graph.pages:
         raise SchemaError("pages map is empty", field="pages")
@@ -124,10 +116,12 @@ def _check_graph(graph: SiteGraph) -> None:
 
 
 class SimulatorSession:
-    """Single-owner, fully deterministic session over one SiteGraph."""
+    """Single-owner, fully deterministic session over one SiteGraph.
+
+    The graph is trusted: load_site_graph checked it when it was built.
+    """
 
     def __init__(self, graph: SiteGraph):
-        validate_graph(graph)
         self._graph = graph
         self.reset()
 
@@ -250,11 +244,6 @@ class SimulatorSession:
             self.state[effect.key] = effect.value if effect.value is not None else action.value
             return None
         return effect.error
-
-
-def reset(graph: SiteGraph) -> SimulatorSession:
-    """Create a fresh session positioned on the start page."""
-    return SimulatorSession(graph)
 
 
 # ======================================================================

@@ -29,20 +29,12 @@ class SchemaError(SynthweaverError):
         super().__init__(f"{loc}{message}")
 
 
-class InvalidGraph(SynthweaverError):
-    """A programmatically built site graph violates its invariants."""
-
-
 class ElementNotFound(SynthweaverError):
     """An action referenced an element id absent from the current view."""
 
 
 class SessionTerminal(SynthweaverError):
     """An action was executed after the session already terminated."""
-
-
-class EnvironmentFailure(SynthweaverError):
-    """The environment failed in a way that aborts the episode."""
 
 
 # browser adapter

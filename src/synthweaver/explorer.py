@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from decimal import Decimal
-from typing import Any, Callable
+from typing import Any
 
 from .actions import ActionKind, make_action, render_action
 from .config import RunConfig, SiteSpec
@@ -34,12 +33,7 @@ from .promptvars import (
     task_examples_block,
     task_list_block,
 )
-
-EventHook = Callable[[str, dict[str, Any]], None]
-
-
-def _noop_event(_kind: str, _data: dict[str, Any]) -> None:
-    return None
+from .runstore import EventHook, noop_event
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,6 @@ class ExplorationResult:
     tasks: tuple[Task, ...]
     triplets: tuple[TripletRecord, ...]
     pages_visited: int
-    cost_usd: Decimal
 
 
 class UrlPool:
@@ -85,7 +78,7 @@ class UrlPool:
 
 def categorize_page(
     oracle: OracleClient, obs: Observation, *, site: str
-) -> tuple[CategorizationReply, Decimal]:
+) -> CategorizationReply:
     """Ask the oracle to group the page's elements; enforce full coverage."""
     prompt = render(
         TemplateName.CATEGORIZE,
@@ -106,7 +99,7 @@ def categorize_page(
     parsed: CategorizationReply = reply.parsed
     if not any(parsed.categories.values()):
         raise EmptyPlan(f"no interactive category proposed for {obs.url}")
-    return parsed, reply.cost_usd
+    return parsed
 
 
 _TYPE_PHRASES = (
@@ -162,7 +155,7 @@ def propose_task(
     oracle: OracleClient,
     site: SiteSpec,
     action_description: str,
-) -> tuple[str, TaskType, Decimal]:
+) -> tuple[str, TaskType]:
     prompt = render(
         TemplateName.PROPOSE_TASK,
         {
@@ -175,7 +168,7 @@ def propose_task(
     reply = oracle.call(prompt, site=site.name, stage="explore")
     proposal = reply.parsed
     text = " ".join(proposal.high_level_instruction.split())
-    return text, infer_task_type(text, proposal.analysis), reply.cost_usd
+    return text, infer_task_type(text, proposal.analysis)
 
 
 def sample_probes(
@@ -206,7 +199,7 @@ class Explorer:
         oracle: OracleClient,
         config: RunConfig,
         *,
-        on_event: EventHook = _noop_event,
+        on_event: EventHook = noop_event,
     ) -> None:
         self.oracle = oracle
         self.config = config
@@ -223,7 +216,6 @@ class Explorer:
         seen_texts: set[str] = set()
         tasks: list[Task] = []
         triplets: list[TripletRecord] = []
-        cost = Decimal("0")
 
         start = session.observe()
         pool.add(start.url, 0)
@@ -243,7 +235,7 @@ class Explorer:
             obs = session.observe()
             pages_visited += 1
             try:
-                reply, call_cost = categorize_page(self.oracle, obs, site=site.name)
+                reply = categorize_page(self.oracle, obs, site=site.name)
             except EmptyPlan:
                 self.on_event("explore.empty_plan", {"site": site.name, "url": url})
                 continue
@@ -253,7 +245,6 @@ class Explorer:
                     {"site": site.name, "url": url, "error": str(exc)},
                 )
                 continue
-            cost += call_cost
             self.on_event(
                 "explore.page",
                 {
@@ -273,7 +264,7 @@ class Explorer:
                     if len(tasks) >= cfg.max_tasks_per_site:
                         break
                     probed.add((url, proposal.kind.value, proposal.element_id, proposal.value))
-                    cost += self._run_probe(
+                    self._run_probe(
                         site, session, url, depth, category, proposal,
                         pool, visited, seen_texts, tasks, triplets,
                     )
@@ -282,7 +273,6 @@ class Explorer:
             tasks=tuple(tasks),
             triplets=tuple(triplets),
             pages_visited=pages_visited,
-            cost_usd=cost,
         )
 
     def _goto(self, session: Any, url: str) -> bool:
@@ -306,11 +296,10 @@ class Explorer:
         seen_texts: set[str],
         tasks: list[Task],
         triplets: list[TripletRecord],
-    ) -> Decimal:
+    ) -> None:
         cfg = self.config
-        cost = Decimal("0")
         if not self._goto(session, url):
-            return cost
+            return
         before = session.observe()
         action = proposal.to_action()
         try:
@@ -321,7 +310,7 @@ class Explorer:
                 {"site": site.name, "url": url, "action": render_action(action),
                  "error": str(exc)},
             )
-            return cost
+            return
         after = session.observe()
         if after.url != url and depth + 1 <= cfg.max_depth and after.url not in visited:
             pool.add(after.url, depth + 1)
@@ -329,8 +318,7 @@ class Explorer:
         description = describe_interaction(action, before)
         task_id: str | None = None
         try:
-            text, task_type, call_cost = propose_task(self.oracle, site, description)
-            cost += call_cost
+            text, task_type = propose_task(self.oracle, site, description)
         except SchemaViolation as exc:
             self.on_event(
                 "explore.propose_failed",
@@ -342,7 +330,8 @@ class Explorer:
             seen_texts.add(text)
             task_id = f"t-{site.name}-{len(tasks) + 1:04d}"
             tasks.append(
-                Task(id=task_id, text=text, category=category, task_type=task_type)
+                Task(id=task_id, text=text, category=category, task_type=task_type,
+                     site=site.name)
             )
             self.on_event(
                 "explore.task",
@@ -358,4 +347,3 @@ class Explorer:
                 task_id=task_id,
             )
         )
-        return cost

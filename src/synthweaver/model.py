@@ -10,6 +10,7 @@ from enum import Enum
 from typing import Any
 
 from .actions import Action, ActionKind, parse_action, render_action
+from .errors import SchemaError
 
 
 class TaskType(str, Enum):
@@ -86,12 +87,13 @@ class RefinementEvent:
 
 @dataclass(frozen=True)
 class Task:
-    """A high-level instruction plus its refinement lineage."""
+    """A high-level instruction for one site, plus its refinement lineage."""
 
     id: str
     text: str
     category: str
     task_type: TaskType
+    site: str = ""
     lineage: tuple[RefinementEvent, ...] = ()
 
     def __post_init__(self) -> None:
@@ -131,6 +133,10 @@ class Trajectory:
     @property
     def id(self) -> str:
         return self.task.id
+
+    @property
+    def site(self) -> str:
+        return self.task.site
 
 
 def classify_terminal(steps: tuple[Step, ...], step_budget: int) -> Terminal:
@@ -205,6 +211,7 @@ def task_to_dict(task: Task) -> dict[str, Any]:
         "text": task.text,
         "category": task.category,
         "task_type": task.task_type.value,
+        "site": task.site,
         "lineage": [
             {
                 "step_index": ev.step_index,
@@ -217,11 +224,15 @@ def task_to_dict(task: Task) -> dict[str, Any]:
 
 
 def task_from_dict(d: dict[str, Any]) -> Task:
+    if "site" not in d:
+        # Older trajectory files kept the site beside the task, not in it.
+        raise SchemaError(f"task {d.get('id')!r} has no site", field="task.site")
     return Task(
         id=d["id"],
         text=d["text"],
         category=d["category"],
         task_type=TaskType(d["task_type"]),
+        site=d["site"],
         lineage=tuple(
             RefinementEvent(ev["step_index"], ev["prior_text"], ev["trigger_reason"])
             for ev in d.get("lineage", [])

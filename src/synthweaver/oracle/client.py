@@ -329,7 +329,8 @@ class OracleClient:
 
     Transport failures retry with exponential backoff. Schema violations get
     one or more re-requests that append the violation as a corrective hint.
-    Every attempt is charged to the ledger, including failed ones.
+    Every attempt is charged to the ledger, including failed ones, and none
+    is sent once spend has reached the budget.
     """
 
     def __init__(
@@ -368,13 +369,13 @@ class OracleClient:
         stage: str = "",
         context: dict[str, Any] | None = None,
     ) -> OracleReply:
-        self.ledger.check_budget()
         total_usage = Usage()
         total_cost = Decimal("0")
         attempts = 0
         current = prompt
         last_violation: SchemaViolation | None = None
         for _ in range(1 + self.policy.reparse_attempts):
+            self.ledger.check_budget()
             completion = self._complete_with_retry(current)
             attempts += 1
             cost = self.pricing.cost(completion.usage)

@@ -8,10 +8,11 @@ worker runs everything inline so record order is byte-reproducible.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from decimal import Decimal
-from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 from . import runstore as rs
 from .actions import render_action
@@ -20,7 +21,7 @@ from .config import RunConfig, SiteSpec, api_key_for
 from .dataset import corpus_stats, export_dataset, ExportResult
 from .environment import SimulatorSession, load_site_graph
 from .errors import ConfigError, SchemaViolation
-from .explorer import Explorer, ExplorationResult, judge_task_diversity
+from .explorer import Explorer, judge_task_diversity
 from .model import (
     Task,
     Trajectory,
@@ -112,14 +113,28 @@ def _map_jobs(
         return list(pool.map(fn, jobs))
 
 
+@contextmanager
+def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClient]:
+    """Yield the oracle client of one stage; mark the stage done when the
+    body returns.
+
+    The ledger snapshot is written on the way out, also when the body
+    raises, so a resumed run counts every call already paid for.
+    """
+    client, ledger = make_oracle(config, store)
+    try:
+        yield client
+    finally:
+        store.write_json(rs.LEDGER, ledger.snapshot())
+    store.mark_stage(name)
+
+
 # ======================================================================
 # explore
 # ======================================================================
 
 def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
-    client, ledger = make_oracle(config, store)
-    state = store.load_state()
-    done = set(state.get("explored_sites", []))
+    done = set(store.load_state().get("explored_sites", []))
     todo = [site for site in config.sites if site.name not in done]
 
     # A crash mid-site may have left partial records; exploration is
@@ -131,39 +146,42 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
         if len(kept) != len(records):
             store.rewrite_records(name, kept)
 
-    explorer = Explorer(client, config, on_event=store.event)
+    # Each site is committed as soon as it finishes; the lock keeps its
+    # records contiguous and its state update whole.
+    commit = threading.Lock()
 
-    def explore_one(site: SiteSpec) -> ExplorationResult:
-        factory = make_session_factory(site, config)
-        return explorer.explore_site(site, factory())
+    with _stage(config, store, "explore") as client:
+        explorer = Explorer(client, config, on_event=store.event)
 
-    results = _map_jobs(config.workers, todo, explore_one)
-    counts = {"sites": 0, "tasks": 0, "triplets": 0}
-    for site, result in zip(todo, results):
-        task_rows = [{"site": site.name, **task_to_dict(t)} for t in result.tasks]
-        triplet_rows = [
-            {
-                "id": record.id,
-                "site": record.site,
-                "category": record.category,
-                "task_id": record.task_id,
-                "before": observation_to_dict(record.triplet.before),
-                "action": render_action(record.triplet.action),
-                "after": observation_to_dict(record.triplet.after),
-            }
-            for record in result.triplets
-        ]
-        store.append_records(rs.TASKS, task_rows)
-        store.append_records(rs.TRIPLETS, triplet_rows)
-        state = store.load_state()
-        state.setdefault("explored_sites", []).append(site.name)
-        store.save_state(state)
-        counts["sites"] += 1
-        counts["tasks"] += len(task_rows)
-        counts["triplets"] += len(triplet_rows)
-    store.write_json(rs.LEDGER, ledger.snapshot())
-    store.mark_stage("explore")
-    return counts
+        def explore_one(site: SiteSpec) -> tuple[int, int]:
+            result = explorer.explore_site(site, make_session_factory(site, config)())
+            tasks = [task_to_dict(t) for t in result.tasks]
+            triplets = [
+                {
+                    "id": record.id,
+                    "site": record.site,
+                    "category": record.category,
+                    "task_id": record.task_id,
+                    "before": observation_to_dict(record.triplet.before),
+                    "action": render_action(record.triplet.action),
+                    "after": observation_to_dict(record.triplet.after),
+                }
+                for record in result.triplets
+            ]
+            with commit:
+                store.append_records(rs.TASKS, tasks)
+                store.append_records(rs.TRIPLETS, triplets)
+                state = store.load_state()
+                state.setdefault("explored_sites", []).append(site.name)
+                store.save_state(state)
+            return len(tasks), len(triplets)
+
+        counts = _map_jobs(config.workers, todo, explore_one)
+    return {
+        "sites": len(counts),
+        "tasks": sum(n for n, _ in counts),
+        "triplets": sum(n for _, n in counts),
+    }
 
 
 # ======================================================================
@@ -173,44 +191,36 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
 def _tasks_by_site(store: RunStore) -> dict[str, list[Task]]:
     grouped: dict[str, list[Task]] = {}
     for record in store.read_records(rs.TASKS):
-        site = record.get("site", "")
-        payload = {k: v for k, v in record.items() if k != "site"}
-        grouped.setdefault(site, []).append(task_from_dict(payload))
+        task = task_from_dict(record)
+        grouped.setdefault(task.site, []).append(task)
     return grouped
 
 
 def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
-    client, ledger = make_oracle(config, store)
-    collector = Collector(client, config, on_event=store.event)
-    grouped = _tasks_by_site(store)
     existing = {
         record["task"]["id"] for record in store.read_records(rs.TRAJECTORIES_RAW)
     }
     sites = {site.name: site for site in config.sites}
-    jobs: list[tuple[SiteSpec, Task, Callable[[], Any]]] = []
-    for name, tasks in grouped.items():
+    jobs: list[tuple[Task, Callable[[], Any]]] = []
+    for name, tasks in _tasks_by_site(store).items():
         site = sites.get(name)
         if site is None:
             store.event("collect.unknown_site", {"site": name, "n_tasks": len(tasks)})
             continue
         factory = make_session_factory(site, config)
-        for task in tasks:
-            if task.id not in existing:
-                jobs.append((site, task, factory))
+        jobs += [(task, factory) for task in tasks if task.id not in existing]
 
-    def collect_one(job: tuple[SiteSpec, Task, Callable[[], Any]]) -> int:
-        site, task, factory = job
-        result = collector.collect_one(task, factory, site=site.name)
-        if isinstance(result, Trajectory):
-            store.append_record(
-                rs.TRAJECTORIES_RAW, {"site": site.name, **trajectory_to_dict(result)}
-            )
-            return 1
-        return 0
+    with _stage(config, store, "collect") as client:
+        collector = Collector(client, config, on_event=store.event)
 
-    collected = sum(_map_jobs(config.workers, jobs, collect_one))
-    store.write_json(rs.LEDGER, ledger.snapshot())
-    store.mark_stage("collect")
+        def collect_one(job: tuple[Task, Callable[[], Any]]) -> int:
+            result = collector.collect_one(*job)
+            if isinstance(result, Trajectory):
+                store.append_record(rs.TRAJECTORIES_RAW, trajectory_to_dict(result))
+                return 1
+            return 0
+
+        collected = sum(_map_jobs(config.workers, jobs, collect_one))
     return {"tasks": len(jobs), "trajectories": collected}
 
 
@@ -218,68 +228,52 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
 # refine
 # ======================================================================
 
-def _raw_trajectories(store: RunStore) -> list[tuple[str, Trajectory]]:
-    out = []
-    for record in store.read_records(rs.TRAJECTORIES_RAW):
-        site = record.get("site", "")
-        payload = {k: v for k, v in record.items() if k != "site"}
-        out.append((site, trajectory_from_dict(payload)))
-    return out
+def _raw_trajectories(store: RunStore) -> list[Trajectory]:
+    return [trajectory_from_dict(r) for r in store.read_records(rs.TRAJECTORIES_RAW)]
 
 
-def _refined_trajectories(store: RunStore) -> list[tuple[str, Trajectory]]:
-    out = []
-    for record in store.read_records(rs.TRAJECTORIES_REFINED):
-        site = record.get("site", "")
-        payload = {
-            k: v for k, v in record.items() if k not in ("site", "decision", "score")
-        }
-        out.append((site, trajectory_from_dict(payload)))
-    return out
+def _refined_trajectories(store: RunStore) -> list[Trajectory]:
+    return [trajectory_from_dict(r) for r in store.read_records(rs.TRAJECTORIES_REFINED)]
 
 
 def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
-    client, ledger = make_oracle(config, store)
-    refiner = Refiner(client, config, on_event=store.event)
-    raw = _raw_trajectories(store)
     done = {r["task"]["id"] for r in store.read_records(rs.TRAJECTORIES_REFINED)}
     done |= {r["trajectory_id"] for r in store.read_records(rs.DROPS)}
-    jobs = [(site, t) for site, t in raw if t.id not in done]
+    jobs = [t for t in _raw_trajectories(store) if t.id not in done]
 
-    def refine_one(job: tuple[str, Trajectory]) -> str:
-        site, trajectory = job
-        outcome = refiner.refine_trajectory(trajectory, site=site)
-        if outcome.refined is not None:
-            store.append_record(
-                rs.TRAJECTORIES_REFINED,
-                {
-                    "site": site,
-                    "decision": outcome.decision,
-                    "score": outcome.score,
-                    **trajectory_to_dict(outcome.refined),
-                },
-            )
-        else:
-            store.append_record(
-                rs.DROPS,
-                {
-                    "site": site,
-                    "trajectory_id": outcome.trajectory_id,
-                    "decision": "drop",
-                    "score": outcome.score,
-                    "reason": outcome.drop_reason,
-                },
-            )
-        return outcome.decision
+    with _stage(config, store, "refine") as client:
+        refiner = Refiner(client, config, on_event=store.event)
 
-    decisions = _map_jobs(config.workers, jobs, refine_one)
-    store.write_json(rs.LEDGER, ledger.snapshot())
-    store.mark_stage("refine")
+        def refine_one(trajectory: Trajectory) -> str:
+            outcome = refiner.refine_trajectory(trajectory)
+            if outcome.refined is not None:
+                store.append_record(
+                    rs.TRAJECTORIES_REFINED,
+                    {
+                        "decision": outcome.decision,
+                        "score": outcome.score,
+                        **trajectory_to_dict(outcome.refined),
+                    },
+                )
+            else:
+                store.append_record(
+                    rs.DROPS,
+                    {
+                        "site": trajectory.site,
+                        "trajectory_id": outcome.trajectory_id,
+                        "decision": "drop",
+                        "score": outcome.score,
+                        "reason": outcome.drop_reason,
+                    },
+                )
+            return outcome.decision
+
+        decisions = _map_jobs(config.workers, jobs, refine_one)
     return {
         "trajectories": len(jobs),
-        "kept": sum(1 for d in decisions if d == "keep"),
-        "refined": sum(1 for d in decisions if d == "refine"),
-        "dropped": sum(1 for d in decisions if d == "drop"),
+        "kept": decisions.count("keep"),
+        "refined": decisions.count("refine"),
+        "dropped": decisions.count("drop"),
     }
 
 
@@ -288,9 +282,8 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
 # ======================================================================
 
 def run_export(config: RunConfig, store: RunStore, *, window: int | None = None) -> ExportResult:
-    refined = _refined_trajectories(store)
     result = export_dataset(
-        refined,
+        _refined_trajectories(store),
         store.dataset_dir(),
         window=config.context_window if window is None else window,
     )
@@ -307,6 +300,55 @@ def run_export(config: RunConfig, store: RunStore, *, window: int | None = None)
     return result
 
 
+def _judge_diversity(client: OracleClient, config: RunConfig, store: RunStore) -> dict[str, Any]:
+    tasks_by_site = _tasks_by_site(store)
+    diversity: dict[str, Any] = {}
+    for name in sorted(tasks_by_site):
+        tasks = tasks_by_site[name]
+        reply = judge_task_diversity(
+            client, tasks, site=name, sample_size=config.diversity_sample_size
+        )
+        diversity[name] = {
+            "score": reply.score,
+            "subscores": dict(reply.subscores),
+            "n_sampled": min(len(tasks), config.diversity_sample_size),
+        }
+    return diversity
+
+
+def _judge_quality(client: OracleClient, refined: list[Trajectory]) -> dict[str, Any]:
+    scores_by_site: dict[str, list[int]] = {}
+    for trajectory in refined:
+        prompt = render(
+            TemplateName.JUDGE_QUALITY,
+            {
+                "trajectory": summarize_trajectory(trajectory),
+                "high_level_task": trajectory.task.text,
+            },
+        )
+        try:
+            reply = client.call(prompt, site=trajectory.site, stage="stats")
+        except SchemaViolation:
+            continue
+        scores_by_site.setdefault(trajectory.site, []).append(reply.parsed.score)
+    all_scores = [s for scores in scores_by_site.values() for s in scores]
+    return {
+        "overall": {
+            "mean_score": round(sum(all_scores) / len(all_scores), 2)
+            if all_scores
+            else 0.0,
+            "n_judged": len(all_scores),
+        },
+        "by_site": {
+            site: {
+                "mean_score": round(sum(scores) / len(scores), 2),
+                "n_judged": len(scores),
+            }
+            for site, scores in sorted(scores_by_site.items())
+        },
+    }
+
+
 def run_stats(
     config: RunConfig,
     store: RunStore,
@@ -314,74 +356,21 @@ def run_stats(
     judge_quality: bool = False,
     with_diversity: bool = True,
 ) -> dict[str, Any]:
-    raw = _raw_trajectories(store)
     refined = _refined_trajectories(store)
     decisions = [
-        {"site": r.get("site"), "decision": r.get("decision"), "score": r.get("score")}
+        {"site": r["task"]["site"], "decision": r["decision"], "score": r["score"]}
         for r in store.read_records(rs.TRAJECTORIES_REFINED)
     ]
     decisions += [
-        {"site": r.get("site"), "decision": "drop", "score": r.get("score")}
+        {"site": r["site"], "decision": "drop", "score": r["score"]}
         for r in store.read_records(rs.DROPS)
     ]
-    stats = corpus_stats(raw, refined, decisions)
-    ledger_snapshot = store.read_json(rs.LEDGER)
-    if ledger_snapshot is not None:
-        stats["oracle"] = ledger_snapshot
-
-    needs_oracle = with_diversity or judge_quality
-    if needs_oracle:
-        client, ledger = make_oracle(config, store)
-    if with_diversity:
-        tasks_by_site = _tasks_by_site(store)
-        diversity: dict[str, Any] = {}
-        for name in sorted(tasks_by_site):
-            tasks = tasks_by_site[name]
-            if not tasks:
-                continue
-            reply = judge_task_diversity(
-                client, tasks, site=name, sample_size=config.diversity_sample_size
-            )
-            diversity[name] = {
-                "score": reply.score,
-                "subscores": dict(reply.subscores),
-                "n_sampled": min(len(tasks), config.diversity_sample_size),
-            }
-        stats["diversity"] = diversity
-    if judge_quality:
-        scores_by_site: dict[str, list[int]] = {}
-        for site, trajectory in refined:
-            prompt = render(
-                TemplateName.JUDGE_QUALITY,
-                {
-                    "trajectory": summarize_trajectory(trajectory),
-                    "high_level_task": trajectory.task.text,
-                },
-            )
-            try:
-                reply = client.call(prompt, site=site, stage="stats")
-            except SchemaViolation:
-                continue
-            scores_by_site.setdefault(site, []).append(reply.parsed.score)
-        all_scores = [s for scores in scores_by_site.values() for s in scores]
-        stats["quality"] = {
-            "overall": {
-                "mean_score": round(sum(all_scores) / len(all_scores), 2)
-                if all_scores
-                else 0.0,
-                "n_judged": len(all_scores),
-            },
-            "by_site": {
-                site: {
-                    "mean_score": round(sum(scores) / len(scores), 2),
-                    "n_judged": len(scores),
-                }
-                for site, scores in sorted(scores_by_site.items())
-            },
-        }
-    if needs_oracle:
-        store.write_json(rs.LEDGER, ledger.snapshot())
-        stats["oracle"] = ledger.snapshot()
-    store.write_json(rs.STATS, stats)
-    store.mark_stage("stats")
+    stats = corpus_stats(_raw_trajectories(store), refined, decisions)
+    with _stage(config, store, "stats") as client:
+        if with_diversity:
+            stats["diversity"] = _judge_diversity(client, config, store)
+        if judge_quality:
+            stats["quality"] = _judge_quality(client, refined)
+        stats["oracle"] = client.ledger.snapshot()
+        store.write_json(rs.STATS, stats)
     return stats

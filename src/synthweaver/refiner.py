@@ -8,8 +8,6 @@ trajectory that ends in a final `none` answer, or a drop record.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from decimal import Decimal
-from typing import Any, Callable
 
 from .actions import ActionKind, make_action, render_action
 from .config import RunConfig
@@ -22,12 +20,7 @@ from .oracle import (
     TemplateName,
     render,
 )
-
-EventHook = Callable[[str, dict[str, Any]], None]
-
-
-def _noop_event(_kind: str, _data: dict[str, Any]) -> None:
-    return None
+from .runstore import EventHook, noop_event
 
 
 def summarize_trajectory(trajectory: Trajectory) -> str:
@@ -108,12 +101,10 @@ def apply_edits(
 @dataclass(frozen=True)
 class RefineOutcome:
     trajectory_id: str
-    site: str
     decision: str
     score: int | None
     refined: Trajectory | None
     drop_reason: str
-    cost_usd: Decimal
 
 
 class Refiner:
@@ -122,13 +113,13 @@ class Refiner:
         oracle: OracleClient,
         config: RunConfig,
         *,
-        on_event: EventHook = _noop_event,
+        on_event: EventHook = noop_event,
     ) -> None:
         self.oracle = oracle
         self.config = config
         self.on_event = on_event
 
-    def refine_trajectory(self, trajectory: Trajectory, *, site: str) -> RefineOutcome:
+    def refine_trajectory(self, trajectory: Trajectory) -> RefineOutcome:
         """Judge one trajectory; judge failures degrade to drops, never raise."""
         prompt = render(
             TemplateName.REFINE_TRAJECTORY,
@@ -138,11 +129,10 @@ class Refiner:
                 "high_level_task": trajectory.task.text,
             },
         )
-        cost = Decimal("0")
         try:
             reply = self.oracle.call(
                 prompt,
-                site=site,
+                site=trajectory.site,
                 stage="refine",
                 context={
                     "k": len(trajectory.steps),
@@ -150,19 +140,18 @@ class Refiner:
                 },
             )
         except SchemaViolation:
-            return self._drop(trajectory, site, None, "unparseable judge reply", cost)
-        cost += reply.cost_usd
+            return self._drop(trajectory, None, "unparseable judge reply")
         parsed: RefineTrajectoryReply = reply.parsed
         if parsed.decision is RefineDecision.DROP:
-            return self._drop(trajectory, site, parsed.score, parsed.drop_reason, cost)
+            return self._drop(trajectory, parsed.score, parsed.drop_reason)
         try:
             refined = apply_edits(trajectory, parsed)
         except EditContractViolation as exc:
-            return self._drop(trajectory, site, parsed.score, str(exc), cost)
+            return self._drop(trajectory, parsed.score, str(exc))
         self.on_event(
             "refine.decision",
             {
-                "site": site,
+                "site": trajectory.site,
                 "trajectory_id": trajectory.id,
                 "decision": parsed.decision.value,
                 "score": parsed.score,
@@ -171,32 +160,23 @@ class Refiner:
         )
         return RefineOutcome(
             trajectory_id=trajectory.id,
-            site=site,
             decision=parsed.decision.value,
             score=parsed.score,
             refined=refined,
             drop_reason="",
-            cost_usd=cost,
         )
 
     def _drop(
-        self,
-        trajectory: Trajectory,
-        site: str,
-        score: int | None,
-        reason: str,
-        cost: Decimal,
+        self, trajectory: Trajectory, score: int | None, reason: str
     ) -> RefineOutcome:
         self.on_event(
             "refine.drop",
-            {"site": site, "trajectory_id": trajectory.id, "reason": reason},
+            {"site": trajectory.site, "trajectory_id": trajectory.id, "reason": reason},
         )
         return RefineOutcome(
             trajectory_id=trajectory.id,
-            site=site,
             decision="drop",
             score=score,
             refined=None,
             drop_reason=reason,
-            cost_usd=cost,
         )

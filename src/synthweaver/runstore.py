@@ -12,8 +12,9 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
+from .errors import SchemaError
 from .model import canonical_json
 
 TASKS = "tasks.jsonl"
@@ -27,6 +28,13 @@ MANIFEST = "manifest.json"
 LEDGER = "ledger.json"
 STATS = "stats.json"
 DATASET_DIR = "dataset"
+
+# Stages report progress through a hook; RunStore.event is the usual sink.
+EventHook = Callable[[str, dict[str, Any]], None]
+
+
+def noop_event(_kind: str, _data: dict[str, Any]) -> None:
+    return None
 
 
 class RunStore:
@@ -66,14 +74,36 @@ class RunStore:
                 fh.write(payload)
 
     def read_records(self, name: str) -> Iterator[dict[str, Any]]:
+        """Yield every record; an undecodable line is a SchemaError.
+
+        A last line without its newline is a torn append. It is cut off when
+        it does not decode and ended with a newline when it does, so the next
+        append starts on a fresh line.
+        """
         path = self.path(name)
         if not path.exists():
             return
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+        offset = 0
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                start, offset = offset, offset + len(line)
+                torn = not line.endswith(b"\n")
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    if not torn:
+                        raise SchemaError(
+                            f"line {number} is not a JSON record", path=str(path)
+                        ) from None
+                    with self._lock_for(name), open(path, "r+b") as out:
+                        out.truncate(start)
+                    return
+                if torn:
+                    with self._lock_for(name), open(path, "ab") as out:
+                        out.write(b"\n")
+                yield record
 
     def rewrite_records(self, name: str, records: list[dict[str, Any]]) -> None:
         """Atomically replace a record file (used when resume wipes partials)."""

@@ -432,13 +432,14 @@ def test_07_budget_semantics(tmp_path):
             text="Find a page that does not exist",
             category="catalog",
             task_type=TaskType.INFORMATION_SEEKING,
+            site="shop",
         )
         session = SimulatorSession(load_site_graph(SHOP_GRAPH))
-        trajectory = collector.collect_trajectory(task, session, site="shop")
+        trajectory = collector.collect_trajectory(task, session)
         assert len(trajectory.steps) == 30
         assert trajectory.terminal is Terminal.BUDGET_EXCEEDED
 
-        stats = corpus_stats([("shop", trajectory)], [], [])
+        stats = corpus_stats([trajectory], [], [])
         pct = stats["overall"]["terminal_pct"]
         assert pct["budget_exceeded"] == 100.0
         assert sum(pct.values()) == 100.0
@@ -477,18 +478,18 @@ def test_08_end_to_end_determinism(tmp_path):
 
 def test_09_stats_partition():
     with criterion(9, "stats-partition"):
-        trajectories: list[tuple[str, Trajectory]] = []
+        trajectories: list[Trajectory] = []
         for i in range(5):
             steps = [_step(0, make_action(ActionKind.CLICK, 1)),
                      _step(1, make_action(ActionKind.NONE, None, f"answer {i}"))]
-            trajectories.append(("shop", _trajectory(steps, Terminal.COMPLETED_NONE, tag=f"c{i}")))
+            trajectories.append(_trajectory(steps, Terminal.COMPLETED_NONE, tag=f"c{i}"))
         for i in range(3):
             steps = [_step(0, make_action(ActionKind.CLICK, 1)),
                      _step(1, make_action(ActionKind.STOP, None, "cannot finish"))]
-            trajectories.append(("shop", _trajectory(steps, Terminal.STOPPED_BY_AGENT, tag=f"s{i}")))
+            trajectories.append(_trajectory(steps, Terminal.STOPPED_BY_AGENT, tag=f"s{i}"))
         for i in range(2):
             steps = [_step(j, make_action(ActionKind.CLICK, 1)) for j in range(4)]
-            trajectories.append(("shop", _trajectory(steps, Terminal.BUDGET_EXCEEDED, tag=f"b{i}")))
+            trajectories.append(_trajectory(steps, Terminal.BUDGET_EXCEEDED, tag=f"b{i}"))
 
         stats = corpus_stats(trajectories, [], [])
         pct = stats["overall"]["terminal_pct"]

@@ -231,6 +231,16 @@ class TestExitCodes:
         assert code == cli.EXIT_RUNTIME
         assert "error:" in err
 
+    def test_corrupt_record_file_is_usage_error(self, capsys, tmp_path):
+        config = write_config(tmp_path)
+        run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        tasks = tmp_path / "runs" / "r" / "tasks.jsonl"
+        lines = tasks.read_text().splitlines(keepends=True)
+        tasks.write_text("".join(lines[:3] + ["{not json\n"] + lines[3:]))
+        code, _, err = run_cli(capsys, "collect", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert "tasks.jsonl: line 4 " in err
+
     def test_bad_workers_is_usage_error(self, capsys, tmp_path):
         config = write_config(tmp_path)
         code, _, _ = run_cli(

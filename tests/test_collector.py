@@ -20,7 +20,8 @@ from tests.conftest import SHOP_MOCK, make_client
 
 
 def make_task(text: str, task_id: str = "t-shop-0000") -> Task:
-    return Task(id=task_id, text=text, category="c", task_type=TaskType.INFORMATION_SEEKING)
+    return Task(id=task_id, text=text, category="c", task_type=TaskType.INFORMATION_SEEKING,
+                site="shop")
 
 
 class TestNormalizeUrl:
@@ -133,7 +134,7 @@ class TestCollectShop:
     def test_simple_completion(self, shop_config, shop_graph):
         collector = shop_collector(shop_config)
         task = make_task("Find the price of the cheapest USB cable sold on MegaShop")
-        t = collector.collect_trajectory(task, SimulatorSession(shop_graph), site="shop")
+        t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert t.terminal is Terminal.COMPLETED_NONE
         assert len(t.steps) == 3
         assert t.refine_count == 0
@@ -144,14 +145,14 @@ class TestCollectShop:
     def test_budget_exhaustion(self, shop_config, shop_graph):
         collector = shop_collector(shop_config)
         task = make_task("Monitor the homepage banner area for new promotional announcements")
-        t = collector.collect_trajectory(task, SimulatorSession(shop_graph), site="shop")
+        t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert t.terminal is Terminal.BUDGET_EXCEEDED
         assert len(t.steps) == shop_config.step_budget == 30
 
     def test_stop_terminal(self, shop_config, shop_graph):
         collector = shop_collector(shop_config)
         task = make_task("Check the price and availability of the 4K TV in Electronics")
-        t = collector.collect_trajectory(task, SimulatorSession(shop_graph), site="shop")
+        t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert t.terminal is Terminal.STOPPED_BY_AGENT
         assert t.steps[-1].action.kind.value == "stop"
 
@@ -161,7 +162,7 @@ class TestCollectShop:
         task = make_task(
             "Sort the 'vitamin supplements' search results by price to find the cheapest product available"
         )
-        t = collector.collect_trajectory(task, SimulatorSession(shop_graph), site="shop")
+        t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert t.refine_count == 1
         assert t.terminal is Terminal.COMPLETED_NONE
         assert len(t.task.lineage) == 1
@@ -177,14 +178,14 @@ class TestCollectShop:
     def test_exists_ui_refinement(self, shop_config, shop_graph):
         collector = shop_collector(shop_config)
         task = make_task("Arrange the Health & Household products from least to most expensive")
-        t = collector.collect_trajectory(task, SimulatorSession(shop_graph), site="shop")
+        t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert t.refine_count == 1
         assert t.task.lineage[0].trigger_reason == "exists_ui"
 
     def test_missing_args_refinement(self, shop_config, shop_graph):
         collector = shop_collector(shop_config)
         task = make_task("Update your MegaShop account password to a new secure value")
-        t = collector.collect_trajectory(task, SimulatorSession(shop_graph), site="shop")
+        t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert t.refine_count == 1
         assert t.task.lineage[0].trigger_reason == "missing_args"
         assert t.steps[-1].action.value == "Signed in as demo"
@@ -211,7 +212,7 @@ class TestNextActionCorrection:
         client = make_client(script)
         collector = Collector(client, shop_config)
         task = make_task("anything")
-        t = collector.collect_trajectory(task, SimulatorSession(shop_graph), site="shop")
+        t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         # the corrected reply (the `none`) is the one recorded; no ghost click executes
         assert len(t.steps) == 1
         assert t.steps[0].action.kind.value == "none"
@@ -253,7 +254,7 @@ class TestNextActionCorrection:
         client = make_client(script)
         collector = Collector(client, shop_config, on_event=lambda k, d: events.append((k, d)))
         session = StaleSession(SimulatorSession(shop_graph))
-        t = collector.collect_trajectory(make_task("x"), session, site="shop")
+        t = collector.collect_trajectory(make_task("x"), session)
         step_events = [d for k, d in events if k == "collect.step"]
         assert step_events[0]["error"] == "element 3 went stale"
         assert step_events[0]["changed"] is False
@@ -280,7 +281,7 @@ class TestRefineCap:
         config = replace(shop_config, step_budget=10)
         client = make_client(script)
         collector = Collector(client, config)
-        t = collector.collect_trajectory(make_task("v0"), SimulatorSession(shop_graph), site="shop")
+        t = collector.collect_trajectory(make_task("v0"), SimulatorSession(shop_graph))
         assert t.refine_count == config.max_refines_per_task == 4
         assert len(t.task.lineage) == 4
         assert t.terminal is Terminal.BUDGET_EXCEEDED
@@ -288,7 +289,7 @@ class TestRefineCap:
         assert t.task.text.count("rewrite of") == 4
 
 
-class TestCollectSite:
+class TestCollectOne:
     def test_failures_become_records(self, shop_config, shop_graph):
         script = {
             "schema_version": 1,
@@ -300,9 +301,9 @@ class TestCollectSite:
         client = make_client(script)
         collector = Collector(client, shop_config, on_event=lambda k, d: events.append((k, d)))
         tasks = [make_task("a", "t-shop-0001"), make_task("b", "t-shop-0002")]
-        done, failed = collector.collect_site(
-            tasks, lambda: SimulatorSession(shop_graph), site="shop"
-        )
-        assert done == []
+        failed = [
+            collector.collect_one(task, lambda: SimulatorSession(shop_graph)) for task in tasks
+        ]
         assert [f["task_id"] for f in failed] == ["t-shop-0001", "t-shop-0002"]
-        assert all(k == "collect.failed" for k, _ in events)
+        assert all(f["site"] == "shop" for f in failed)
+        assert [k for k, _ in events] == ["collect.failed", "collect.failed"]

@@ -22,13 +22,13 @@ from tests.conftest import click_action, none_action, obs, step, stop_action
 
 
 def make_trajectory(n_steps: int, text="the task", task_id="t-s-0001",
-                    cost=Decimal("0.1"), refine_count=0) -> Trajectory:
+                    cost=Decimal("0.1"), refine_count=0, site="shop") -> Trajectory:
     actions = [click_action(i + 1) for i in range(n_steps - 1)] + [none_action("ans")]
     steps = tuple(
         step(i, a, task=text, url=f"https://s.test/p{i}") for i, a in enumerate(actions)
     )
     task = Task(id=task_id, text=text, category="c",
-                task_type=TaskType.INFORMATION_SEEKING)
+                task_type=TaskType.INFORMATION_SEEKING, site=site)
     return Trajectory(task=task, steps=steps, terminal=Terminal.COMPLETED_NONE,
                       refine_count=refine_count, cost_usd=cost)
 
@@ -104,15 +104,15 @@ class TestObservationRef:
 
 
 class TestExport:
-    def pairs(self):
+    def trajectories(self):
         return [
-            ("shop", make_trajectory(3, task_id="t-shop-0002")),
-            ("shop", make_trajectory(2, task_id="t-shop-0001")),
-            ("blog", make_trajectory(4, task_id="t-blog-0001")),
+            make_trajectory(3, task_id="t-shop-0002"),
+            make_trajectory(2, task_id="t-shop-0001"),
+            make_trajectory(4, task_id="t-blog-0001", site="blog"),
         ]
 
     def test_record_count_and_layout(self, tmp_path):
-        result = export_dataset(self.pairs(), tmp_path / "d")
+        result = export_dataset(self.trajectories(), tmp_path / "d")
         assert result.n_records == 9
         rows = [json.loads(l) for l in (tmp_path / "d" / "dataset.jsonl").read_text().splitlines()]
         assert len(rows) == 9
@@ -130,7 +130,7 @@ class TestExport:
         assert rows[3]["target_action"].startswith("none [")
 
     def test_observation_refs_resolve(self, tmp_path):
-        export_dataset(self.pairs(), tmp_path / "d")
+        export_dataset(self.trajectories(), tmp_path / "d")
         out = tmp_path / "d"
         observations = {json.loads(l)["ref"]
                         for l in (out / "observations.jsonl").read_text().splitlines()}
@@ -141,7 +141,7 @@ class TestExport:
 
     def test_manifest_hashes_match_files(self, tmp_path):
         import hashlib
-        result = export_dataset(self.pairs(), tmp_path / "d")
+        result = export_dataset(self.trajectories(), tmp_path / "d")
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert manifest == result.manifest
         for name, meta in manifest["files"].items():
@@ -149,14 +149,14 @@ class TestExport:
             assert digest == meta["sha256"]
 
     def test_export_is_deterministic(self, tmp_path):
-        a = export_dataset(self.pairs(), tmp_path / "a")
-        b = export_dataset(list(reversed(self.pairs())), tmp_path / "b")
+        a = export_dataset(self.trajectories(), tmp_path / "a")
+        b = export_dataset(list(reversed(self.trajectories())), tmp_path / "b")
         assert a.manifest["content_hash"] == b.manifest["content_hash"]
         assert (tmp_path / "a" / "dataset.jsonl").read_bytes() == \
             (tmp_path / "b" / "dataset.jsonl").read_bytes()
 
     def test_window_changes_history_depth(self, tmp_path):
-        export_dataset([("s", make_trajectory(5))], tmp_path / "w1", window=1)
+        export_dataset([make_trajectory(5)], tmp_path / "w1", window=1)
         rows = [json.loads(l)
                 for l in (tmp_path / "w1" / "dataset.jsonl").read_text().splitlines()]
         assert [len(r["history"]) for r in rows] == [0, 1, 1, 1, 1]
@@ -166,20 +166,20 @@ class TestCorpusStats:
     def fixture_corpus(self):
         raw = []
         for i in range(5):
-            raw.append(("shop", make_trajectory(3, task_id=f"t-shop-{i:04d}")))
+            raw.append(make_trajectory(3, task_id=f"t-shop-{i:04d}"))
         for i in range(5, 8):
             t = make_trajectory(2, task_id=f"t-shop-{i:04d}")
             t = Trajectory(task=t.task, steps=t.steps[:-1] + (step(1, stop_action()),),
                            terminal=Terminal.STOPPED_BY_AGENT, refine_count=1,
                            cost_usd=Decimal("0.1"))
-            raw.append(("shop", t))
+            raw.append(t)
         for i in range(8, 10):
             t = make_trajectory(4, task_id=f"t-shop-{i:04d}")
             t = Trajectory(task=t.task, steps=t.steps[:-1] + (step(3, click_action(9)),),
                            terminal=Terminal.BUDGET_EXCEEDED, refine_count=0,
                            cost_usd=Decimal("0.1"))
-            raw.append(("shop", t))
-        refined = [(site, t) for site, t in raw[:6]]
+            raw.append(t)
+        refined = raw[:6]
         decisions = (
             [{"site": "shop", "decision": "keep", "score": 80} for _ in range(5)]
             + [{"site": "shop", "decision": "refine", "score": 60}]
@@ -212,8 +212,8 @@ class TestCorpusStats:
 
     def test_by_site_split(self):
         raw, refined, decisions = self.fixture_corpus()
-        raw.append(("blog", make_trajectory(2, task_id="t-blog-0001")))
-        refined.append(("blog", raw[-1][1]))
+        raw.append(make_trajectory(2, task_id="t-blog-0001", site="blog"))
+        refined.append(raw[-1])
         decisions.append({"site": "blog", "decision": "keep", "score": 90})
         stats = corpus_stats(raw, refined, decisions)
         assert set(stats["by_site"]) == {"shop", "blog"}

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from synthweaver.actions import ActionKind, make_action
-from synthweaver.environment import SimulatorSession, load_site_graph, reset
+from synthweaver.environment import SimulatorSession, load_site_graph
 from synthweaver.errors import ElementNotFound, SchemaError, SessionTerminal
 from synthweaver.model import observation_fingerprint
 from tests.conftest import SHOP_GRAPH
@@ -250,11 +250,6 @@ class TestMiniGraph:
         out = s.execute(make_action(ActionKind.CLICK, 3))
         assert not out.changed
         assert out.error == "hidden button is inert"
-
-    def test_reset_helper_returns_fresh_session(self, tmp_path):
-        graph = load_site_graph(graph_file(tmp_path, MINI))
-        s = reset(graph)
-        assert s.observe().url == "https://mini.test/"
 
 
 def test_identical_action_sequences_yield_identical_observations(shop_graph):

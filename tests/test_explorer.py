@@ -144,7 +144,7 @@ class TestProposeTask:
                        "reply": {"Sub-Instruction": "s", "Analysis": "a",
                                  "High-Level-Instruction": "  Find   the\n best deal  "}}],
         })
-        text, task_type, _cost = propose_task(client, shop_site(), "Click the deals link")
+        text, task_type = propose_task(client, shop_site(), "Click the deals link")
         assert text == "Find the best deal"
         assert task_type is TaskType.INFORMATION_SEEKING
 
@@ -165,6 +165,7 @@ class TestExploreShop:
         from synthweaver.oracle import CostLedger, MockScript, MockTransport, OracleClient
         from tests.conftest import SHOP_MOCK
         client = OracleClient(MockTransport(MockScript.load(str(SHOP_MOCK))), CostLedger())
+        self.ledger = client.ledger
         events = []
         explorer = Explorer(client, config, on_event=lambda k, d: events.append((k, d)))
         site = config.sites[0]
@@ -176,7 +177,9 @@ class TestExploreShop:
         assert result.pages_visited == 7  # account and deals stay undiscovered
         assert len(result.tasks) == 15
         assert len(result.triplets) == 18
-        assert result.cost_usd > 0
+        assert {t.site for t in result.tasks} == {"shop"}
+        assert set(self.ledger.by_stage) == {"explore"}
+        assert self.ledger.by_stage["explore"] > 0
         page_urls = [d["url"] for k, d in events if k == "explore.page"]
         assert page_urls[0] == "https://shop.example.com/"
         # breadth-first: all depth-1 pages precede the depth-2 product pages

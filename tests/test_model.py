@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 
 from synthweaver.actions import ActionKind, make_action
+from synthweaver.errors import SchemaError
 from synthweaver.model import (
     ConflictTrigger,
     Element,
@@ -113,6 +115,15 @@ class TestSerialization:
     def test_task_round_trip_with_lineage(self):
         task = make_task().refined(2, "new", ConflictTrigger.STALL)
         assert task_from_dict(task_to_dict(task)) == task
+
+    def test_task_carries_its_site(self):
+        task = replace(make_task(), site="shop").refined(1, "new", ConflictTrigger.STALL)
+        data = task_to_dict(task)
+        assert data["site"] == "shop"
+        assert task_from_dict(data).site == "shop"
+        del data["site"]
+        with pytest.raises(SchemaError, match="has no site"):
+            task_from_dict(data)
 
     def test_step_round_trip_preserves_low_level_instruction(self):
         action = make_action(ActionKind.TYPE, 4, "abc", low_level_instruction="Type abc")

@@ -511,6 +511,17 @@ class TestOracleClient:
             client.call(quality_prompt())
         assert len(transport.prompts) == 1  # the gate fired before any transport use
 
+    def test_budget_blocks_reask_after_crossing_reply(self):
+        # The first, invalid reply costs 0.00036 USD and crosses the budget,
+        # so the schema re-ask is never sent.
+        ledger = CostLedger(budget_usd=Decimal("0.0003"))
+        transport = FlakyTransport(0, ["junk", '{"score": 2, "analysis": "b"}'])
+        client = OracleClient(transport, ledger, sleep=lambda s: None)
+        with pytest.raises(BudgetExhausted):
+            client.call(quality_prompt())
+        assert len(transport.prompts) == 1
+        assert ledger.snapshot()["calls"] == 1
+
     def test_mock_end_to_end_pricing(self):
         client = make_client({
             "schema_version": 1,

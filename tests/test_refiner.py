@@ -16,7 +16,7 @@ from tests.conftest import click_action, make_client, none_action, step, stop_ac
 
 def make_task(text: str = "the task") -> Task:
     return Task(id="t-s-0001", text=text, category="c",
-                task_type=TaskType.INFORMATION_SEEKING)
+                task_type=TaskType.INFORMATION_SEEKING, site="shop")
 
 
 def make_trajectory(actions, terminal=Terminal.COMPLETED_NONE, text="the task",
@@ -130,8 +130,8 @@ def collect_shop(shop_config, shop_graph, text):
     client = OracleClient(MockTransport(MockScript.load(str(SHOP_MOCK))), CostLedger())
     collector = Collector(client, shop_config)
     task = Task(id="t-shop-0001", text=text, category="c",
-                task_type=TaskType.INFORMATION_SEEKING)
-    trajectory = collector.collect_trajectory(task, SimulatorSession(shop_graph), site="shop")
+                task_type=TaskType.INFORMATION_SEEKING, site="shop")
+    trajectory = collector.collect_trajectory(task, SimulatorSession(shop_graph))
     return Refiner(client, shop_config), trajectory
 
 
@@ -139,7 +139,7 @@ class TestRefinerOutcomes:
     def test_keep(self, shop_config, shop_graph):
         refiner, t = collect_shop(shop_config, shop_graph,
                                   "Find the price of the cheapest USB cable sold on MegaShop")
-        out = refiner.refine_trajectory(t, site="shop")
+        out = refiner.refine_trajectory(t)
         assert out.decision == "keep" and out.score == 92
         assert out.refined is t
 
@@ -147,7 +147,7 @@ class TestRefinerOutcomes:
         refiner, t = collect_shop(
             shop_config, shop_graph,
             "Monitor the homepage banner area for new promotional announcements")
-        out = refiner.refine_trajectory(t, site="shop")
+        out = refiner.refine_trajectory(t)
         assert out.decision == "drop"
         assert out.refined is None
         assert "exhausted its budget" in out.drop_reason
@@ -156,7 +156,7 @@ class TestRefinerOutcomes:
         refiner, t = collect_shop(shop_config, shop_graph,
                                   "Check the price and availability of the 4K TV in Electronics")
         assert t.terminal is Terminal.STOPPED_BY_AGENT
-        out = refiner.refine_trajectory(t, site="shop")
+        out = refiner.refine_trajectory(t)
         assert out.decision == "refine"
         assert out.refined.terminal is Terminal.COMPLETED_NONE
         assert out.refined.steps[-1].action.value == \
@@ -165,7 +165,7 @@ class TestRefinerOutcomes:
     def test_append_end_repairs_a_stop(self, shop_config, shop_graph):
         refiner, t = collect_shop(shop_config, shop_graph,
                                   "Sign in with saved credentials and check for unread notifications")
-        out = refiner.refine_trajectory(t, site="shop")
+        out = refiner.refine_trajectory(t)
         assert out.decision == "refine"
         assert len(out.refined.steps) == 5  # four retained + appended answer
         assert out.refined.steps[-1].action.kind is ActionKind.NONE
@@ -177,7 +177,7 @@ class TestRefinerOutcomes:
             "rules": [{"template": "refine_trajectory", "raw": "not json, ever"}],
         })
         refiner = Refiner(client, shop_config)
-        out = refiner.refine_trajectory(t, site="shop")
+        out = refiner.refine_trajectory(t)
         assert out.decision == "drop"
         assert out.drop_reason == "unparseable judge reply"
         assert out.score is None
@@ -197,7 +197,7 @@ class TestRefinerOutcomes:
         })
         events = []
         refiner = Refiner(client, shop_config, on_event=lambda k, d: events.append((k, d)))
-        out = refiner.refine_trajectory(t, site="shop")
+        out = refiner.refine_trajectory(t)
         assert out.decision == "drop"
         assert "final answer" in out.drop_reason
         assert events and events[0][0] == "refine.drop"

@@ -4,7 +4,10 @@ from __future__ import annotations
 import json
 import threading
 
+import pytest
+
 from synthweaver import runstore
+from synthweaver.errors import SchemaError
 from synthweaver.runstore import RunStore
 
 
@@ -30,6 +33,29 @@ class TestRecords:
     def test_read_missing_file_yields_nothing(self, tmp_path):
         store = RunStore(tmp_path / "run")
         assert list(store.read_records("absent.jsonl")) == []
+
+    def test_torn_last_line_is_cut_off(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        store.append_records("things.jsonl", [{"i": 0}, {"i": 1}])
+        with open(store.path("things.jsonl"), "a", encoding="utf-8") as fh:
+            fh.write('{"i": 2, "tor')
+        assert list(store.read_records("things.jsonl")) == [{"i": 0}, {"i": 1}]
+        store.append_record("things.jsonl", {"i": 3})
+        assert store.path("things.jsonl").read_text() == '{"i":0}\n{"i":1}\n{"i":3}\n'
+
+    def test_whole_last_record_without_newline_is_kept(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        store.path("things.jsonl").write_text('{"i":0}\n{"i":1}')
+        assert list(store.read_records("things.jsonl")) == [{"i": 0}, {"i": 1}]
+        store.append_record("things.jsonl", {"i": 2})
+        assert [r["i"] for r in store.read_records("things.jsonl")] == [0, 1, 2]
+
+    def test_corrupt_line_mid_file_is_schema_error(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        store.path("things.jsonl").write_text('{"i":0}\n{"i":\n{"i":2}\n')
+        with pytest.raises(SchemaError, match=r"things\.jsonl: line 2 "):
+            list(store.read_records("things.jsonl"))
+        assert store.path("things.jsonl").read_text() == '{"i":0}\n{"i":\n{"i":2}\n'
 
     def test_rewrite_replaces_contents(self, tmp_path):
         store = RunStore(tmp_path / "run")
