@@ -9,11 +9,11 @@ actually supports; a mechanical stall detector feeds that check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Any, Callable
 
 from .actions import Action, ActionKind, ELEMENT_KINDS, render_action
 from .config import RunConfig
+from .environment import TransitionOutcome
 from .errors import ElementNotFound, SchemaViolation
 from .model import (
     ConflictTrigger,
@@ -88,12 +88,6 @@ def classify_trigger(stalled: bool, analysis: str) -> ConflictTrigger:
     return ConflictTrigger.EXISTS_UI
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    changed: bool
-    error: str | None
-
-
 class Collector:
     """Collects trajectories; safe to share across worker threads because all
     mutable episode state is local to collect_trajectory."""
@@ -132,13 +126,11 @@ class Collector:
 
     def next_action(
         self, task: Task, obs: Observation, history: tuple[Step, ...]
-    ) -> tuple[NextActionReply, Decimal]:
+    ) -> NextActionReply:
         """Pick the next action; one corrective re-ask on a bad element ref."""
         prompt = self._next_action_prompt(task, obs, history)
-        reply = self.oracle.call(prompt, site=task.site, stage="collect")
-        cost = reply.cost_usd
-        parsed: NextActionReply = reply.parsed
-        action = parsed.action
+        reply: NextActionReply = self.oracle.call(prompt, site=task.site, stage="collect")
+        action = reply.action
         if action.kind in ELEMENT_KINDS and not obs.has_element(action.element_id):
             correction = RenderedPrompt(
                 template=prompt.template,
@@ -150,10 +142,8 @@ class Collector:
                 variables=prompt.variables,
                 images=prompt.images,
             )
-            retry = self.oracle.call(correction, site=task.site, stage="collect")
-            cost += retry.cost_usd
-            parsed = retry.parsed
-        return parsed, cost
+            reply = self.oracle.call(correction, site=task.site, stage="collect")
+        return reply
 
     # ------------------------------------------------------------------
     # task refinement check
@@ -166,7 +156,7 @@ class Collector:
         obs_after: Observation,
         *,
         stalled: bool,
-    ) -> tuple[RefineTaskReply, Decimal]:
+    ) -> RefineTaskReply:
         window = history[-self.config.context_window :]
         previous = [ev.prior_text for ev in task.lineage]
         prompt = render(
@@ -183,8 +173,7 @@ class Collector:
                 "img_info": img_info(obs_after),
             },
         )
-        reply = self.oracle.call(prompt, site=task.site, stage="collect")
-        return reply.parsed, reply.cost_usd
+        return self.oracle.call(prompt, site=task.site, stage="collect")
 
     # ------------------------------------------------------------------
     # episode loop
@@ -193,7 +182,6 @@ class Collector:
     def collect_trajectory(self, task: Task, session: Any) -> Trajectory:
         cfg = self.config
         steps: list[Step] = []
-        cost = Decimal("0")
         stall = StallDetector(
             noop_threshold=cfg.stall_noop_threshold,
             repeat_threshold=cfg.loop_repeat_threshold,
@@ -203,8 +191,7 @@ class Collector:
         while len(steps) < cfg.step_budget:
             obs = session.observe()
             window = tuple(steps[-cfg.context_window :])
-            reply, call_cost = self.next_action(task, obs, window)
-            cost += call_cost
+            reply = self.next_action(task, obs, window)
             action = reply.action
             step = Step(
                 index=len(steps),
@@ -217,7 +204,7 @@ class Collector:
             steps.append(step)
             if action.kind in (ActionKind.NONE, ActionKind.STOP):
                 break
-            outcome = self._execute(session, obs, action)
+            outcome = self._execute(session, action)
             stalled = stall.record(changed=outcome.changed, url=obs.url, error=outcome.error)
             self.on_event(
                 "collect.step",
@@ -233,10 +220,7 @@ class Collector:
             )
             if refine_count < cfg.max_refines_per_task:
                 obs_after = session.observe()
-                check, check_cost = self.check_refine(
-                    task, tuple(steps), obs_after, stalled=stalled
-                )
-                cost += check_cost
+                check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
                 if check.need_to_refine:
                     trigger = classify_trigger(stalled, check.analysis)
                     task = task.refined(step.index, check.high_level_task, trigger)
@@ -259,15 +243,13 @@ class Collector:
             steps=tuple(steps),
             terminal=terminal,
             refine_count=refine_count,
-            cost_usd=cost,
         )
 
-    def _execute(self, session: Any, obs: Observation, action: Action) -> StepOutcome:
+    def _execute(self, session: Any, action: Action) -> TransitionOutcome:
         try:
-            outcome = session.execute(action)
+            return session.execute(action)
         except ElementNotFound as exc:
-            return StepOutcome(changed=False, error=str(exc))
-        return StepOutcome(changed=outcome.changed, error=outcome.error)
+            return TransitionOutcome(changed=False, error=str(exc))
 
     def collect_one(
         self, task: Task, session_factory: Callable[[], Any]

@@ -77,37 +77,55 @@ class RunConfig:
     diversity_sample_size: int = 100
 
 
-_INT_FIELDS = (
-    "seed",
-    "workers",
-    "step_budget",
-    "context_window",
-    "stall_noop_threshold",
-    "loop_repeat_threshold",
-    "max_refines_per_task",
-    "max_tasks_per_site",
-    "max_pages_per_site",
-    "max_depth",
-    "probes_per_category",
-    "diversity_sample_size",
-)
+# The number fields of each config section: key -> (type, lowest allowed value
+# or None). An int field takes only ints; a float field takes ints too.
+_RUN_NUMBERS = {
+    "seed": (int, None),
+    "workers": (int, 1),
+    "step_budget": (int, 1),
+    "context_window": (int, 1),
+    "stall_noop_threshold": (int, 0),
+    "loop_repeat_threshold": (int, 1),
+    "max_refines_per_task": (int, 0),
+    "max_tasks_per_site": (int, 1),
+    "max_pages_per_site": (int, 1),
+    "max_depth": (int, 0),
+    "probes_per_category": (int, 1),
+    "diversity_sample_size": (int, 0),
+}
 
-_POSITIVE_FIELDS = (
-    "workers",
-    "step_budget",
-    "context_window",
-    "loop_repeat_threshold",
-    "max_tasks_per_site",
-    "max_pages_per_site",
-    "probes_per_category",
-)
+_ORACLE_NUMBERS = {
+    "temperature": (float, 0),
+    "top_p": (float, 0),
+    "max_tokens": (int, 1),
+    "timeout_s": (float, 0.001),
+    "transport_retries": (int, 1),
+    "reparse_attempts": (int, 0),
+    "backoff_base_s": (float, 0),
+}
+
+_BROWSER_NUMBERS = {
+    "viewport_width": (int, 1),
+    "viewport_height": (int, 1),
+    "nav_timeout_ms": (int, 1),
+}
 
 
-def _require_int(raw: dict[str, Any], key: str, default: int) -> int:
-    value = raw.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _numbers(
+    raw: dict[str, Any], prefix: str, defaults: Any, fields: dict[str, tuple[type, Any]]
+) -> dict[str, Any]:
+    """The checked number fields of one config section, defaults filled in."""
+    out: dict[str, Any] = {}
+    for key, (kind, low) in fields.items():
+        value = raw.get(key, getattr(defaults, key))
+        accepted = (int,) if kind is int else (int, float)
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+        if low is not None and value < low:
+            raise ConfigError(f"{prefix}{key} must be at least {low}, got {value!r}")
+        out[key] = kind(value)
+    return out
 
 
 def _parse_site(index: int, raw: Any) -> SiteSpec:
@@ -150,16 +168,10 @@ def _parse_oracle(raw: Any) -> OracleSettings:
         endpoint_url=str(raw.get("endpoint_url", "")),
         model=str(raw.get("model", "")),
         api_key_env=str(raw.get("api_key_env", "SYNTHWEAVER_API_KEY")),
-        temperature=float(raw.get("temperature", 0.7)),
-        top_p=float(raw.get("top_p", 1.0)),
-        max_tokens=int(raw.get("max_tokens", 2048)),
-        timeout_s=float(raw.get("timeout_s", 120.0)),
         mock_script=raw.get("mock_script"),
         prompt_cost_per_token=str(raw.get("prompt_cost_per_token", "0.000002")),
         completion_cost_per_token=str(raw.get("completion_cost_per_token", "0.000008")),
-        transport_retries=int(raw.get("transport_retries", 3)),
-        reparse_attempts=int(raw.get("reparse_attempts", 2)),
-        backoff_base_s=float(raw.get("backoff_base_s", 1.0)),
+        **_numbers(raw, "oracle.", OracleSettings, _ORACLE_NUMBERS),
         budget_usd=None if raw.get("budget_usd") is None else str(raw["budget_usd"]),
     )
     for key in ("prompt_cost_per_token", "completion_cost_per_token", "budget_usd"):
@@ -184,9 +196,7 @@ def _parse_browser(raw: Any) -> BrowserSettings:
         raise ConfigError("browser must be an object")
     return BrowserSettings(
         endpoint_url=str(raw.get("endpoint_url", "")),
-        viewport_width=int(raw.get("viewport_width", 1280)),
-        viewport_height=int(raw.get("viewport_height", 720)),
-        nav_timeout_ms=int(raw.get("nav_timeout_ms", 10000)),
+        **_numbers(raw, "browser.", BrowserSettings, _BROWSER_NUMBERS),
         screenshot_dir=raw.get("screenshot_dir"),
     )
 
@@ -201,22 +211,12 @@ def parse_config(raw: Any, *, base_dir: Path | None = None) -> RunConfig:
     names = [s.name for s in sites]
     if len(set(names)) != len(names):
         raise ConfigError("site names must be unique")
-    kwargs: dict[str, Any] = {
-        key: _require_int(raw, key, getattr(RunConfig, key)) for key in _INT_FIELDS
-    }
-    for key in _POSITIVE_FIELDS:
-        if kwargs[key] < 1:
-            raise ConfigError(f"{key} must be at least 1")
-    for key in ("stall_noop_threshold", "max_refines_per_task", "max_depth",
-                "diversity_sample_size"):
-        if kwargs[key] < 0:
-            raise ConfigError(f"{key} must not be negative")
     config = RunConfig(
         sites=sites,
         oracle=_parse_oracle(raw.get("oracle")),
         browser=_parse_browser(raw.get("browser")),
         runs_dir=str(raw.get("runs_dir", "runs")),
-        **kwargs,
+        **_numbers(raw, "", RunConfig, _RUN_NUMBERS),
     )
     if base_dir is not None:
         config = _resolve_paths(config, base_dir)

@@ -173,20 +173,25 @@ def corpus_stats(
     raw: list[Trajectory],
     refined: list[Trajectory],
     decisions: list[dict[str, Any]],
+    collect_cost: dict[str, Decimal],
 ) -> dict[str, Any]:
     """Per-site and overall corpus statistics.
 
     Terminal-class and decision percentages are over the raw trajectories;
-    mean_steps is over the refined (exported) corpus.
+    mean_steps is over the refined (exported) corpus. collect_cost is the
+    ledger's collect-stage spend per site, failed tasks included.
     """
-    sites = sorted({t.site for t in raw} | {t.site for t in refined})
-    out: dict[str, Any] = {"overall": _site_stats(raw, refined, decisions)}
+    sites = sorted({t.site for t in raw} | {t.site for t in refined} | set(collect_cost))
+    out: dict[str, Any] = {
+        "overall": _site_stats(raw, refined, decisions, sum(collect_cost.values(), Decimal("0")))
+    }
     by_site = {}
     for site in sites:
         by_site[site] = _site_stats(
             [t for t in raw if t.site == site],
             [t for t in refined if t.site == site],
             [d for d in decisions if d.get("site") == site],
+            collect_cost.get(site, Decimal("0")),
         )
     out["by_site"] = by_site
     return out
@@ -196,6 +201,7 @@ def _site_stats(
     raw: list[Trajectory],
     refined: list[Trajectory],
     decisions: list[dict[str, Any]],
+    collect_cost: Decimal,
 ) -> dict[str, Any]:
     n_raw = len(raw)
     terminal_counts = {t.value: 0 for t in Terminal}
@@ -209,7 +215,6 @@ def _site_stats(
             decision_counts[decision] += 1
         if isinstance(record.get("score"), int):
             scores.append(float(record["score"]))
-    cost = sum((t.cost_usd for t in raw), Decimal("0"))
     return {
         "n_trajectories_raw": n_raw,
         "n_trajectories_refined": len(refined),
@@ -218,5 +223,5 @@ def _site_stats(
         "mean_refines": _mean([float(t.refine_count) for t in raw]),
         "mean_steps": _mean([float(len(t.steps)) for t in refined]),
         "mean_judge_score": _mean(scores),
-        "collection_cost_usd": str(cost),
+        "collection_cost_usd": str(collect_cost),
     }

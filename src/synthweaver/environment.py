@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any
@@ -130,7 +130,6 @@ class SimulatorSession:
         self._position = 0
         self.state: dict[str, str] = {}
         self.scrolled = False
-        self.step_counter = 0
         self._terminal = False
 
     @property
@@ -166,7 +165,6 @@ class SimulatorSession:
         validate_action(action)
         before = observation_fingerprint(self.observe())
         error = self._apply(action)
-        self.step_counter += 1
         after = observation_fingerprint(self.observe())
         return TransitionOutcome(changed=before != after, error=error)
 

@@ -56,7 +56,8 @@ class ExplorationResult:
 
 
 class UrlPool:
-    """FIFO frontier of (url, depth) pairs with de-duplication."""
+    """FIFO frontier of (url, depth) pairs; a URL is queued at most once, so
+    no page is visited twice."""
 
     def __init__(self) -> None:
         self._queue: deque[tuple[str, int]] = deque()
@@ -90,13 +91,12 @@ def categorize_page(
             "const_uninteractive_category": UNINTERACTIVE_CATEGORY,
         },
     )
-    reply = oracle.call(
+    parsed: CategorizationReply = oracle.call(
         prompt,
         site=site,
         stage="explore",
         context={"element_ids": sorted(obs.element_ids())},
     )
-    parsed: CategorizationReply = reply.parsed
     if not any(parsed.categories.values()):
         raise EmptyPlan(f"no interactive category proposed for {obs.url}")
     return parsed
@@ -165,8 +165,7 @@ def propose_task(
             "website_name": site.name,
         },
     )
-    reply = oracle.call(prompt, site=site.name, stage="explore")
-    proposal = reply.parsed
+    proposal = oracle.call(prompt, site=site.name, stage="explore")
     text = " ".join(proposal.high_level_instruction.split())
     return text, infer_task_type(text, proposal.analysis)
 
@@ -187,8 +186,7 @@ def judge_task_diversity(
     prompt = render(
         TemplateName.JUDGE_DIVERSITY, {"task_list_block": task_list_block(sample)}
     )
-    reply = oracle.call(prompt, site=site, stage="stats")
-    return reply.parsed
+    return oracle.call(prompt, site=site, stage="stats")
 
 
 class Explorer:
@@ -211,7 +209,6 @@ class Explorer:
         # str seeds derive from sha512, so this is stable across interpreters.
         master = random.Random(f"{cfg.seed}:{site.name}")
         pool = UrlPool()
-        visited: set[str] = set()
         probed: set[tuple[str, str, int, str]] = set()
         seen_texts: set[str] = set()
         tasks: list[Task] = []
@@ -225,9 +222,6 @@ class Explorer:
             if len(tasks) >= cfg.max_tasks_per_site:
                 break
             url, depth = pool.pop()
-            if url in visited:
-                continue
-            visited.add(url)
             page_rng = random.Random(master.randrange(2**63))
             if not self._goto(session, url):
                 self.on_event("explore.page_unreachable", {"site": site.name, "url": url})
@@ -266,7 +260,7 @@ class Explorer:
                     probed.add((url, proposal.kind.value, proposal.element_id, proposal.value))
                     self._run_probe(
                         site, session, url, depth, category, proposal,
-                        pool, visited, seen_texts, tasks, triplets,
+                        pool, seen_texts, tasks, triplets,
                     )
         return ExplorationResult(
             site=site.name,
@@ -292,7 +286,6 @@ class Explorer:
         category: str,
         proposal: ProposedInteraction,
         pool: UrlPool,
-        visited: set[str],
         seen_texts: set[str],
         tasks: list[Task],
         triplets: list[TripletRecord],
@@ -312,7 +305,7 @@ class Explorer:
             )
             return
         after = session.observe()
-        if after.url != url and depth + 1 <= cfg.max_depth and after.url not in visited:
+        if after.url != url and depth + 1 <= cfg.max_depth:
             pool.add(after.url, depth + 1)
 
         description = describe_interaction(action, before)

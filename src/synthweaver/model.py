@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from decimal import Decimal
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any
 
@@ -125,7 +124,6 @@ class Trajectory:
     steps: tuple[Step, ...]
     terminal: Terminal
     refine_count: int
-    cost_usd: Decimal = Decimal("0")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -274,17 +272,17 @@ def trajectory_to_dict(t: Trajectory) -> dict[str, Any]:
         "steps": [step_to_dict(s) for s in t.steps],
         "terminal": t.terminal.value,
         "refine_count": t.refine_count,
-        "cost_usd": str(t.cost_usd),
     }
 
 
 def trajectory_from_dict(d: dict[str, Any]) -> Trajectory:
+    # Files written before the ledger became the only cost account also
+    # carry a per-trajectory "cost_usd"; it is ignored.
     return Trajectory(
         task=task_from_dict(d["task"]),
         steps=tuple(step_from_dict(s) for s in d["steps"]),
         terminal=Terminal(d["terminal"]),
         refine_count=d["refine_count"],
-        cost_usd=Decimal(d.get("cost_usd", "0")),
     )
 
 

@@ -11,7 +11,7 @@ import fnmatch
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Any, Callable, Protocol
 
@@ -24,7 +24,7 @@ from ..errors import (
     TransportError,
 )
 from .replies import parse_reply
-from .templates import RenderedPrompt, TemplateName
+from .templates import RenderedPrompt
 
 
 @dataclass(frozen=True)
@@ -32,27 +32,11 @@ class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
 
 @dataclass(frozen=True)
 class RawCompletion:
     text: str
     usage: Usage
-
-
-@dataclass(frozen=True)
-class OracleReply:
-    """A validated reply plus everything needed for accounting."""
-
-    template: TemplateName
-    parsed: Any
-    raw_text: str
-    usage: Usage
-    cost_usd: Decimal
-    attempts: int
 
 
 def extract_json(text: str) -> dict[str, Any]:
@@ -94,7 +78,11 @@ class Pricing:
 
 
 class CostLedger:
-    """Thread-safe token and cost accumulator with site/stage breakdowns."""
+    """Thread-safe token and cost accumulator: the run's only cost account.
+
+    Spend is kept per (site, stage), so every per-site or per-stage figure is
+    a sum over this one map and adds up to the total.
+    """
 
     def __init__(self, budget_usd: Decimal | None = None) -> None:
         self._lock = threading.Lock()
@@ -103,8 +91,7 @@ class CostLedger:
         self.total_prompt_tokens = 0
         self.total_completion_tokens = 0
         self.calls = 0
-        self.by_site: dict[str, Decimal] = {}
-        self.by_stage: dict[str, Decimal] = {}
+        self.by_site_stage: dict[tuple[str, str], Decimal] = {}
 
     def add(self, usage: Usage, cost: Decimal, *, site: str = "", stage: str = "") -> None:
         with self._lock:
@@ -112,10 +99,13 @@ class CostLedger:
             self.total_prompt_tokens += usage.prompt_tokens
             self.total_completion_tokens += usage.completion_tokens
             self.calls += 1
-            if site:
-                self.by_site[site] = self.by_site.get(site, Decimal("0")) + cost
-            if stage:
-                self.by_stage[stage] = self.by_stage.get(stage, Decimal("0")) + cost
+            key = (site, stage)
+            self.by_site_stage[key] = self.by_site_stage.get(key, Decimal("0")) + cost
+
+    def stage_cost_by_site(self, stage: str) -> dict[str, Decimal]:
+        """Spend of one stage, per site."""
+        with self._lock:
+            return {site: v for (site, s), v in self.by_site_stage.items() if s == stage}
 
     def check_budget(self) -> None:
         with self._lock:
@@ -126,26 +116,37 @@ class CostLedger:
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
+            nested: dict[str, dict[str, str]] = {}
+            for (site, stage), cost in sorted(self.by_site_stage.items()):
+                nested.setdefault(site, {})[stage] = str(cost)
             return {
                 "total_cost_usd": str(self.total_cost),
                 "budget_usd": None if self.budget_usd is None else str(self.budget_usd),
                 "prompt_tokens": self.total_prompt_tokens,
                 "completion_tokens": self.total_completion_tokens,
                 "calls": self.calls,
-                "by_site": {k: str(v) for k, v in sorted(self.by_site.items())},
-                "by_stage": {k: str(v) for k, v in sorted(self.by_stage.items())},
+                "by_site_stage": nested,
             }
 
     @classmethod
     def from_snapshot(cls, data: dict[str, Any]) -> "CostLedger":
+        if "by_site_stage" not in data:
+            # Snapshots written before per-(site, stage) accounting.
+            raise SchemaError(
+                "ledger snapshot has no by_site_stage; start a fresh run",
+                field="by_site_stage",
+            )
         budget = data.get("budget_usd")
         ledger = cls(budget_usd=None if budget is None else Decimal(budget))
         ledger.total_cost = Decimal(data.get("total_cost_usd", "0"))
         ledger.total_prompt_tokens = int(data.get("prompt_tokens", 0))
         ledger.total_completion_tokens = int(data.get("completion_tokens", 0))
         ledger.calls = int(data.get("calls", 0))
-        ledger.by_site = {k: Decimal(v) for k, v in data.get("by_site", {}).items()}
-        ledger.by_stage = {k: Decimal(v) for k, v in data.get("by_stage", {}).items()}
+        ledger.by_site_stage = {
+            (site, stage): Decimal(cost)
+            for site, stages in data["by_site_stage"].items()
+            for stage, cost in stages.items()
+        }
         return ledger
 
 
@@ -368,27 +369,20 @@ class OracleClient:
         site: str = "",
         stage: str = "",
         context: dict[str, Any] | None = None,
-    ) -> OracleReply:
-        total_usage = Usage()
-        total_cost = Decimal("0")
-        attempts = 0
+    ) -> Any:
+        """Return the validated reply; every attempt is charged to the ledger."""
         current = prompt
         last_violation: SchemaViolation | None = None
-        for _ in range(1 + self.policy.reparse_attempts):
+        attempts = 1 + self.policy.reparse_attempts
+        for _ in range(attempts):
             self.ledger.check_budget()
             completion = self._complete_with_retry(current)
-            attempts += 1
-            cost = self.pricing.cost(completion.usage)
-            self.ledger.add(completion.usage, cost, site=site, stage=stage)
-            total_cost += cost
-            total_usage = Usage(
-                prompt_tokens=total_usage.prompt_tokens + completion.usage.prompt_tokens,
-                completion_tokens=total_usage.completion_tokens
-                + completion.usage.completion_tokens,
+            self.ledger.add(
+                completion.usage, self.pricing.cost(completion.usage), site=site, stage=stage
             )
             try:
                 payload = extract_json(completion.text)
-                parsed = parse_reply(prompt.template, payload, context)
+                return parse_reply(prompt.template, payload, context)
             except SchemaViolation as exc:
                 last_violation = exc
                 hint = (
@@ -401,15 +395,6 @@ class OracleClient:
                     variables=prompt.variables,
                     images=prompt.images,
                 )
-                continue
-            return OracleReply(
-                template=prompt.template,
-                parsed=parsed,
-                raw_text=completion.text,
-                usage=total_usage,
-                cost_usd=total_cost,
-                attempts=attempts,
-            )
         raise SchemaViolation(
             f"reply failed validation after {attempts} attempts: {last_violation}"
         )

@@ -107,10 +107,25 @@ def make_session_factory(site: SiteSpec, config: RunConfig) -> Callable[[], Any]
 def _map_jobs(
     workers: int, jobs: list[T], fn: Callable[[T], U]
 ) -> list[U]:
+    """Run fn over jobs; once one job has raised, no further job starts and
+    the exception propagates."""
     if workers <= 1:
         return [fn(job) for job in jobs]
+    failed = threading.Event()
+
+    def guarded(job: T) -> Any:
+        # Jobs start in list order, so a skipped job always follows the one
+        # that raised, and map re-raises that before reaching the skip.
+        if failed.is_set():
+            return None
+        try:
+            return fn(job)
+        except BaseException:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        return list(pool.map(guarded, jobs))
 
 
 @contextmanager
@@ -330,7 +345,7 @@ def _judge_quality(client: OracleClient, refined: list[Trajectory]) -> dict[str,
             reply = client.call(prompt, site=trajectory.site, stage="stats")
         except SchemaViolation:
             continue
-        scores_by_site.setdefault(trajectory.site, []).append(reply.parsed.score)
+        scores_by_site.setdefault(trajectory.site, []).append(reply.score)
     all_scores = [s for scores in scores_by_site.values() for s in scores]
     return {
         "overall": {
@@ -365,8 +380,11 @@ def run_stats(
         {"site": r["site"], "decision": "drop", "score": r["score"]}
         for r in store.read_records(rs.DROPS)
     ]
-    stats = corpus_stats(_raw_trajectories(store), refined, decisions)
     with _stage(config, store, "stats") as client:
+        stats = corpus_stats(
+            _raw_trajectories(store), refined, decisions,
+            client.ledger.stage_cost_by_site("collect"),
+        )
         if with_diversity:
             stats["diversity"] = _judge_diversity(client, config, store)
         if judge_quality:

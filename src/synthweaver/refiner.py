@@ -94,7 +94,6 @@ def apply_edits(
         steps=reindexed,
         terminal=Terminal.COMPLETED_NONE,
         refine_count=trajectory.refine_count,
-        cost_usd=trajectory.cost_usd,
     )
 
 
@@ -130,7 +129,7 @@ class Refiner:
             },
         )
         try:
-            reply = self.oracle.call(
+            parsed: RefineTrajectoryReply = self.oracle.call(
                 prompt,
                 site=trajectory.site,
                 stage="refine",
@@ -141,7 +140,6 @@ class Refiner:
             )
         except SchemaViolation:
             return self._drop(trajectory, None, "unparseable judge reply")
-        parsed: RefineTrajectoryReply = reply.parsed
         if parsed.decision is RefineDecision.DROP:
             return self._drop(trajectory, parsed.score, parsed.drop_reason)
         try:

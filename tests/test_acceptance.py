@@ -107,7 +107,7 @@ def _trajectory(steps: list[Step], terminal: Terminal, tag: str = "acc") -> Traj
     )
     return Trajectory(
         task=task, steps=tuple(steps), terminal=terminal,
-        refine_count=1, cost_usd=Decimal("0.0123"),
+        refine_count=1,
     )
 
 
@@ -324,7 +324,6 @@ def test_05_edit_application_fidelity():
             assert [s.index for s in out.steps] == list(range(len(out.steps)))
             assert out.task is trajectory.task
             assert out.refine_count == trajectory.refine_count
-            assert out.cost_usd == trajectory.cost_usd
 
             if mode == "plain":
                 assert len(out.steps) == len(order)
@@ -439,7 +438,7 @@ def test_07_budget_semantics(tmp_path):
         assert len(trajectory.steps) == 30
         assert trajectory.terminal is Terminal.BUDGET_EXCEEDED
 
-        stats = corpus_stats([trajectory], [], [])
+        stats = corpus_stats([trajectory], [], [], {})
         pct = stats["overall"]["terminal_pct"]
         assert pct["budget_exceeded"] == 100.0
         assert sum(pct.values()) == 100.0
@@ -491,7 +490,7 @@ def test_09_stats_partition():
             steps = [_step(j, make_action(ActionKind.CLICK, 1)) for j in range(4)]
             trajectories.append(_trajectory(steps, Terminal.BUDGET_EXCEEDED, tag=f"b{i}"))
 
-        stats = corpus_stats(trajectories, [], [])
+        stats = corpus_stats(trajectories, [], [], {})
         pct = stats["overall"]["terminal_pct"]
         assert pct == {
             "completed_none": 50.0,

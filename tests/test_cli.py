@@ -6,6 +6,7 @@ import json
 import pytest
 
 from synthweaver import cli
+from synthweaver.oracle import MockTransport
 from tests.conftest import SHOP_MOCK, write_config
 
 
@@ -240,6 +241,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "collect", "--config", str(config), "--run", "r")
         assert code == cli.EXIT_USAGE
         assert "tasks.jsonl: line 4 " in err
+
+    @pytest.mark.parametrize("key,bad", [
+        ("transport_retries", "x"), ("max_tokens", "many"),
+        ("transport_retries", 0), ("reparse_attempts", -1),
+    ])
+    def test_bad_oracle_number_is_usage_error(self, capsys, tmp_path, monkeypatch, key, bad):
+        # Each once escaped as a traceback, failed every call after 0
+        # attempts, or sent no call yet reported success.
+        served = []
+        monkeypatch.setattr(MockTransport, "complete", lambda self, prompt: served.append(prompt))
+        config = write_config(
+            tmp_path, oracle={"backend": "mock", "mock_script": str(SHOP_MOCK), key: bad}
+        )
+        code, _, err = run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert f"oracle.{key} must be" in err
+        assert served == []
+
+    def test_ledger_without_site_stage_map_is_usage_error(self, capsys, tmp_path):
+        config = write_config(tmp_path)
+        code, _, _ = run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_OK
+        # The ledger format of runs made before per-(site, stage) accounting.
+        ledger_path = tmp_path / "runs" / "r" / "ledger.json"
+        ledger = json.loads(ledger_path.read_text())
+        del ledger["by_site_stage"]
+        ledger.update(by_site={"shop": ledger["total_cost_usd"]},
+                      by_stage={"explore": ledger["total_cost_usd"]})
+        ledger_path.write_text(json.dumps(ledger))
+        code, _, err = run_cli(capsys, "collect", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert "by_site_stage" in err
 
     def test_bad_workers_is_usage_error(self, capsys, tmp_path):
         config = write_config(tmp_path)

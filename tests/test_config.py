@@ -103,6 +103,32 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(raw, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("section,key,bad", [
+        ("oracle", "transport_retries", "x"), ("oracle", "transport_retries", 0),
+        ("oracle", "transport_retries", 2.5), ("oracle", "reparse_attempts", -1),
+        ("oracle", "max_tokens", "many"), ("oracle", "max_tokens", True),
+        ("oracle", "timeout_s", 0), ("oracle", "temperature", "hot"),
+        ("oracle", "top_p", -0.1), ("oracle", "backoff_base_s", None),
+        ("browser", "viewport_width", "wide"), ("browser", "viewport_height", 0),
+        ("browser", "nav_timeout_ms", 1.5),
+    ])
+    def test_section_numbers_validated(self, tmp_path, section, key, bad):
+        raw = shop_config_dict()
+        raw.setdefault(section, {})[key] = bad
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+            parse_config(raw, base_dir=tmp_path)
+
+    def test_section_numbers_accept_ints_for_floats(self, tmp_path):
+        raw = shop_config_dict()
+        raw["oracle"].update(backoff_base_s=0, temperature=1, reparse_attempts=0)
+        raw["browser"] = {"viewport_width": 800}
+        config = parse_config(raw, base_dir=tmp_path)
+        assert config.oracle.backoff_base_s == 0.0
+        assert isinstance(config.oracle.temperature, float)
+        assert config.oracle.reparse_attempts == 0
+        assert config.browser.viewport_width == 800
+        assert config.browser.viewport_height == 720
+
     def test_sites_required(self, tmp_path):
         raw = shop_config_dict()
         raw["sites"] = []

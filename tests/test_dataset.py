@@ -22,7 +22,7 @@ from tests.conftest import click_action, none_action, obs, step, stop_action
 
 
 def make_trajectory(n_steps: int, text="the task", task_id="t-s-0001",
-                    cost=Decimal("0.1"), refine_count=0, site="shop") -> Trajectory:
+                    refine_count=0, site="shop") -> Trajectory:
     actions = [click_action(i + 1) for i in range(n_steps - 1)] + [none_action("ans")]
     steps = tuple(
         step(i, a, task=text, url=f"https://s.test/p{i}") for i, a in enumerate(actions)
@@ -30,7 +30,7 @@ def make_trajectory(n_steps: int, text="the task", task_id="t-s-0001",
     task = Task(id=task_id, text=text, category="c",
                 task_type=TaskType.INFORMATION_SEEKING, site=site)
     return Trajectory(task=task, steps=steps, terminal=Terminal.COMPLETED_NONE,
-                      refine_count=refine_count, cost_usd=cost)
+                      refine_count=refine_count)
 
 
 class TestSplitExamples:
@@ -170,14 +170,12 @@ class TestCorpusStats:
         for i in range(5, 8):
             t = make_trajectory(2, task_id=f"t-shop-{i:04d}")
             t = Trajectory(task=t.task, steps=t.steps[:-1] + (step(1, stop_action()),),
-                           terminal=Terminal.STOPPED_BY_AGENT, refine_count=1,
-                           cost_usd=Decimal("0.1"))
+                           terminal=Terminal.STOPPED_BY_AGENT, refine_count=1)
             raw.append(t)
         for i in range(8, 10):
             t = make_trajectory(4, task_id=f"t-shop-{i:04d}")
             t = Trajectory(task=t.task, steps=t.steps[:-1] + (step(3, click_action(9)),),
-                           terminal=Terminal.BUDGET_EXCEEDED, refine_count=0,
-                           cost_usd=Decimal("0.1"))
+                           terminal=Terminal.BUDGET_EXCEEDED, refine_count=0)
             raw.append(t)
         refined = raw[:6]
         decisions = (
@@ -189,7 +187,7 @@ class TestCorpusStats:
 
     def test_terminal_percentages(self):
         raw, refined, decisions = self.fixture_corpus()
-        stats = corpus_stats(raw, refined, decisions)
+        stats = corpus_stats(raw, refined, decisions, {})
         overall = stats["overall"]
         assert overall["terminal_pct"] == {
             "completed_none": 50.0, "stopped_by_agent": 30.0, "budget_exceeded": 20.0}
@@ -199,13 +197,13 @@ class TestCorpusStats:
 
     def test_decision_percentages_and_scores(self):
         raw, refined, decisions = self.fixture_corpus()
-        overall = corpus_stats(raw, refined, decisions)["overall"]
+        overall = corpus_stats(raw, refined, decisions, {})["overall"]
         assert overall["decision_pct"] == {"keep": 50.0, "refine": 10.0, "drop": 40.0}
         assert overall["mean_judge_score"] == round((80 * 5 + 60 + 10 * 4) / 10, 2)
 
     def test_mean_refines_and_steps(self):
         raw, refined, decisions = self.fixture_corpus()
-        overall = corpus_stats(raw, refined, decisions)["overall"]
+        overall = corpus_stats(raw, refined, decisions, {})["overall"]
         assert overall["mean_refines"] == round(3 / 10, 2)
         # refined set: five 3-step + one 2-step
         assert overall["mean_steps"] == round((3 * 5 + 2) / 6, 2)
@@ -215,12 +213,16 @@ class TestCorpusStats:
         raw.append(make_trajectory(2, task_id="t-blog-0001", site="blog"))
         refined.append(raw[-1])
         decisions.append({"site": "blog", "decision": "keep", "score": 90})
-        stats = corpus_stats(raw, refined, decisions)
+        stats = corpus_stats(raw, refined, decisions, {})
         assert set(stats["by_site"]) == {"shop", "blog"}
         assert stats["by_site"]["blog"]["n_trajectories_raw"] == 1
         assert stats["by_site"]["shop"]["n_trajectories_raw"] == 10
 
     def test_costs_sum_as_decimals(self):
         raw, refined, decisions = self.fixture_corpus()
-        overall = corpus_stats(raw, refined, decisions)["overall"]
-        assert Decimal(overall["collection_cost_usd"]) == Decimal("1.0")
+        collect_cost = {"shop": Decimal("0.7"), "blog": Decimal("0.3")}
+        stats = corpus_stats(raw, refined, decisions, collect_cost)
+        assert Decimal(stats["overall"]["collection_cost_usd"]) == Decimal("1.0")
+        # A site with spend but no trajectory (every task failed) still shows it.
+        assert stats["by_site"]["blog"]["collection_cost_usd"] == "0.3"
+        assert stats["by_site"]["blog"]["n_trajectories_raw"] == 0

@@ -178,8 +178,8 @@ class TestExploreShop:
         assert len(result.tasks) == 15
         assert len(result.triplets) == 18
         assert {t.site for t in result.tasks} == {"shop"}
-        assert set(self.ledger.by_stage) == {"explore"}
-        assert self.ledger.by_stage["explore"] > 0
+        assert set(self.ledger.by_site_stage) == {("shop", "explore")}
+        assert self.ledger.by_site_stage["shop", "explore"] > 0
         page_urls = [d["url"] for k, d in events if k == "explore.page"]
         assert page_urls[0] == "https://shop.example.com/"
         # breadth-first: all depth-1 pages precede the depth-2 product pages

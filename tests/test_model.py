@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
-from decimal import Decimal
 
 import pytest
 
@@ -135,10 +134,19 @@ class TestSerialization:
     def test_trajectory_round_trip(self):
         steps = (step(0, click_action()), step(1, none_action("ok")))
         t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE,
-                       refine_count=1, cost_usd=Decimal("0.0125"))
+                       refine_count=1)
         back = trajectory_from_dict(trajectory_to_dict(t))
         assert back == t
-        assert back.cost_usd == Decimal("0.0125")
+
+    def test_legacy_cost_key_still_loads(self):
+        # Trajectory files once carried a per-episode cost; the ledger is
+        # now the only cost account, so the key is written no more and ignored.
+        steps = (step(0, click_action()), step(1, none_action("ok")))
+        t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE,
+                       refine_count=1)
+        record = trajectory_to_dict(t)
+        assert "cost_usd" not in record
+        assert trajectory_from_dict({**record, "cost_usd": "0.0125"}) == t
 
     def test_random_trajectories_round_trip(self):
         rng = random.Random("model-roundtrip")
@@ -149,8 +157,7 @@ class TestSerialization:
             steps = tuple(step(i, rng.choice(kinds)()) for i in range(n - 1))
             steps += (step(n - 1, none_action(f"ans-{rng.randint(0, 99)}")),)
             t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE,
-                           refine_count=rng.randint(0, 4),
-                           cost_usd=Decimal(rng.randint(0, 10_000)) / Decimal(10_000))
+                           refine_count=rng.randint(0, 4))
             assert trajectory_from_dict(trajectory_to_dict(t)) == t
 
 

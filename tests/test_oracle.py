@@ -463,7 +463,7 @@ class TestOracleClient:
         client = OracleClient(transport, CostLedger(), sleep=sleeps.append,
                               policy=RetryPolicy(transport_retries=3, backoff_base_s=0.5))
         reply = client.call(quality_prompt())
-        assert reply.parsed.score == 50
+        assert reply.score == 50
         assert sleeps == [0.5, 1.0]  # base * 2^attempt
 
     def test_transport_exhaustion_raises(self):
@@ -478,8 +478,8 @@ class TestOracleClient:
                                        '{"score": 40, "analysis": "fixed"}'])
         client = OracleClient(transport, CostLedger(), sleep=lambda s: None)
         reply = client.call(quality_prompt())
-        assert reply.parsed.score == 40
-        assert reply.attempts == 2
+        assert reply.score == 40
+        assert client.ledger.calls == 2
         assert "previous reply was rejected" in transport.prompts[1].text
         assert transport.prompts[1].text.startswith(transport.prompts[0].text)
 
@@ -494,11 +494,13 @@ class TestOracleClient:
         ledger = CostLedger()
         transport = FlakyTransport(0, ["junk", '{"score": 10, "analysis": "a"}'])
         client = OracleClient(transport, ledger, sleep=lambda s: None)
-        reply = client.call(quality_prompt())
+        client.call(quality_prompt(), site="shop", stage="stats")
         snap = ledger.snapshot()
         assert snap["calls"] == 2
-        assert reply.usage.prompt_tokens == 200  # both attempts accumulated
-        assert Decimal(snap["total_cost_usd"]) == reply.cost_usd
+        assert snap["prompt_tokens"] == 200  # both attempts accumulated
+        # 2 * (100 * 2e-6 + 20 * 8e-6)
+        assert Decimal(snap["total_cost_usd"]) == Decimal("0.00072")
+        assert snap["by_site_stage"] == {"shop": {"stats": "0.000720"}}
 
     def test_budget_exhaustion_blocks_next_call(self):
         # Each call costs 100 * 2e-6 + 20 * 8e-6 = 0.00036 USD, crossing the budget.
@@ -528,8 +530,8 @@ class TestOracleClient:
             "default_usage": {"prompt_tokens": 1000, "completion_tokens": 250},
             "rules": [{"template": "judge_quality", "reply": {"score": 9, "analysis": "x"}}],
         })
-        reply = client.call(quality_prompt())
-        assert reply.cost_usd == Decimal("1000") * Decimal("0.000002") \
+        client.call(quality_prompt())
+        assert client.ledger.total_cost == Decimal("1000") * Decimal("0.000002") \
             + Decimal("250") * Decimal("0.000008")
 
     def test_custom_pricing(self):
@@ -541,7 +543,8 @@ class TestOracleClient:
         pricing = Pricing(prompt_per_token=Decimal("0.001"),
                           completion_per_token=Decimal("0.002"))
         client = OracleClient(MockTransport(script), CostLedger(), pricing=pricing)
-        assert client.call(quality_prompt()).cost_usd == Decimal("0.030")
+        client.call(quality_prompt())
+        assert client.ledger.total_cost == Decimal("0.030")
 
 
 # ======================================================================
@@ -557,6 +560,29 @@ class TestCostLedger:
         back = CostLedger.from_snapshot(snap)
         assert back.snapshot() == snap
         assert Decimal(snap["total_cost_usd"]) == Decimal("0.0012")
+
+    def test_two_site_snapshot_round_trip(self):
+        ledger = CostLedger()
+        ledger.add(Usage(1, 1), Decimal("0.25"), site="shop", stage="collect")
+        ledger.add(Usage(1, 1), Decimal("0.5"), site="blog", stage="explore")
+        ledger.add(Usage(1, 1), Decimal("0.125"), site="shop", stage="collect")
+        ledger.add(Usage(1, 1), Decimal("0.0625"), site="shop", stage="refine")
+        snap = ledger.snapshot()
+        assert snap["by_site_stage"] == {
+            "blog": {"explore": "0.5"},
+            "shop": {"collect": "0.375", "refine": "0.0625"},
+        }
+        back = CostLedger.from_snapshot(snap)
+        assert back.snapshot() == snap
+        assert back.stage_cost_by_site("collect") == {"shop": Decimal("0.375")}
+        assert sum(back.by_site_stage.values()) == back.total_cost
+
+    def test_snapshot_without_site_stage_map_is_rejected(self):
+        snap = CostLedger().snapshot()
+        del snap["by_site_stage"]
+        snap["by_site"] = {}
+        with pytest.raises(SchemaError, match="by_site_stage"):
+            CostLedger.from_snapshot(snap)
 
     def test_decimal_sums_are_exact(self):
         ledger = CostLedger()

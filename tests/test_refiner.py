@@ -1,8 +1,6 @@
 """Post-hoc refinement: summaries, edit application, judge-driven outcomes."""
 from __future__ import annotations
 
-from decimal import Decimal
-
 import pytest
 
 from synthweaver.actions import ActionKind, make_action
@@ -20,10 +18,10 @@ def make_task(text: str = "the task") -> Task:
 
 
 def make_trajectory(actions, terminal=Terminal.COMPLETED_NONE, text="the task",
-                    refine_count=1, cost=Decimal("0.5")) -> Trajectory:
+                    refine_count=1) -> Trajectory:
     steps = tuple(step(i, a, task=text, summary=f"summary {i}") for i, a in enumerate(actions))
     return Trajectory(task=make_task(text), steps=steps, terminal=terminal,
-                      refine_count=refine_count, cost_usd=cost)
+                      refine_count=refine_count)
 
 
 def reply(**overrides) -> RefineTrajectoryReply:
@@ -80,7 +78,6 @@ class TestApplyEdits:
                                                  none_action("ans")]
         assert out.terminal is Terminal.COMPLETED_NONE
         assert out.refine_count == t.refine_count
-        assert out.cost_usd == t.cost_usd
 
     def test_modify_end_replaces_terminal_action(self):
         t = make_trajectory([click_action(1), stop_action("quit")],
