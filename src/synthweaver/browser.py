@@ -106,13 +106,18 @@ class BrowserConfig:
 
 
 class BrowserSession:
-    """One WebDriver session implementing observe/execute/reset."""
+    """One WebDriver session implementing observe/execute/reset.
+
+    Each page state is fetched once: observe() returns the same observation
+    until an action or a navigation can have changed the page.
+    """
 
     def __init__(self, config: BrowserConfig) -> None:
         self.config = config
         self._base = config.endpoint_url.rstrip("/")
         self._timeout = max(config.nav_timeout_ms, 1000) / 1000.0
         self._terminal = False
+        self._observation: Observation | None = None
         payload = {
             "capabilities": {
                 "alwaysMatch": {},
@@ -192,6 +197,7 @@ class BrowserSession:
         raise ProtocolError(f"element reply carried no handle: {value}")
 
     def _navigate(self, url: str) -> None:
+        self._observation = None
         self._request("POST", f"{self._session}/url", {"url": url})
 
     # ------------------------------------------------------------------
@@ -208,6 +214,11 @@ class BrowserSession:
         return self._terminal
 
     def observe(self) -> Observation:
+        if self._observation is None:
+            self._observation = self._fetch_observation()
+        return self._observation
+
+    def _fetch_observation(self) -> Observation:
         raw = self._execute_script(OBSERVE_SCRIPT)
         if not isinstance(raw, dict):
             raise ProtocolError(f"observe script returned {type(raw).__name__}, not an object")
@@ -257,6 +268,7 @@ class BrowserSession:
         return TransitionOutcome(changed=before != after, error=error)
 
     def _apply(self, action: Action) -> str | None:
+        self._observation = None
         kind = action.kind
         if kind in (ActionKind.NONE, ActionKind.STOP):
             self._terminal = True

@@ -254,11 +254,15 @@ class Collector:
     def collect_one(
         self, task: Task, session_factory: Callable[[], Any]
     ) -> Trajectory | dict[str, Any]:
-        """Collect one task on a fresh session; a reply that never validates
-        becomes a failure record instead of an exception."""
+        """Collect one task on a fresh session, closed when the task ends; a
+        reply that never validates becomes a failure record instead of an
+        exception."""
+        session = session_factory()
         try:
-            return self.collect_trajectory(task, session_factory())
+            return self.collect_trajectory(task, session)
         except SchemaViolation as exc:
             failure = {"site": task.site, "task_id": task.id, "error": str(exc)}
             self.on_event("collect.failed", failure)
             return failure
+        finally:
+            session.close()

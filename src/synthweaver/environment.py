@@ -168,6 +168,9 @@ class SimulatorSession:
         after = observation_fingerprint(self.observe())
         return TransitionOutcome(changed=before != after, error=error)
 
+    def close(self) -> None:
+        """Nothing to release; present so every session can be closed."""
+
     # internal
 
     def _apply(self, action: Action) -> str | None:

@@ -51,12 +51,15 @@ U = TypeVar("U")
 
 def make_oracle(config: RunConfig, store: RunStore) -> tuple[OracleClient, CostLedger]:
     settings = config.oracle
+    budget = None if settings.budget_usd is None else Decimal(settings.budget_usd)
     snapshot = store.read_json(rs.LEDGER)
     if snapshot is not None:
+        # Spend and counts carry over; the cap is always the config's, so a
+        # run stopped by its budget can continue under a larger one.
         ledger = CostLedger.from_snapshot(snapshot)
+        ledger.budget_usd = budget
     else:
-        budget = settings.budget_usd
-        ledger = CostLedger(budget_usd=None if budget is None else Decimal(budget))
+        ledger = CostLedger(budget_usd=budget)
     if settings.backend == "mock":
         transport: Any = MockTransport(MockScript.load(settings.mock_script))
     else:
@@ -169,7 +172,11 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
         explorer = Explorer(client, config, on_event=store.event)
 
         def explore_one(site: SiteSpec) -> tuple[int, int]:
-            result = explorer.explore_site(site, make_session_factory(site, config)())
+            session = make_session_factory(site, config)()
+            try:
+                result = explorer.explore_site(site, session)
+            finally:
+                session.close()
             tasks = [task_to_dict(t) for t in result.tasks]
             triplets = [
                 {

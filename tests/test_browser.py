@@ -17,8 +17,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from synthweaver import pipeline
 from synthweaver.actions import Action, ActionKind, parse_action
 from synthweaver.browser import BrowserConfig, BrowserSession, key_sequence
+from synthweaver.collector import Collector
+from synthweaver.config import parse_config
 from synthweaver.errors import (
     ConnectFailed,
     ElementNotFound,
@@ -26,6 +29,9 @@ from synthweaver.errors import (
     ProtocolError,
     SessionTerminal,
 )
+from synthweaver.model import Task, TaskType
+from synthweaver.runstore import RunStore
+from tests.conftest import make_client
 
 PNG = b"\x89PNG-not-really-but-bytes"
 
@@ -189,6 +195,14 @@ def make_session(endpoint: str, **overrides) -> BrowserSession:
         endpoint_url=endpoint, start_url="https://fake.test/home", **overrides
     )
     return BrowserSession(config)
+
+
+def is_observe(path: str, body: dict) -> bool:
+    return path.endswith("/execute/sync") and "__swNextId" in body.get("script", "")
+
+
+def observe_scripts(log: list) -> int:
+    return sum(1 for _, p, b in log if is_observe(p, b))
 
 
 class TestHandshake:
@@ -372,6 +386,193 @@ class TestExecute:
         with pytest.raises(InvalidAction):
             session.execute(Action(kind=ActionKind.CLICK))
         assert len(fake.log) == before
+
+
+def next_action_reply(action: dict) -> dict:
+    return {
+        "state_observation_summary": "The fake page.",
+        "reasoning": "Follow the script.",
+        "next_action": {"low-level_instruction": "Act", "action": action},
+    }
+
+
+NO_REFINE = {"Analysis": "Still feasible.", "Need-to-Refine": "no", "High-Level-Task": ""}
+
+
+class TestObservationMemo:
+    def test_repeated_observe_fetches_once(self, fake_endpoint, tmp_path):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint, screenshot_dir=str(tmp_path / "shots"))
+        start = len(fake.log)
+        first = session.observe()
+        assert session.observe() is first
+        sent = fake.log[start:]
+        assert observe_scripts(sent) == 1
+        assert [p for m, p, _ in sent if m == "GET"] == ["/session/fake-sess/screenshot"]
+
+    def test_execute_reads_the_page_once_after_the_action(self, fake_endpoint):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint)
+        session.observe()
+        start = len(fake.log)
+        session.execute(parse_action("click [1]"))
+        sent = [(p, b) for _, p, b in fake.log[start:]]
+        observes = [i for i, (p, b) in enumerate(sent) if is_observe(p, b)]
+        click = [p for p, _ in sent].index("/session/fake-sess/element/h1/click")
+        assert len(observes) == 1
+        assert observes[0] > click
+        after = len(fake.log)
+        assert session.observe().elements[0].name == "Add*"
+        assert len(fake.log) == after
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            "click [1]", "type [2] [usb cable]", "hover [1]", "press [enter]",
+            "scroll [down]", "goto [https://fake.test/cart]", "go_back", "go_forward",
+            "none [done]", "stop [halt]",
+        ],
+    )
+    def test_every_action_kind_clears_the_memo(self, fake_endpoint, wire):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint)
+        session.observe()
+        start = len(fake.log)
+        session.execute(parse_action(wire))
+        assert observe_scripts(fake.log[start:]) == 1
+        after = len(fake.log)
+        session.observe()
+        assert len(fake.log) == after
+
+    def test_failed_step_clears_the_memo(self, fake_endpoint):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint)
+        session.observe()
+        fake.fail_click = True
+        start = len(fake.log)
+        outcome = session.execute(parse_action("click [1]"))
+        assert "500" in outcome.error
+        assert observe_scripts(fake.log[start:]) == 1
+
+    def test_missing_element_clears_the_memo(self, fake_endpoint):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint)
+        session.observe()
+        fake.stale_ids.add(1)
+        with pytest.raises(ElementNotFound):
+            session.execute(parse_action("click [1]"))
+        fake.title = "Changed"
+        start = len(fake.log)
+        assert session.observe().accessibility_tree.startswith('RootWebArea "Changed"')
+        assert observe_scripts(fake.log[start:]) == 1
+
+    def test_reset_clears_the_memo(self, fake_endpoint):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint)
+        session.observe()
+        fake.title = "Changed"
+        # A page that changes by itself is not re-read before the next action.
+        assert session.observe().accessibility_tree.startswith('RootWebArea "Fake"')
+        session.reset()
+        assert session.observe().accessibility_tree.startswith('RootWebArea "Changed"')
+
+    def test_episode_reads_each_state_once(self, fake_endpoint, shop_config):
+        fake, endpoint = fake_endpoint
+        actions = [
+            {"type": "click", "element_id": 1, "value": ""},
+            {"type": "type", "element_id": 2, "value": "usb"},
+            {"type": "scroll", "element_id": "", "value": "down"},
+            {"type": "click", "element_id": 4, "value": ""},
+            {"type": "none", "element_id": "", "value": "done"},
+        ]
+        script = {
+            "schema_version": 1,
+            "rules": [
+                {"template": "next_action", "replies": [next_action_reply(a) for a in actions]},
+                {"template": "refine_task", "reply": NO_REFINE},
+            ],
+        }
+        collector = Collector(make_client(script), shop_config)
+        task = Task(id="t-fake-0001", text="Use the page", category="c",
+                    task_type=TaskType.INFORMATION_SEEKING, site="fake")
+        trajectory = collector.collect_trajectory(task, make_session(endpoint))
+        executed = len(trajectory.steps) - 1
+        assert executed == 4
+        assert observe_scripts(fake.log) == executed + 1
+
+
+class TestSessionsClosed:
+    """Every WebDriver session the pipeline opens is deleted again."""
+
+    SCRIPT = {
+        "schema_version": 1,
+        "rules": [
+            {
+                "template": "categorize",
+                "reply": {
+                    "Analysis": "A button and a search box.",
+                    "Categorization": {
+                        "Actions": [
+                            {"action": "click", "element_id": 1, "value": "",
+                             "low-level_instruction": "Click Add"},
+                            {"action": "type", "element_id": 2, "value": "usb",
+                             "low-level_instruction": "Type usb"},
+                        ],
+                        "uninteractive_elements": [3],
+                    },
+                },
+            },
+            {
+                "template": "propose_task",
+                "when": {"current_action_str": "Click Add"},
+                "reply": {"Sub-Instruction": "Click Add.", "Analysis": "A cart change.",
+                          "High-Level-Instruction": "Press the Add button"},
+            },
+            {
+                "template": "propose_task",
+                "reply": {"Sub-Instruction": "Search.", "Analysis": "Information seeking.",
+                          "High-Level-Instruction": "Search the page for usb"},
+            },
+            {
+                "template": "next_action",
+                "when": {"high_level_task": "Press the Add button"},
+                "scope": "high_level_task",
+                "replies": [
+                    next_action_reply({"type": "click", "element_id": 1, "value": ""}),
+                    next_action_reply({"type": "none", "element_id": "", "value": "done"}),
+                ],
+            },
+            {"template": "next_action", "raw": "never json"},
+            {"template": "refine_task", "reply": NO_REFINE},
+        ],
+    }
+
+    def test_explore_and_collect_delete_every_session(self, fake_endpoint, tmp_path):
+        fake, endpoint = fake_endpoint
+        script = tmp_path / "fake.mock.json"
+        script.write_text(json.dumps(self.SCRIPT))
+        raw = {
+            "seed": 7,
+            "runs_dir": str(tmp_path / "runs"),
+            "oracle": {"backend": "mock", "mock_script": str(script), "backoff_base_s": 0},
+            "browser": {"endpoint_url": endpoint},
+            "sites": [{"name": "fake", "start_url": "https://fake.test/home"}],
+        }
+        config = parse_config(raw, base_dir=tmp_path)
+        store = RunStore(tmp_path / "runs" / "r")
+
+        def sessions() -> tuple[int, int]:
+            opened = sum(1 for m, p, _ in fake.log if (m, p) == ("POST", "/session"))
+            deleted = sum(1 for m, p, _ in fake.log if (m, p) == ("DELETE", "/session/fake-sess"))
+            return opened, deleted
+
+        assert pipeline.run_explore(config, store)["tasks"] == 2
+        assert sessions() == (1, 1)
+        # One task completes; the other never gets a valid reply and ends
+        # as a failure record.
+        assert pipeline.run_collect(config, store) == {"tasks": 2, "trajectories": 1}
+        assert sessions() == (3, 3)
+        assert fake.log[-1][:2] == ("DELETE", "/session/fake-sess")
 
 
 class TestKeySequence:

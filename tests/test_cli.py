@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -110,6 +111,26 @@ class TestResume:
         code, out, _ = run_cli(capsys, "refine", "--config", str(config), "--run", "r1")
         assert code == cli.EXIT_OK
         assert "judged 0 trajectories: 0 kept, 0 repaired, 0 dropped" in out
+
+    def test_budget_stop_continues_under_a_larger_cap(self, capsys, tmp_path):
+        def oracle(budget: str) -> dict:
+            return {"backend": "mock", "mock_script": str(SHOP_MOCK), "budget_usd": budget}
+
+        config = write_config(tmp_path, oracle=oracle("0.01"))
+        code, _, err = run_cli(capsys, "explore", "--config", str(config), "--run", "r1")
+        assert code == cli.EXIT_RUNTIME
+        assert "of 0.01 budget" in err
+        ledger_path = tmp_path / "runs" / "r1" / "ledger.json"
+        spent = json.loads(ledger_path.read_text())["total_cost_usd"]
+
+        config = write_config(tmp_path, oracle=oracle("5"))
+        code, out, err = run_cli(capsys, "explore", "--config", str(config), "--run", "r1")
+        assert code == cli.EXIT_OK, err
+        assert "explored 1 site(s): 15 tasks, 18 triplets" in out
+        ledger = json.loads(ledger_path.read_text())
+        assert ledger["budget_usd"] == "5"
+        # The stopped attempt's spend is kept, not forgotten.
+        assert Decimal(ledger["total_cost_usd"]) > Decimal(spent) > 0
 
 
 class TestWorkers:
