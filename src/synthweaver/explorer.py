@@ -4,12 +4,17 @@ Crawl order is breadth-first over discovered URLs. On each page the oracle
 groups elements into functional categories; a seeded sampler picks a few
 probes per category, each probe is executed from a restored page state, and
 the resulting before/action/after triplet seeds one task proposal.
+
+Proposals need only their triplet, so at more than one worker they run on a
+thread pool while the crawl keeps probing; they are committed in probe order,
+so tasks, triplets and their ids do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -189,8 +194,107 @@ def judge_task_diversity(
     return oracle.call(prompt, site=site, stage="stats")
 
 
+class _Proposals:
+    """One site's task proposals, committed strictly in probe order.
+
+    At more than one worker a proposal runs on a pool of `workers` threads
+    and the crawl moves on; at one worker it runs inline. Either way it joins
+    one FIFO, and commit (the text dedupe, the task and triplet ids, the
+    events) takes finished proposals from its head, so the records are those
+    of an inline run. At most `workers` proposals are pending.
+    """
+
+    def __init__(
+        self, oracle: OracleClient, site: SiteSpec, workers: int, on_event: EventHook
+    ) -> None:
+        self.oracle = oracle
+        self.site = site
+        self.workers = workers
+        self.on_event = on_event
+        self.tasks: list[Task] = []
+        self.triplets: list[TripletRecord] = []
+        self._seen_texts: set[str] = set()
+        self._pending: deque[tuple[str, str, InteractionTriplet, Future]] = deque()
+        self._executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+
+    def room(self, cap: int) -> bool:
+        """True when a new proposal may be issued under a cap of `cap` tasks.
+
+        Pending proposals count as tasks; when they would fill the cap they
+        are committed first, so the cap makes the calls one worker makes.
+        """
+        if len(self.tasks) + len(self._pending) >= cap:
+            self.drain()
+        return len(self.tasks) < cap
+
+    def submit(self, url: str, category: str, triplet: InteractionTriplet) -> None:
+        description = describe_interaction(triplet.action, triplet.before)
+        if self._executor is None:
+            future: Future = Future()
+            try:
+                future.set_result(propose_task(self.oracle, self.site, description))
+            except Exception as exc:
+                future.set_exception(exc)
+        else:
+            future = self._executor.submit(propose_task, self.oracle, self.site, description)
+        self._pending.append((url, category, triplet, future))
+        while self._pending and (
+            len(self._pending) > self.workers or self._pending[0][3].done()
+        ):
+            self._commit(*self._pending.popleft())
+
+    def drain(self) -> None:
+        while self._pending:
+            self._commit(*self._pending.popleft())
+
+    def close(self) -> None:
+        """Cancel proposals not yet started and wait for the running ones, so
+        nothing is charged after the caller returns."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+
+    def _commit(
+        self, url: str, category: str, triplet: InteractionTriplet, future: Future
+    ) -> None:
+        """Record one proposal; a failure other than a bad reply re-raises here."""
+        site = self.site.name
+        task_id: str | None = None
+        try:
+            text, task_type = future.result()
+        except SchemaViolation as exc:
+            self.on_event(
+                "explore.propose_failed", {"site": site, "url": url, "error": str(exc)}
+            )
+            text = ""
+        if text and text not in self._seen_texts:
+            self._seen_texts.add(text)
+            task_id = f"t-{site}-{len(self.tasks) + 1:04d}"
+            self.tasks.append(
+                Task(id=task_id, text=text, category=category, task_type=task_type,
+                     site=site)
+            )
+            self.on_event(
+                "explore.task",
+                {"site": site, "task_id": task_id, "text": text,
+                 "task_type": task_type.value},
+            )
+        self.triplets.append(
+            TripletRecord(
+                id=f"x-{site}-{len(self.triplets) + 1:04d}",
+                site=site,
+                category=category,
+                triplet=triplet,
+                task_id=task_id,
+            )
+        )
+
+
 class Explorer:
-    """Runs the exploration stage for one site over one environment session."""
+    """Runs the exploration stage for one site over one environment session.
+
+    One Explorer may serve several sites at once; each site's crawl state
+    lives in its own `explore_site` call.
+    """
 
     def __init__(
         self,
@@ -210,62 +314,62 @@ class Explorer:
         master = random.Random(f"{cfg.seed}:{site.name}")
         pool = UrlPool()
         probed: set[tuple[str, str, int, str]] = set()
-        seen_texts: set[str] = set()
-        tasks: list[Task] = []
-        triplets: list[TripletRecord] = []
+        proposals = _Proposals(self.oracle, site, cfg.workers, self.on_event)
+        try:
+            start = session.observe()
+            pool.add(start.url, 0)
+            pages_visited = 0
 
-        start = session.observe()
-        pool.add(start.url, 0)
-        pages_visited = 0
-
-        while len(pool) and pages_visited < cfg.max_pages_per_site:
-            if len(tasks) >= cfg.max_tasks_per_site:
-                break
-            url, depth = pool.pop()
-            page_rng = random.Random(master.randrange(2**63))
-            if not self._goto(session, url):
-                self.on_event("explore.page_unreachable", {"site": site.name, "url": url})
-                continue
-            obs = session.observe()
-            pages_visited += 1
-            try:
-                reply = categorize_page(self.oracle, obs, site=site.name)
-            except EmptyPlan:
-                self.on_event("explore.empty_plan", {"site": site.name, "url": url})
-                continue
-            except SchemaViolation as exc:
-                self.on_event(
-                    "explore.categorize_failed",
-                    {"site": site.name, "url": url, "error": str(exc)},
-                )
-                continue
-            self.on_event(
-                "explore.page",
-                {
-                    "site": site.name,
-                    "url": url,
-                    "depth": depth,
-                    "categories": {k: len(v) for k, v in reply.categories.items()},
-                },
-            )
-            for category, proposals in reply.categories.items():
-                fresh = [
-                    p
-                    for p in proposals
-                    if (url, p.kind.value, p.element_id, p.value) not in probed
-                ]
-                for proposal in sample_probes(page_rng, fresh, cfg.probes_per_category):
-                    if len(tasks) >= cfg.max_tasks_per_site:
-                        break
-                    probed.add((url, proposal.kind.value, proposal.element_id, proposal.value))
-                    self._run_probe(
-                        site, session, url, depth, category, proposal,
-                        pool, seen_texts, tasks, triplets,
+            while len(pool) and pages_visited < cfg.max_pages_per_site:
+                if not proposals.room(cfg.max_tasks_per_site):
+                    break
+                url, depth = pool.pop()
+                page_rng = random.Random(master.randrange(2**63))
+                if not self._goto(session, url):
+                    self.on_event("explore.page_unreachable", {"site": site.name, "url": url})
+                    continue
+                obs = session.observe()
+                pages_visited += 1
+                try:
+                    reply = categorize_page(self.oracle, obs, site=site.name)
+                except EmptyPlan:
+                    self.on_event("explore.empty_plan", {"site": site.name, "url": url})
+                    continue
+                except SchemaViolation as exc:
+                    self.on_event(
+                        "explore.categorize_failed",
+                        {"site": site.name, "url": url, "error": str(exc)},
                     )
+                    continue
+                self.on_event(
+                    "explore.page",
+                    {
+                        "site": site.name,
+                        "url": url,
+                        "depth": depth,
+                        "categories": {k: len(v) for k, v in reply.categories.items()},
+                    },
+                )
+                for category, candidates in reply.categories.items():
+                    fresh = [
+                        p
+                        for p in candidates
+                        if (url, p.kind.value, p.element_id, p.value) not in probed
+                    ]
+                    for proposal in sample_probes(page_rng, fresh, cfg.probes_per_category):
+                        if not proposals.room(cfg.max_tasks_per_site):
+                            break
+                        probed.add((url, proposal.kind.value, proposal.element_id, proposal.value))
+                        self._run_probe(
+                            site, session, url, depth, category, proposal, pool, proposals
+                        )
+            proposals.drain()
+        finally:
+            proposals.close()
         return ExplorationResult(
             site=site.name,
-            tasks=tuple(tasks),
-            triplets=tuple(triplets),
+            tasks=tuple(proposals.tasks),
+            triplets=tuple(proposals.triplets),
             pages_visited=pages_visited,
         )
 
@@ -286,10 +390,9 @@ class Explorer:
         category: str,
         proposal: ProposedInteraction,
         pool: UrlPool,
-        seen_texts: set[str],
-        tasks: list[Task],
-        triplets: list[TripletRecord],
+        proposals: _Proposals,
     ) -> None:
+        """Execute one probe and hand its triplet to `proposals`."""
         cfg = self.config
         if not self._goto(session, url):
             return
@@ -307,36 +410,4 @@ class Explorer:
         after = session.observe()
         if after.url != url and depth + 1 <= cfg.max_depth:
             pool.add(after.url, depth + 1)
-
-        description = describe_interaction(action, before)
-        task_id: str | None = None
-        try:
-            text, task_type = propose_task(self.oracle, site, description)
-        except SchemaViolation as exc:
-            self.on_event(
-                "explore.propose_failed",
-                {"site": site.name, "url": url, "error": str(exc)},
-            )
-            text = ""
-            task_type = TaskType.INFORMATION_SEEKING
-        if text and text not in seen_texts:
-            seen_texts.add(text)
-            task_id = f"t-{site.name}-{len(tasks) + 1:04d}"
-            tasks.append(
-                Task(id=task_id, text=text, category=category, task_type=task_type,
-                     site=site.name)
-            )
-            self.on_event(
-                "explore.task",
-                {"site": site.name, "task_id": task_id, "text": text,
-                 "task_type": task_type.value},
-            )
-        triplets.append(
-            TripletRecord(
-                id=f"x-{site.name}-{len(triplets) + 1:04d}",
-                site=site.name,
-                category=category,
-                triplet=InteractionTriplet(before=before, action=action, after=after),
-                task_id=task_id,
-            )
-        )
+        proposals.submit(url, category, InteractionTriplet(before=before, action=action, after=after))

@@ -1,14 +1,17 @@
 """Stage drivers: wire config, oracle, environments, and the run store.
 
 Each function runs one pipeline stage over a run directory and leaves the
-store in a resumable state. Worker counts above one parallelize across
-independent units (sites, tasks, trajectories) with a thread pool; one
-worker runs everything inline so record order is byte-reproducible.
+store in a resumable state, and writes `stage.start`/`stage.end` events.
+Worker counts above one parallelize across independent units (sites, tasks,
+trajectories, judge calls) with a thread pool, and explore also overlaps the
+task proposals within a site; one worker runs everything inline so record
+order is byte-reproducible.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from decimal import Decimal
@@ -132,6 +135,33 @@ def _map_jobs(
 
 
 @contextmanager
+def _stage_events(store: RunStore, name: str, ledger: CostLedger) -> Iterator[None]:
+    """Write `stage.start` and `stage.end` around a stage, also when it raises.
+
+    `stage.end` carries the wall time and the oracle calls and USD the stage
+    added to `ledger`.
+    """
+    calls, usd = ledger.calls, ledger.total_cost
+    store.event("stage.start", {"stage": name})
+    started = time.perf_counter()
+    outcome = "error"
+    try:
+        yield
+        outcome = "ok"
+    finally:
+        store.event(
+            "stage.end",
+            {
+                "stage": name,
+                "duration_ms": round(1000 * (time.perf_counter() - started), 3),
+                "oracle_calls": ledger.calls - calls,
+                "cost_usd": str(ledger.total_cost - usd),
+                "outcome": outcome,
+            },
+        )
+
+
+@contextmanager
 def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClient]:
     """Yield the oracle client of one stage; mark the stage done when the
     body returns.
@@ -140,11 +170,12 @@ def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClie
     raises, so a resumed run counts every call already paid for.
     """
     client, ledger = make_oracle(config, store)
-    try:
-        yield client
-    finally:
-        store.write_json(rs.LEDGER, ledger.snapshot())
-    store.mark_stage(name)
+    with _stage_events(store, name, ledger):
+        try:
+            yield client
+        finally:
+            store.write_json(rs.LEDGER, ledger.snapshot())
+        store.mark_stage(name)
 
 
 # ======================================================================
@@ -304,43 +335,48 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
 # ======================================================================
 
 def run_export(config: RunConfig, store: RunStore, *, window: int | None = None) -> ExportResult:
-    result = export_dataset(
-        _refined_trajectories(store),
-        store.dataset_dir(),
-        window=config.context_window if window is None else window,
-    )
-    manifest = store.read_json(rs.MANIFEST, default={})
-    manifest.update(
-        {
-            "seed": config.seed,
-            "sites": [site.name for site in config.sites],
-            "dataset": result.manifest,
-        }
-    )
-    store.write_json(rs.MANIFEST, manifest)
-    store.mark_stage("export")
+    # Export calls no oracle: its events count against an empty ledger.
+    with _stage_events(store, "export", CostLedger()):
+        result = export_dataset(
+            _refined_trajectories(store),
+            store.dataset_dir(),
+            window=config.context_window if window is None else window,
+        )
+        manifest = store.read_json(rs.MANIFEST, default={})
+        manifest.update(
+            {
+                "seed": config.seed,
+                "sites": [site.name for site in config.sites],
+                "dataset": result.manifest,
+            }
+        )
+        store.write_json(rs.MANIFEST, manifest)
+        store.mark_stage("export")
     return result
 
 
 def _judge_diversity(client: OracleClient, config: RunConfig, store: RunStore) -> dict[str, Any]:
     tasks_by_site = _tasks_by_site(store)
-    diversity: dict[str, Any] = {}
-    for name in sorted(tasks_by_site):
+    names = sorted(tasks_by_site)
+
+    def judge(name: str) -> dict[str, Any]:
         tasks = tasks_by_site[name]
         reply = judge_task_diversity(
             client, tasks, site=name, sample_size=config.diversity_sample_size
         )
-        diversity[name] = {
+        return {
             "score": reply.score,
             "subscores": dict(reply.subscores),
             "n_sampled": min(len(tasks), config.diversity_sample_size),
         }
-    return diversity
+
+    return dict(zip(names, _map_jobs(config.workers, names, judge)))
 
 
-def _judge_quality(client: OracleClient, refined: list[Trajectory]) -> dict[str, Any]:
-    scores_by_site: dict[str, list[int]] = {}
-    for trajectory in refined:
+def _judge_quality(
+    client: OracleClient, config: RunConfig, refined: list[Trajectory]
+) -> dict[str, Any]:
+    def judge(trajectory: Trajectory) -> int | None:
         prompt = render(
             TemplateName.JUDGE_QUALITY,
             {
@@ -349,10 +385,14 @@ def _judge_quality(client: OracleClient, refined: list[Trajectory]) -> dict[str,
             },
         )
         try:
-            reply = client.call(prompt, site=trajectory.site, stage="stats")
+            return client.call(prompt, site=trajectory.site, stage="stats").score
         except SchemaViolation:
-            continue
-        scores_by_site.setdefault(trajectory.site, []).append(reply.score)
+            return None
+
+    scores_by_site: dict[str, list[int]] = {}
+    for trajectory, score in zip(refined, _map_jobs(config.workers, refined, judge)):
+        if score is not None:
+            scores_by_site.setdefault(trajectory.site, []).append(score)
     all_scores = [s for scores in scores_by_site.values() for s in scores]
     return {
         "overall": {
@@ -395,7 +435,7 @@ def run_stats(
         if with_diversity:
             stats["diversity"] = _judge_diversity(client, config, store)
         if judge_quality:
-            stats["quality"] = _judge_quality(client, refined)
+            stats["quality"] = _judge_quality(client, config, refined)
         stats["oracle"] = client.ledger.snapshot()
         store.write_json(rs.STATS, stats)
     return stats

@@ -1,8 +1,11 @@
-"""Stage drivers: pinned shop output, and the ledger when a stage fails."""
+"""Stage drivers: pinned shop output, the ledger when a stage fails, and
+worker-count invariance of the overlapped oracle calls."""
 from __future__ import annotations
 
 import json
+import shutil
 import sys
+import threading
 import time
 from decimal import Decimal
 
@@ -37,6 +40,10 @@ def collect_spend(run) -> str:
 
 def content_hash(run) -> str:
     return json.loads((run / "manifest.json").read_text())["dataset"]["content_hash"]
+
+
+def stage_events(store):
+    return [r for r in store.read_records("events.jsonl") if r["kind"].startswith("stage.")]
 
 
 @pytest.mark.parametrize("workers", ["1", "4"])
@@ -76,6 +83,9 @@ def test_failed_stage_keeps_ledger_and_resumes(tmp_path, monkeypatch):
         pipeline.run_collect(config, store)
     assert ledger_totals(store.root)["calls"] == len(served) == 25 + 40
     assert "collect" not in store.load_state()["stages"]
+    end = stage_events(store)[-1]
+    assert (end["kind"], end["stage"], end["outcome"], end["oracle_calls"]) == (
+        "stage.end", "collect", "error", 40)
 
     limit[0] = None
     for stage in (pipeline.run_collect, pipeline.run_refine, pipeline.run_export,
@@ -170,3 +180,149 @@ def test_parallel_explore_commits_every_site_whole(tmp_path):
     assert len(sites) == counts["tasks"] == 8 * 15
     runs = [site for i, site in enumerate(sites) if i == 0 or sites[i - 1] != site]
     assert sorted(runs) == names  # each site's tasks form one block
+
+
+MOCK_COMPLETE = MockTransport.complete
+
+
+class Served:
+    """Serves the shop mock's replies, recording every completion served.
+
+    Calls of one template are numbered in the order they are sent; call n
+    sleeps `delay(n)` seconds before it is answered. From call `fail_at` on,
+    that call's prompt sleeps `delay(fail_at)` and raises a TransportError on
+    every attempt. `peak` is the most calls of that template in flight at
+    once.
+    """
+
+    def __init__(self, monkeypatch, template, delay=lambda n: 0.0, fail_at=None):
+        self.lock = threading.Lock()
+        self.served = []
+        self.sent = []
+        self.finished = []
+        self.active = self.peak = 0
+
+        def wrapped(transport, prompt):
+            mine = prompt.template.value == template
+            with self.lock:
+                n = len(self.sent) if mine else None
+                if mine:
+                    self.sent.append(prompt.text)
+                failing = mine and fail_at is not None and len(self.sent) > fail_at \
+                    and prompt.text == self.sent[fail_at]
+                self.active += mine
+                self.peak = max(self.peak, self.active)
+            try:
+                if n is not None:
+                    time.sleep(delay(fail_at if failing else n))
+                if failing:
+                    raise TransportError("endpoint down")
+                reply = MOCK_COMPLETE(transport, prompt)
+                with self.lock:
+                    self.served.append(prompt.text)
+                    if n is not None:
+                        self.finished.append(n)
+                return reply
+            finally:
+                with self.lock:
+                    self.active -= mine
+
+        monkeypatch.setattr(MockTransport, "complete", wrapped)
+
+    def served_of_template(self):
+        sent = set(self.sent)
+        return sorted(text for text in self.served if text in sent)
+
+
+def shop_store(tmp_path, name, **overrides):
+    raw = shop_config_dict(runs_dir=str(tmp_path / "runs"), **overrides)
+    raw["oracle"]["backoff_base_s"] = 0
+    return parse_config(raw, base_dir=tmp_path), RunStore(tmp_path / "runs" / name)
+
+
+def explore_at(tmp_path, monkeypatch, workers, **overrides):
+    # Within each group of four, earlier proposals sleep longer, so at four
+    # workers they finish in reverse order.
+    served = Served(monkeypatch, "propose_task", delay=lambda n: 0.005 * (4 - n % 4))
+    config, store = shop_store(tmp_path, f"w{workers}", workers=workers, **overrides)
+    pipeline.run_explore(config, store)
+    return served, store
+
+
+def test_explore_records_follow_probe_order_at_any_worker_count(tmp_path, monkeypatch):
+    one, inline = explore_at(tmp_path, monkeypatch, 1)
+    four, pooled = explore_at(tmp_path, monkeypatch, 4)
+    assert one.finished == sorted(one.finished)
+    assert four.finished != sorted(four.finished)  # replies did arrive out of order
+    assert four.peak > 1
+    for name in ("tasks.jsonl", "triplets.jsonl"):
+        assert (pooled.root / name).read_bytes() == (inline.root / name).read_bytes()
+    assert ledger_totals(pooled.root) == ledger_totals(inline.root)
+
+
+def test_task_cap_makes_the_proposals_of_one_worker(tmp_path, monkeypatch):
+    one, inline = explore_at(tmp_path, monkeypatch, 1, max_tasks_per_site=3)
+    four, pooled = explore_at(tmp_path, monkeypatch, 4, max_tasks_per_site=3)
+    assert four.served_of_template() == one.served_of_template()
+    assert len(one.served_of_template()) >= 3
+    assert (pooled.root / "tasks.jsonl").read_bytes() == (inline.root / "tasks.jsonl").read_bytes()
+    assert len(list(pooled.read_records("tasks.jsonl"))) == 3
+
+
+def test_failed_proposal_raises_once_in_flight_calls_are_paid(tmp_path, monkeypatch):
+    # The fifth proposal fails slowly; the ones sent after it are slower
+    # still, so they are in flight when its turn to commit comes.
+    served = Served(monkeypatch, "propose_task", delay=lambda n: 0.02 if n <= 4 else 0.2,
+                    fail_at=4)
+    config, store = shop_store(tmp_path, "r", workers=4)
+    with pytest.raises(TransportError):
+        pipeline.run_explore(config, store)
+    at_raise = len(served.served)
+    assert ledger_totals(store.root)["calls"] == at_raise
+    assert served.active == 0
+    assert served.peak > 1
+    time.sleep(0.1)
+    assert len(served.served) == at_raise  # nothing served after the raise
+    assert "explore" not in store.load_state()["stages"]
+
+    monkeypatch.undo()
+    for stage in (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine,
+                  pipeline.run_export, pipeline.run_stats):
+        stage(config, store)
+    assert content_hash(store.root) == SHOP_CONTENT_HASH
+
+
+def test_quality_judges_overlap_and_keep_stats_bytes(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path)
+    for command in ("explore", "collect", "refine", "export"):
+        assert cli.main([command, "--config", str(config), "--run", "w1"]) == cli.EXIT_OK
+    runs = tmp_path / "runs"
+    shutil.copytree(runs / "w1", runs / "w4")
+    peaks = {}
+    for workers in ("1", "4"):
+        served = Served(monkeypatch, "judge_quality", delay=lambda n: 0.02)
+        code = cli.main(["stats", "--config", str(config), "--run", f"w{workers}",
+                         "--workers", workers, "--judge-quality"])
+        assert code == cli.EXIT_OK, capsys.readouterr().err
+        peaks[workers] = served.peak
+    assert peaks["1"] == 1 and peaks["4"] > 1
+    assert (runs / "w4" / "stats.json").read_bytes() == (runs / "w1" / "stats.json").read_bytes()
+
+
+def test_every_stage_writes_timed_start_and_end_events(tmp_path):
+    config, store = shop_store(tmp_path, "r")
+    for stage in (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine,
+                  pipeline.run_export, pipeline.run_stats):
+        stage(config, store)
+    events = stage_events(store)
+    names = ["explore", "collect", "refine", "export", "stats"]
+    assert [(e["kind"], e["stage"]) for e in events] == [
+        (kind, name) for name in names for kind in ("stage.start", "stage.end")
+    ]
+    ends = [e for e in events if e["kind"] == "stage.end"]
+    assert all(e["outcome"] == "ok" and e["duration_ms"] >= 0 for e in ends)
+    assert [e["oracle_calls"] for e in ends] == [25, 142, 15, 0, 1]
+    assert sum(e["oracle_calls"] for e in ends) == SHOP_LEDGER["calls"]
+    spent = sum(Decimal(e["cost_usd"]) for e in ends)
+    assert str(spent) == SHOP_LEDGER["total_cost_usd"]
+    assert ends[1]["cost_usd"] == SHOP_COLLECT_USD
