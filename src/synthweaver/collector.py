@@ -4,17 +4,26 @@ For each task the agent oracle picks one action per step until it answers
 (`none`), gives up (`stop`), or exhausts the step budget. After every
 executed step a checker oracle may rewrite the task to match what the site
 actually supports; a mechanical stall detector feeds that check.
+
+On a transport that answers over the network, the next action is asked for
+speculatively while that check runs: the checker rarely rewrites the task,
+so its reply is almost always the one a sequential episode would get. When
+the check does rewrite the task, the speculative reply is discarded (it was
+still paid for) and the next action is asked again for the new task.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Any, Callable
 
 from .actions import Action, ActionKind, ELEMENT_KINDS, render_action
 from .config import RunConfig
 from .environment import TransitionOutcome
-from .errors import ElementNotFound, SchemaViolation
+from .errors import ElementNotFound, OracleError, SchemaViolation
 from .model import (
     ConflictTrigger,
     Observation,
@@ -24,6 +33,7 @@ from .model import (
     classify_terminal,
 )
 from .oracle import (
+    MockTransport,
     NextActionReply,
     OracleClient,
     RefineTaskReply,
@@ -90,7 +100,13 @@ def classify_trigger(stalled: bool, analysis: str) -> ConflictTrigger:
 
 class Collector:
     """Collects trajectories; safe to share across worker threads because all
-    mutable episode state is local to collect_trajectory."""
+    mutable episode state is local to collect_trajectory.
+
+    Unless the oracle's transport is the in-process `MockTransport`, which
+    answers on the calling thread with nothing to wait for, each episode
+    overlaps its task check with a speculative next action, so it has up to
+    two oracle calls in flight.
+    """
 
     def __init__(
         self,
@@ -102,6 +118,7 @@ class Collector:
         self.oracle = oracle
         self.config = config
         self.on_event = on_event
+        self.speculate = not isinstance(oracle.transport, MockTransport)
 
     # ------------------------------------------------------------------
     # next-action selection
@@ -125,11 +142,18 @@ class Collector:
         )
 
     def next_action(
-        self, task: Task, obs: Observation, history: tuple[Step, ...]
+        self,
+        task: Task,
+        obs: Observation,
+        history: tuple[Step, ...],
+        charged: list[Decimal] | None = None,
     ) -> NextActionReply:
-        """Pick the next action; one corrective re-ask on a bad element ref."""
+        """Pick the next action; one corrective re-ask on a bad element ref.
+        The cost of every attempt is appended to `charged` when given."""
         prompt = self._next_action_prompt(task, obs, history)
-        reply: NextActionReply = self.oracle.call(prompt, site=task.site, stage="collect")
+        reply: NextActionReply = self.oracle.call(
+            prompt, site=task.site, stage="collect", charged=charged
+        )
         action = reply.action
         if action.kind in ELEMENT_KINDS and not obs.has_element(action.element_id):
             correction = RenderedPrompt(
@@ -142,7 +166,9 @@ class Collector:
                 variables=prompt.variables,
                 images=prompt.images,
             )
-            reply = self.oracle.call(correction, site=task.site, stage="collect")
+            reply = self.oracle.call(
+                correction, site=task.site, stage="collect", charged=charged
+            )
         return reply
 
     # ------------------------------------------------------------------
@@ -180,6 +206,14 @@ class Collector:
     # ------------------------------------------------------------------
 
     def collect_trajectory(self, task: Task, session: Any) -> Trajectory:
+        # Leaving the block waits for a speculative call still in flight, also
+        # when the episode raises, so no call is charged after it returns.
+        with ThreadPoolExecutor(max_workers=1) if self.speculate else nullcontext() as pool:
+            return self._episode(task, session, pool)
+
+    def _episode(
+        self, task: Task, session: Any, pool: ThreadPoolExecutor | None
+    ) -> Trajectory:
         cfg = self.config
         steps: list[Step] = []
         stall = StallDetector(
@@ -187,11 +221,17 @@ class Collector:
             repeat_threshold=cfg.loop_repeat_threshold,
         )
         refine_count = 0
+        # The next step's observation and its speculative next-action reply.
+        pending: tuple[Observation, Future[NextActionReply]] | None = None
 
         while len(steps) < cfg.step_budget:
-            obs = session.observe()
             window = tuple(steps[-cfg.context_window :])
-            reply = self.next_action(task, obs, window)
+            if pending is None:
+                obs = session.observe()
+                reply = self.next_action(task, obs, window)
+            else:
+                obs, reply = pending[0], pending[1].result()
+                pending = None
             action = reply.action
             step = Step(
                 index=len(steps),
@@ -220,8 +260,20 @@ class Collector:
             )
             if refine_count < cfg.max_refines_per_task:
                 obs_after = session.observe()
+                speculative = None
+                charged: list[Decimal] = []
+                if pool is not None and len(steps) < cfg.step_budget:
+                    speculative = pool.submit(
+                        self.next_action,
+                        task,
+                        obs_after,
+                        tuple(steps[-cfg.context_window :]),
+                        charged,
+                    )
                 check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
                 if check.need_to_refine:
+                    if speculative is not None:
+                        self._discard(speculative, charged, task, step.index)
                     trigger = classify_trigger(stalled, check.analysis)
                     task = task.refined(step.index, check.high_level_task, trigger)
                     refine_count += 1
@@ -236,6 +288,8 @@ class Collector:
                             "text": task.text,
                         },
                     )
+                elif speculative is not None:
+                    pending = (obs_after, speculative)
 
         terminal = classify_terminal(tuple(steps), cfg.step_budget)
         return Trajectory(
@@ -243,6 +297,31 @@ class Collector:
             steps=tuple(steps),
             terminal=terminal,
             refine_count=refine_count,
+        )
+
+    def _discard(
+        self,
+        speculative: Future[NextActionReply],
+        charged: list[Decimal],
+        task: Task,
+        step_index: int,
+    ) -> None:
+        """Wait for a speculative reply the task check made stale and drop it,
+        or the exception it raised: the next action is asked again for the
+        rewritten task, which raises again if the oracle is really at fault."""
+        try:
+            speculative.result()
+        except OracleError:
+            pass
+        self.on_event(
+            "collect.speculation_discarded",
+            {
+                "site": task.site,
+                "task_id": task.id,
+                "step_index": step_index,
+                "oracle_calls": len(charged),
+                "cost_usd": str(sum(charged, Decimal("0"))),
+            },
         )
 
     def _execute(self, session: Any, action: Action) -> TransitionOutcome:

@@ -369,17 +369,20 @@ class OracleClient:
         site: str = "",
         stage: str = "",
         context: dict[str, Any] | None = None,
+        charged: list[Decimal] | None = None,
     ) -> Any:
-        """Return the validated reply; every attempt is charged to the ledger."""
+        """Return the validated reply; every attempt is charged to the ledger,
+        and its cost is also appended to `charged` when one is given."""
         current = prompt
         last_violation: SchemaViolation | None = None
         attempts = 1 + self.policy.reparse_attempts
         for _ in range(attempts):
             self.ledger.check_budget()
             completion = self._complete_with_retry(current)
-            self.ledger.add(
-                completion.usage, self.pricing.cost(completion.usage), site=site, stage=stage
-            )
+            cost = self.pricing.cost(completion.usage)
+            self.ledger.add(completion.usage, cost, site=site, stage=stage)
+            if charged is not None:
+                charged.append(cost)
             try:
                 payload = extract_json(completion.text)
                 return parse_reply(prompt.template, payload, context)

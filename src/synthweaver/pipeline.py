@@ -4,8 +4,10 @@ Each function runs one pipeline stage over a run directory and leaves the
 store in a resumable state, and writes `stage.start`/`stage.end` events.
 Worker counts above one parallelize across independent units (sites, tasks,
 trajectories, judge calls) with a thread pool, and explore also overlaps the
-task proposals within a site; one worker runs everything inline so record
-order is byte-reproducible.
+task proposals within a site; one worker runs these one after another, so
+record order is byte-reproducible. On an HTTP oracle each collect episode
+overlaps its task check with a speculative next action at any worker count;
+its records are those of asking in turn.
 """
 
 from __future__ import annotations

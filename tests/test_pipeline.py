@@ -13,10 +13,10 @@ import pytest
 
 from synthweaver import cli, pipeline
 from synthweaver.config import parse_config
-from synthweaver.errors import TransportError
-from synthweaver.oracle import MockTransport, RawCompletion, Usage
+from synthweaver.errors import BudgetExhausted, TransportError
+from synthweaver.oracle import CostLedger, MockScript, MockTransport, RawCompletion, Usage
 from synthweaver.runstore import RunStore
-from tests.conftest import shop_config_dict, write_config
+from tests.conftest import SHOP_MOCK, shop_config_dict, write_config
 
 # The shop fixture at seed 7. A change that alters these bytes or totals
 # changes what the pipeline produces, at whatever worker count.
@@ -188,14 +188,19 @@ MOCK_COMPLETE = MockTransport.complete
 class Served:
     """Serves the shop mock's replies, recording every completion served.
 
-    Calls of one template are numbered in the order they are sent; call n
-    sleeps `delay(n)` seconds before it is answered. From call `fail_at` on,
-    that call's prompt sleeps `delay(fail_at)` and raises a TransportError on
-    every attempt. `peak` is the most calls of that template in flight at
-    once.
+    With `http`, it stands in for `pipeline.HttpTransport`, so the stages run
+    as on a network endpoint (collect speculates); otherwise it wraps
+    `MockTransport`. Every call sleeps `latency` seconds, except calls of
+    `template` (one name or a tuple): those are numbered in the order they
+    are sent, and call n sleeps `delay(n)` seconds instead. From call
+    `fail_at` on, that call's prompt sleeps `delay(fail_at)` and raises a
+    TransportError on every attempt. `peak` is the most calls of `template`
+    in flight at once.
     """
 
-    def __init__(self, monkeypatch, template, delay=lambda n: 0.0, fail_at=None):
+    def __init__(self, monkeypatch, template, delay=lambda n: 0.0, fail_at=None,
+                 latency=0.0, http=False):
+        templates = (template,) if isinstance(template, str) else tuple(template)
         self.lock = threading.Lock()
         self.served = []
         self.sent = []
@@ -203,7 +208,7 @@ class Served:
         self.active = self.peak = 0
 
         def wrapped(transport, prompt):
-            mine = prompt.template.value == template
+            mine = prompt.template.value in templates
             with self.lock:
                 n = len(self.sent) if mine else None
                 if mine:
@@ -213,8 +218,7 @@ class Served:
                 self.active += mine
                 self.peak = max(self.peak, self.active)
             try:
-                if n is not None:
-                    time.sleep(delay(fail_at if failing else n))
+                time.sleep(latency if n is None else delay(fail_at if failing else n))
                 if failing:
                     raise TransportError("endpoint down")
                 reply = MOCK_COMPLETE(transport, prompt)
@@ -227,16 +231,31 @@ class Served:
                 with self.lock:
                     self.active -= mine
 
-        monkeypatch.setattr(MockTransport, "complete", wrapped)
+        if http:
+            class StandIn:
+                """Takes `HttpTransport`'s arguments; answers from the shop mock."""
+
+                def __init__(self, *args, **kwargs):
+                    self.script = MockScript.load(str(SHOP_MOCK))
+
+                complete = wrapped
+
+            monkeypatch.setattr(pipeline, "HttpTransport", StandIn)
+        else:
+            monkeypatch.setattr(MockTransport, "complete", wrapped)
 
     def served_of_template(self):
         sent = set(self.sent)
         return sorted(text for text in self.served if text in sent)
 
 
-def shop_store(tmp_path, name, **overrides):
+def shop_store(tmp_path, name, http=False, oracle=(), **overrides):
     raw = shop_config_dict(runs_dir=str(tmp_path / "runs"), **overrides)
-    raw["oracle"]["backoff_base_s"] = 0
+    if http:
+        # Never contacted: `Served(http=True)` stands in for the transport.
+        raw["oracle"] = {"backend": "http", "model": "shop",
+                         "endpoint_url": "http://127.0.0.1:9/v1/chat/completions"}
+    raw["oracle"].update(oracle, backoff_base_s=0)
     return parse_config(raw, base_dir=tmp_path), RunStore(tmp_path / "runs" / name)
 
 
@@ -326,3 +345,164 @@ def test_every_stage_writes_timed_start_and_end_events(tmp_path):
     spent = sum(Decimal(e["cost_usd"]) for e in ends)
     assert str(spent) == SHOP_LEDGER["total_cost_usd"]
     assert ends[1]["cost_usd"] == SHOP_COLLECT_USD
+
+
+# ----------------------------------------------------------------------
+# collect on a network oracle: the speculative next action
+# ----------------------------------------------------------------------
+
+# The shop fixture on a network oracle: 3 of its 64 task checks rewrite the
+# task, and each discards one speculative next action, paid for all the same.
+SHOP_HTTP_LEDGER = {"calls": 186, "tokens": 158_100, "total_cost_usd": "0.483600"}
+COLLECT = ("next_action", "refine_task")
+STAGES = (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine,
+          pipeline.run_export, pipeline.run_stats)
+
+
+def discarded(store):
+    return [r for r in store.read_records("events.jsonl")
+            if r["kind"] == "collect.speculation_discarded"]
+
+
+def record_bytes(run, workers) -> dict:
+    """The record and dataset files. More than one worker appends trajectories
+    and drops as tasks finish, so then their lines are compared sorted."""
+    files = {name: (run / name).read_bytes() for name in ("tasks.jsonl", "triplets.jsonl")}
+    for name in ("trajectories_raw.jsonl", "trajectories_refined.jsonl", "drops.jsonl"):
+        data = (run / name).read_bytes()
+        files[name] = data if workers == 1 else sorted(data.splitlines())
+    files.update({str(path.relative_to(run)): path.read_bytes()
+                  for path in sorted((run / "dataset").rglob("*")) if path.is_file()})
+    return files
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_speculative_collect_keeps_the_mock_bytes(tmp_path, monkeypatch, workers):
+    config, mock = shop_store(tmp_path, "mock", workers=workers)
+    for stage in STAGES:
+        stage(config, mock)
+    Served(monkeypatch, COLLECT, http=True)
+    config, http = shop_store(tmp_path, "http", http=True, workers=workers)
+    for stage in STAGES:
+        stage(config, http)
+    assert content_hash(http.root) == SHOP_CONTENT_HASH
+    assert ledger_totals(http.root) == SHOP_HTTP_LEDGER
+    # A discarded reply only advanced the old task text's mock cursor.
+    assert record_bytes(http.root, workers) == record_bytes(mock.root, workers)
+    events = discarded(http)
+    assert len(events) == 3
+    assert {e["oracle_calls"] for e in events} == {1}
+    wasted = sum(Decimal(e["cost_usd"]) for e in events)
+    assert Decimal(collect_spend(http.root)) - Decimal(SHOP_COLLECT_USD) == wasted
+    assert not discarded(mock)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_each_episode_overlaps_at_most_one_call(tmp_path, monkeypatch, workers):
+    served = Served(monkeypatch, COLLECT, delay=lambda n: 0.01, http=True)
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers)
+    pipeline.run_explore(config, store)
+    pipeline.run_collect(config, store)
+    assert workers < served.peak <= 2 * workers
+
+
+@pytest.mark.parametrize("overrides", [{"max_refines_per_task": 0}, {"step_budget": 1}])
+def test_no_speculation_without_a_check_to_overlap(tmp_path, monkeypatch, overrides):
+    served, stores = {}, {}
+    for http in (False, True):
+        served[http] = Served(monkeypatch, COLLECT, http=http)
+        config, stores[http] = shop_store(tmp_path, f"http{http}", http=http, **overrides)
+        pipeline.run_explore(config, stores[http])
+        pipeline.run_collect(config, stores[http])
+    assert len(served[True].served) == len(served[False].served)
+    assert served[True].served_of_template() == served[False].served_of_template()
+    assert not discarded(stores[True])
+    raw = "trajectories_raw.jsonl"
+    assert (stores[True].root / raw).read_bytes() == (stores[False].root / raw).read_bytes()
+
+
+def test_failed_check_raises_once_the_speculative_call_is_paid(tmp_path, monkeypatch):
+    # The tenth task check fails at once; every other call takes 50 ms, so
+    # the speculative next action sent with it is still in flight.
+    served = Served(monkeypatch, "refine_task", fail_at=10, latency=0.05, http=True)
+    config, store = shop_store(tmp_path, "r", http=True)
+    pipeline.run_explore(config, store)
+    with pytest.raises(TransportError):
+        pipeline.run_collect(config, store)
+    at_raise = len(served.served)
+    assert ledger_totals(store.root)["calls"] == at_raise
+    time.sleep(0.1)
+    assert len(served.served) == at_raise  # nothing served after the raise
+    assert "collect" not in store.load_state()["stages"]
+
+    Served(monkeypatch, COLLECT, http=True)
+    for stage in STAGES[1:]:
+        stage(config, store)
+    assert content_hash(store.root) == SHOP_CONTENT_HASH
+
+
+def test_invalid_discarded_reply_does_not_fail_the_task(tmp_path, monkeypatch):
+    reply_for = MockScript.reply_for
+    lock = threading.Lock()
+    asked: dict[str, int] = {}
+    limit: dict[str, int] = {}
+
+    def counting(script, prompt):
+        # Past `limit` next-action calls for a task text, the reply is junk.
+        if prompt.template.value == "next_action":
+            text = prompt.variables["high_level_task"]
+            with lock:
+                asked[text] = asked.get(text, 0) + 1
+                junk = asked[text] > limit.get(text, asked[text])
+            if junk:
+                return RawCompletion("no JSON here", Usage(100, 20))
+        return reply_for(script, prompt)
+
+    monkeypatch.setattr(MockScript, "reply_for", counting)
+    config, mock = shop_store(tmp_path, "mock")
+    pipeline.run_explore(config, mock)
+    pipeline.run_collect(config, mock)
+    rewritten = next(
+        r for r in mock.read_records("trajectories_raw.jsonl") if r["task"]["lineage"]
+    )
+    prior = rewritten["task"]["lineage"][0]["prior_text"]
+    # A sequential episode asks `asked[prior]` times for the old text; the
+    # speculative call sent with the check that rewrites it is one more.
+    limit[prior] = asked[prior]
+    asked.clear()
+
+    Served(monkeypatch, COLLECT, http=True)
+    config, http = shop_store(tmp_path, "http", http=True)
+    pipeline.run_explore(config, http)
+    assert pipeline.run_collect(config, http) == {"tasks": 15, "trajectories": 15}
+    assert asked[prior] == limit[prior] + 1 + config.oracle.reparse_attempts
+    events = [e for e in discarded(http) if e["task_id"] == rewritten["task"]["id"]]
+    assert [e["oracle_calls"] for e in events] == [1 + config.oracle.reparse_attempts]
+    raw = "trajectories_raw.jsonl"
+    assert (http.root / raw).read_bytes() == (mock.root / raw).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_speculative_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
+    Served(monkeypatch, COLLECT, delay=lambda n: 0.005, http=True)
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers)
+    pipeline.run_explore(config, store)
+    budget = Decimal(ledger_totals(store.root)["total_cost_usd"]) + Decimal("0.1")
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers,
+                               oracle={"budget_usd": str(budget)})
+    totals = []
+    order = threading.Lock()
+    add = CostLedger.add
+
+    def recorded(ledger, usage, cost, **kwargs):
+        with order:  # the running total after each charge, in charge order
+            add(ledger, usage, cost, **kwargs)
+            totals.append(ledger.total_cost)
+
+    monkeypatch.setattr(CostLedger, "add", recorded)
+    with pytest.raises(BudgetExhausted):
+        pipeline.run_collect(config, store)
+    reached = next(i for i, total in enumerate(totals) if total >= budget)
+    overshoot = len(totals) - 1 - reached  # calls charged after the cap was hit
+    assert overshoot <= 2 * workers
+    assert ledger_totals(store.root)["calls"] == len(totals) + 25
