@@ -130,14 +130,19 @@ class BrowserSession:
         if not session_id:
             raise ProtocolError(f"session creation returned no sessionId: {reply}")
         self._session = f"/session/{session_id}"
-        self._request(
-            "POST",
-            f"{self._session}/window/rect",
-            {"width": config.viewport[0], "height": config.viewport[1]},
-            tolerate_error=True,
-        )
-        if config.start_url:
-            self._navigate(config.start_url)
+        try:
+            self._request(
+                "POST",
+                f"{self._session}/window/rect",
+                {"width": config.viewport[0], "height": config.viewport[1]},
+                tolerate_error=True,
+            )
+            if config.start_url:
+                self._navigate(config.start_url)
+        except BaseException:
+            # No caller gets a session to close when the constructor raises.
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # protocol plumbing

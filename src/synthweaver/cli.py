@@ -128,6 +128,8 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    if args.window is not None and args.window < 0:
+        raise ConfigError("--window must be at least 0")
     config, store = _setup(args)
     result = run_export(config, store, window=args.window)
     print(

@@ -5,8 +5,8 @@ For each task the agent oracle picks one action per step until it answers
 executed step a checker oracle may rewrite the task to match what the site
 actually supports; a mechanical stall detector feeds that check.
 
-On a transport that answers over the network, the next action is asked for
-speculatively while that check runs: the checker rarely rewrites the task,
+On an HTTP oracle, the next action is asked for speculatively, on the oracle
+client's pool, while that check runs: the checker rarely rewrites the task,
 so its reply is almost always the one a sequential episode would get. When
 the check does rewrite the task, the speculative reply is discarded (it was
 still paid for) and the next action is asked again for the new task.
@@ -14,9 +14,8 @@ still paid for) and the next action is asked again for the new task.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Any, Callable
 
@@ -33,7 +32,6 @@ from .model import (
     classify_terminal,
 )
 from .oracle import (
-    MockTransport,
     NextActionReply,
     OracleClient,
     RefineTaskReply,
@@ -102,10 +100,9 @@ class Collector:
     """Collects trajectories; safe to share across worker threads because all
     mutable episode state is local to collect_trajectory.
 
-    Unless the oracle's transport is the in-process `MockTransport`, which
-    answers on the calling thread with nothing to wait for, each episode
+    When the oracle client overlaps calls (an HTTP oracle), each episode
     overlaps its task check with a speculative next action, so it has up to
-    two oracle calls in flight.
+    two oracle calls in flight; on the mock it has one.
     """
 
     def __init__(
@@ -118,7 +115,6 @@ class Collector:
         self.oracle = oracle
         self.config = config
         self.on_event = on_event
-        self.speculate = not isinstance(oracle.transport, MockTransport)
 
     # ------------------------------------------------------------------
     # next-action selection
@@ -156,16 +152,11 @@ class Collector:
         )
         action = reply.action
         if action.kind in ELEMENT_KINDS and not obs.has_element(action.element_id):
-            correction = RenderedPrompt(
-                template=prompt.template,
-                text=(
-                    f"{prompt.text}\n\nYour previous choice referenced element id "
-                    f"[{action.element_id}], which is not on the current page. Choose "
-                    "again using only the element ids listed above."
-                ),
-                variables=prompt.variables,
-                images=prompt.images,
-            )
+            correction = replace(prompt, text=(
+                f"{prompt.text}\n\nYour previous choice referenced element id "
+                f"[{action.element_id}], which is not on the current page. Choose "
+                "again using only the element ids listed above."
+            ))
             reply = self.oracle.call(
                 correction, site=task.site, stage="collect", charged=charged
             )
@@ -206,14 +197,6 @@ class Collector:
     # ------------------------------------------------------------------
 
     def collect_trajectory(self, task: Task, session: Any) -> Trajectory:
-        # Leaving the block waits for a speculative call still in flight, also
-        # when the episode raises, so no call is charged after it returns.
-        with ThreadPoolExecutor(max_workers=1) if self.speculate else nullcontext() as pool:
-            return self._episode(task, session, pool)
-
-    def _episode(
-        self, task: Task, session: Any, pool: ThreadPoolExecutor | None
-    ) -> Trajectory:
         cfg = self.config
         steps: list[Step] = []
         stall = StallDetector(
@@ -262,13 +245,10 @@ class Collector:
                 obs_after = session.observe()
                 speculative = None
                 charged: list[Decimal] = []
-                if pool is not None and len(steps) < cfg.step_budget:
-                    speculative = pool.submit(
-                        self.next_action,
-                        task,
-                        obs_after,
-                        tuple(steps[-cfg.context_window :]),
-                        charged,
+                if self.oracle.overlaps and len(steps) < cfg.step_budget:
+                    speculative = self.oracle.submit(
+                        self.next_action, task, obs_after,
+                        tuple(steps[-cfg.context_window :]), charged,
                     )
                 check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
                 if check.need_to_refine:

@@ -5,16 +5,17 @@ groups elements into functional categories; a seeded sampler picks a few
 probes per category, each probe is executed from a restored page state, and
 the resulting before/action/after triplet seeds one task proposal.
 
-Proposals need only their triplet, so at more than one worker they run on a
-thread pool while the crawl keeps probing; they are committed in probe order,
-so tasks, triplets and their ids do not depend on the worker count.
+Proposals need only their triplet, so on an HTTP oracle they run on the
+oracle client's pool while the crawl keeps probing; they are committed in
+probe order, so tasks, triplets and their ids do not depend on the transport
+or the worker count.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any
 
@@ -197,11 +198,11 @@ def judge_task_diversity(
 class _Proposals:
     """One site's task proposals, committed strictly in probe order.
 
-    At more than one worker a proposal runs on a pool of `workers` threads
-    and the crawl moves on; at one worker it runs inline. Either way it joins
-    one FIFO, and commit (the text dedupe, the task and triplet ids, the
-    events) takes finished proposals from its head, so the records are those
-    of an inline run. At most `workers` proposals are pending.
+    A proposal goes to `OracleClient.submit`, which overlaps it with the
+    crawl on an HTTP oracle and runs it inline on the mock. Either way it
+    joins one FIFO, and commit (the text dedupe, the task and triplet ids,
+    the events) takes finished proposals from its head, so the records are
+    those of an inline run. At most `workers` proposals are pending.
     """
 
     def __init__(
@@ -215,7 +216,6 @@ class _Proposals:
         self.triplets: list[TripletRecord] = []
         self._seen_texts: set[str] = set()
         self._pending: deque[tuple[str, str, InteractionTriplet, Future]] = deque()
-        self._executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def room(self, cap: int) -> bool:
         """True when a new proposal may be issued under a cap of `cap` tasks.
@@ -229,14 +229,7 @@ class _Proposals:
 
     def submit(self, url: str, category: str, triplet: InteractionTriplet) -> None:
         description = describe_interaction(triplet.action, triplet.before)
-        if self._executor is None:
-            future: Future = Future()
-            try:
-                future.set_result(propose_task(self.oracle, self.site, description))
-            except Exception as exc:
-                future.set_exception(exc)
-        else:
-            future = self._executor.submit(propose_task, self.oracle, self.site, description)
+        future = self.oracle.submit(propose_task, self.oracle, self.site, description)
         self._pending.append((url, category, triplet, future))
         while self._pending and (
             len(self._pending) > self.workers or self._pending[0][3].done()
@@ -246,12 +239,6 @@ class _Proposals:
     def drain(self) -> None:
         while self._pending:
             self._commit(*self._pending.popleft())
-
-    def close(self) -> None:
-        """Cancel proposals not yet started and wait for the running ones, so
-        nothing is charged after the caller returns."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
 
     def _commit(
         self, url: str, category: str, triplet: InteractionTriplet, future: Future
@@ -315,57 +302,54 @@ class Explorer:
         pool = UrlPool()
         probed: set[tuple[str, str, int, str]] = set()
         proposals = _Proposals(self.oracle, site, cfg.workers, self.on_event)
-        try:
-            start = session.observe()
-            pool.add(start.url, 0)
-            pages_visited = 0
+        start = session.observe()
+        pool.add(start.url, 0)
+        pages_visited = 0
 
-            while len(pool) and pages_visited < cfg.max_pages_per_site:
-                if not proposals.room(cfg.max_tasks_per_site):
-                    break
-                url, depth = pool.pop()
-                page_rng = random.Random(master.randrange(2**63))
-                if not self._goto(session, url):
-                    self.on_event("explore.page_unreachable", {"site": site.name, "url": url})
-                    continue
-                obs = session.observe()
-                pages_visited += 1
-                try:
-                    reply = categorize_page(self.oracle, obs, site=site.name)
-                except EmptyPlan:
-                    self.on_event("explore.empty_plan", {"site": site.name, "url": url})
-                    continue
-                except SchemaViolation as exc:
-                    self.on_event(
-                        "explore.categorize_failed",
-                        {"site": site.name, "url": url, "error": str(exc)},
-                    )
-                    continue
+        while len(pool) and pages_visited < cfg.max_pages_per_site:
+            if not proposals.room(cfg.max_tasks_per_site):
+                break
+            url, depth = pool.pop()
+            page_rng = random.Random(master.randrange(2**63))
+            if not self._goto(session, url):
+                self.on_event("explore.page_unreachable", {"site": site.name, "url": url})
+                continue
+            obs = session.observe()
+            pages_visited += 1
+            try:
+                reply = categorize_page(self.oracle, obs, site=site.name)
+            except EmptyPlan:
+                self.on_event("explore.empty_plan", {"site": site.name, "url": url})
+                continue
+            except SchemaViolation as exc:
                 self.on_event(
-                    "explore.page",
-                    {
-                        "site": site.name,
-                        "url": url,
-                        "depth": depth,
-                        "categories": {k: len(v) for k, v in reply.categories.items()},
-                    },
+                    "explore.categorize_failed",
+                    {"site": site.name, "url": url, "error": str(exc)},
                 )
-                for category, candidates in reply.categories.items():
-                    fresh = [
-                        p
-                        for p in candidates
-                        if (url, p.kind.value, p.element_id, p.value) not in probed
-                    ]
-                    for proposal in sample_probes(page_rng, fresh, cfg.probes_per_category):
-                        if not proposals.room(cfg.max_tasks_per_site):
-                            break
-                        probed.add((url, proposal.kind.value, proposal.element_id, proposal.value))
-                        self._run_probe(
-                            site, session, url, depth, category, proposal, pool, proposals
-                        )
-            proposals.drain()
-        finally:
-            proposals.close()
+                continue
+            self.on_event(
+                "explore.page",
+                {
+                    "site": site.name,
+                    "url": url,
+                    "depth": depth,
+                    "categories": {k: len(v) for k, v in reply.categories.items()},
+                },
+            )
+            for category, candidates in reply.categories.items():
+                fresh = [
+                    p
+                    for p in candidates
+                    if (url, p.kind.value, p.element_id, p.value) not in probed
+                ]
+                for proposal in sample_probes(page_rng, fresh, cfg.probes_per_category):
+                    if not proposals.room(cfg.max_tasks_per_site):
+                        break
+                    probed.add((url, proposal.kind.value, proposal.element_id, proposal.value))
+                    self._run_probe(
+                        site, session, url, depth, category, proposal, pool, proposals
+                    )
+        proposals.drain()
         return ExplorationResult(
             site=site.name,
             tasks=tuple(proposals.tasks),

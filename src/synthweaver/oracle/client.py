@@ -11,7 +11,8 @@ import fnmatch
 import json
 import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Any, Callable, Protocol
 
@@ -332,6 +333,12 @@ class OracleClient:
     one or more re-requests that append the violation as a corrective hint.
     Every attempt is charged to the ledger, including failed ones, and none
     is sent once spend has reached the budget.
+
+    `submit` overlaps calls with the caller's work: on one pool of `workers`
+    threads when the transport waits on the network (`overlaps`), inline on
+    the in-process `MockTransport`, which has nothing to wait for. Callers on
+    at most `workers` threads thus have at most 2 x `workers` calls in flight
+    on an HTTP oracle, and at most `workers` on the mock.
     """
 
     def __init__(
@@ -342,12 +349,33 @@ class OracleClient:
         pricing: Pricing | None = None,
         policy: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        workers: int = 1,
     ) -> None:
         self.transport = transport
         self.ledger = ledger
         self.pricing = pricing or Pricing()
         self.policy = policy or RetryPolicy()
         self._sleep = sleep
+        self.overlaps = not isinstance(transport, MockTransport)
+        self._pool = ThreadPoolExecutor(max_workers=workers) if self.overlaps else None
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Run fn(*args) on the pool, or inline when the client does not
+        overlap; its result or exception is read from the future."""
+        if self._pool is not None:
+            return self._pool.submit(fn, *args)
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def close(self) -> None:
+        """Cancel submitted work not yet started and wait for the running
+        work, so nothing is charged after this returns."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
     def _complete_with_retry(self, prompt: RenderedPrompt) -> RawCompletion:
         last: TransportError | None = None
@@ -392,12 +420,7 @@ class OracleClient:
                     f"{prompt.text}\n\nYour previous reply was rejected: {exc}. "
                     "Reply again with a single valid JSON object."
                 )
-                current = RenderedPrompt(
-                    template=prompt.template,
-                    text=hint,
-                    variables=prompt.variables,
-                    images=prompt.images,
-                )
+                current = replace(prompt, text=hint)
         raise SchemaViolation(
             f"reply failed validation after {attempts} attempts: {last_violation}"
         )

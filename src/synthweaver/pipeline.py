@@ -3,11 +3,12 @@
 Each function runs one pipeline stage over a run directory and leaves the
 store in a resumable state, and writes `stage.start`/`stage.end` events.
 Worker counts above one parallelize across independent units (sites, tasks,
-trajectories, judge calls) with a thread pool, and explore also overlaps the
-task proposals within a site; one worker runs these one after another, so
-record order is byte-reproducible. On an HTTP oracle each collect episode
-overlaps its task check with a speculative next action at any worker count;
-its records are those of asking in turn.
+trajectories, judge calls) with a thread pool; one worker runs these one
+after another, so record order is byte-reproducible. On an HTTP oracle,
+explore's task proposals and collect's speculative next actions also
+overlap, on the stage's `OracleClient` pool, and are committed as if asked
+in turn. So any stage has at most 2 x `workers` oracle calls in flight on an
+HTTP oracle, and at most `workers` on the mock backend.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def make_oracle(config: RunConfig, store: RunStore) -> tuple[OracleClient, CostL
         reparse_attempts=settings.reparse_attempts,
         backoff_base_s=settings.backoff_base_s,
     )
-    client = OracleClient(transport, ledger, pricing=pricing, policy=policy)
-    return client, ledger
+    return OracleClient(
+        transport, ledger, pricing=pricing, policy=policy, workers=config.workers
+    ), ledger
 
 
 def make_session_factory(site: SiteSpec, config: RunConfig) -> Callable[[], Any]:
@@ -168,14 +170,16 @@ def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClie
     """Yield the oracle client of one stage; mark the stage done when the
     body returns.
 
-    The ledger snapshot is written on the way out, also when the body
-    raises, so a resumed run counts every call already paid for.
+    On the way out, also when the body raises, the client is closed: this is
+    the one place that waits for overlapped calls still in flight. Then the
+    ledger snapshot is written, so a resumed run counts every call paid for.
     """
     client, ledger = make_oracle(config, store)
     with _stage_events(store, name, ledger):
         try:
             yield client
         finally:
+            client.close()
             store.write_json(rs.LEDGER, ledger.snapshot())
         store.mark_stage(name)
 

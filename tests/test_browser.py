@@ -55,6 +55,7 @@ class FakeBrowser:
         self.stale_ids: set[int] = set()
         self.fail_click = False
         self.fail_rect = False
+        self.fail_url = False
 
     def find(self, element_id: int) -> dict | None:
         for e in self.elements:
@@ -96,6 +97,9 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._reply(200, None)
         elif self.path.endswith("/url"):
+            if fake.fail_url:
+                self._reply(500, {"error": "unknown error", "message": "no route"})
+                return
             fake.history.append(fake.url)
             fake.url = body["url"]
             fake.forward.clear()
@@ -233,6 +237,13 @@ class TestHandshake:
     def test_close_deletes_session(self, fake_endpoint):
         fake, endpoint = fake_endpoint
         make_session(endpoint).close()
+        assert ("DELETE", "/session/fake-sess", None) in fake.log
+
+    def test_failed_start_url_deletes_session(self, fake_endpoint):
+        fake, endpoint = fake_endpoint
+        fake.fail_url = True
+        with pytest.raises(ProtocolError):
+            make_session(endpoint)
         assert ("DELETE", "/session/fake-sess", None) in fake.log
 
 

@@ -301,3 +301,14 @@ class TestExitCodes:
             capsys, "explore", "--config", str(config), "--run", "r", "--workers", "0"
         )
         assert code == cli.EXIT_USAGE
+
+    def test_negative_window_is_usage_error(self, capsys, tmp_path):
+        config = write_config(tmp_path)
+        for command in ("explore", "collect", "refine"):
+            code, _, _ = run_cli(capsys, command, "--config", str(config), "--run", "r")
+            assert code == cli.EXIT_OK
+        code, _, err = run_cli(
+            capsys, "export", "--config", str(config), "--run", "r", "--window", "-1"
+        )
+        assert code == cli.EXIT_USAGE
+        assert "--window" in err

@@ -7,6 +7,7 @@ import shutil
 import sys
 import threading
 import time
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -161,25 +162,27 @@ def test_dead_endpoint_is_not_retried_per_queued_task(tmp_path, monkeypatch):
     assert len(failed) <= config.workers * config.oracle.transport_retries
 
 
-def test_parallel_explore_commits_every_site_whole(tmp_path):
+def test_parallel_explore_commits_every_site_whole(tmp_path, monkeypatch):
     # More workers than cores and a short switch interval, so site commits
-    # race; a lost state update or interleaved records would show here.
-    raw = shop_config_dict(runs_dir=str(tmp_path / "runs"), workers=8)
-    raw["sites"] = [dict(raw["sites"][0], name=f"shop{i}") for i in range(8)]
-    config = parse_config(raw, base_dir=tmp_path)
-    store = RunStore(tmp_path / "runs" / "r")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        counts = pipeline.run_explore(config, store)
-    finally:
-        sys.setswitchinterval(interval)
-    names = [site.name for site in config.sites]
-    assert sorted(store.load_state()["explored_sites"]) == names
-    sites = [r["site"] for r in store.read_records("tasks.jsonl")]
-    assert len(sites) == counts["tasks"] == 8 * 15
-    runs = [site for i, site in enumerate(sites) if i == 0 or sites[i - 1] != site]
-    assert sorted(runs) == names  # each site's tasks form one block
+    # race; a lost state update or interleaved records would show here. On
+    # the HTTP stand-in every site's proposals also share the stage's pool.
+    Served(monkeypatch, (), http=True)
+    for http in (False, True):
+        config, store = shop_store(tmp_path, f"http{http}", http=http, workers=8)
+        config = replace(config, sites=tuple(
+            replace(config.sites[0], name=f"shop{i}") for i in range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = pipeline.run_explore(config, store)
+        finally:
+            sys.setswitchinterval(interval)
+        names = [site.name for site in config.sites]
+        assert sorted(store.load_state()["explored_sites"]) == names
+        sites = [r["site"] for r in store.read_records("tasks.jsonl")]
+        assert len(sites) == counts["tasks"] == 8 * 15
+        runs = [site for i, site in enumerate(sites) if i == 0 or sites[i - 1] != site]
+        assert sorted(runs) == names  # each site's tasks form one block
 
 
 MOCK_COMPLETE = MockTransport.complete
@@ -189,13 +192,15 @@ class Served:
     """Serves the shop mock's replies, recording every completion served.
 
     With `http`, it stands in for `pipeline.HttpTransport`, so the stages run
-    as on a network endpoint (collect speculates); otherwise it wraps
-    `MockTransport`. Every call sleeps `latency` seconds, except calls of
-    `template` (one name or a tuple): those are numbered in the order they
-    are sent, and call n sleeps `delay(n)` seconds instead. From call
-    `fail_at` on, that call's prompt sleeps `delay(fail_at)` and raises a
-    TransportError on every attempt. `peak` is the most calls of `template`
-    in flight at once.
+    as on a network endpoint (explore overlaps its proposals and collect
+    speculates); otherwise it wraps `MockTransport`. Every call sleeps
+    `latency` seconds, except calls of `template` (one name or a tuple):
+    those are numbered in the order they are sent, and call n sleeps
+    `delay(n)` seconds instead. From call `fail_at` on, that call's prompt
+    sleeps `delay(fail_at)` and raises a TransportError on every attempt.
+    `peak` is the most calls of `template` in flight at once. Once `down` is
+    set and that many completions were served, every attempt raises a
+    TransportError.
     """
 
     def __init__(self, monkeypatch, template, delay=lambda n: 0.0, fail_at=None,
@@ -206,10 +211,12 @@ class Served:
         self.sent = []
         self.finished = []
         self.active = self.peak = 0
+        self.down = None
 
         def wrapped(transport, prompt):
             mine = prompt.template.value in templates
             with self.lock:
+                down = self.down is not None and len(self.served) >= self.down
                 n = len(self.sent) if mine else None
                 if mine:
                     self.sent.append(prompt.text)
@@ -218,6 +225,8 @@ class Served:
                 self.active += mine
                 self.peak = max(self.peak, self.active)
             try:
+                if down:
+                    raise TransportError("endpoint down")
                 time.sleep(latency if n is None else delay(fail_at if failing else n))
                 if failing:
                     raise TransportError("endpoint down")
@@ -262,8 +271,10 @@ def shop_store(tmp_path, name, http=False, oracle=(), **overrides):
 def explore_at(tmp_path, monkeypatch, workers, **overrides):
     # Within each group of four, earlier proposals sleep longer, so at four
     # workers they finish in reverse order.
-    served = Served(monkeypatch, "propose_task", delay=lambda n: 0.005 * (4 - n % 4))
-    config, store = shop_store(tmp_path, f"w{workers}", workers=workers, **overrides)
+    served = Served(monkeypatch, "propose_task", delay=lambda n: 0.005 * (4 - n % 4),
+                    http=True)
+    config, store = shop_store(tmp_path, f"w{workers}", http=True, workers=workers,
+                               **overrides)
     pipeline.run_explore(config, store)
     return served, store
 
@@ -292,8 +303,8 @@ def test_failed_proposal_raises_once_in_flight_calls_are_paid(tmp_path, monkeypa
     # The fifth proposal fails slowly; the ones sent after it are slower
     # still, so they are in flight when its turn to commit comes.
     served = Served(monkeypatch, "propose_task", delay=lambda n: 0.02 if n <= 4 else 0.2,
-                    fail_at=4)
-    config, store = shop_store(tmp_path, "r", workers=4)
+                    fail_at=4, http=True)
+    config, store = shop_store(tmp_path, "r", http=True, workers=4)
     with pytest.raises(TransportError):
         pipeline.run_explore(config, store)
     at_raise = len(served.served)
@@ -304,11 +315,24 @@ def test_failed_proposal_raises_once_in_flight_calls_are_paid(tmp_path, monkeypa
     assert len(served.served) == at_raise  # nothing served after the raise
     assert "explore" not in store.load_state()["stages"]
 
-    monkeypatch.undo()
+    Served(monkeypatch, (), http=True)
     for stage in (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine,
                   pipeline.run_export, pipeline.run_stats):
         stage(config, store)
     assert content_hash(store.root) == SHOP_CONTENT_HASH
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_explore_keeps_at_most_two_calls_per_worker_in_flight(tmp_path, monkeypatch, workers):
+    # Every site crawls on its own worker and overlaps its proposals; all of
+    # them share the stage's one pool.
+    served = Served(monkeypatch, ("categorize", "propose_task"), delay=lambda n: 0.01,
+                    http=True)
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers)
+    config = replace(config, sites=tuple(
+        replace(config.sites[0], name=f"shop{i}") for i in range(4)))
+    pipeline.run_explore(config, store)
+    assert workers < served.peak <= 2 * workers
 
 
 def test_quality_judges_overlap_and_keep_stats_bytes(tmp_path, monkeypatch, capsys):
@@ -506,3 +530,35 @@ def test_speculative_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers)
     overshoot = len(totals) - 1 - reached  # calls charged after the cap was hit
     assert overshoot <= 2 * workers
     assert ledger_totals(store.root)["calls"] == len(totals) + 25
+
+
+# ----------------------------------------------------------------------
+# fault injection: the endpoint goes down at any call, and the run resumes
+# ----------------------------------------------------------------------
+
+def endpoint_down_cases():
+    """Every call k of the shop run, each on one setting, round-robin."""
+    settings = [(False, 1), (True, 1), (False, 4), (True, 4)]
+    for k in range(SHOP_HTTP_LEDGER["calls"]):
+        http, workers = settings[k % len(settings)]
+        if k < (SHOP_HTTP_LEDGER if http else SHOP_LEDGER)["calls"]:
+            oracle = "http" if http else "mock"
+            yield pytest.param(http, workers, k, id=f"{oracle}-w{workers}-k{k}")
+
+
+@pytest.mark.parametrize("http, workers, k", endpoint_down_cases())
+def test_resume_after_the_endpoint_goes_down_at_any_call(tmp_path, monkeypatch, http,
+                                                         workers, k):
+    served = Served(monkeypatch, (), http=http)
+    served.down = k
+    config, store = shop_store(tmp_path, "r", http=http, workers=workers)
+    with pytest.raises(TransportError):
+        for stage in STAGES:
+            stage(config, store)
+    assert ledger_totals(store.root)["calls"] == len(served.served)
+
+    served.down = None
+    for stage in STAGES:
+        stage(config, store)
+    assert content_hash(store.root) == SHOP_CONTENT_HASH
+    assert ledger_totals(store.root)["calls"] == len(served.served)
