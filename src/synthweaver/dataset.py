@@ -56,10 +56,9 @@ def split_examples(trajectory: Trajectory, window: int = DEFAULT_WINDOW) -> list
 # ======================================================================
 
 def observation_ref(obs: Observation) -> str:
-    """Content address used to dedupe observations in the sidecar file."""
-    return hashlib.sha256(
-        canonical_json(observation_to_dict(obs)).encode("utf-8")
-    ).hexdigest()
+    """Content address used to dedupe observations in the sidecar file:
+    the SHA-256 of the observation's canonical JSON, memoized on it."""
+    return obs.ref
 
 
 @dataclass(frozen=True)
@@ -88,22 +87,23 @@ class ObservationSink:
     """Dedupes observations by content hash, preserving first-seen order."""
 
     def __init__(self) -> None:
-        self._order: list[str] = []
         self._by_ref: dict[str, Observation] = {}
 
     def add(self, obs: Observation) -> str:
         ref = observation_ref(obs)
-        if ref not in self._by_ref:
-            self._by_ref[ref] = obs
-            self._order.append(ref)
+        self._by_ref.setdefault(ref, obs)
         return ref
 
+    def lines(self) -> Iterable[str]:
+        """Each observation's stored line, as encoded once on the observation."""
+        return (obs.stored_line for obs in self._by_ref.values())
+
     def records(self) -> Iterable[dict[str, Any]]:
-        for ref in self._order:
-            yield {"ref": ref, "observation": observation_to_dict(self._by_ref[ref])}
+        for ref, obs in self._by_ref.items():
+            yield {"ref": ref, "observation": observation_to_dict(obs)}
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._by_ref)
 
 
 def export_dataset(
@@ -128,7 +128,7 @@ def export_dataset(
             lines.append(canonical_json(_example_record(example, meta, sink)))
 
     dataset_bytes = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-    obs_lines = [canonical_json(r) for r in sink.records()]
+    obs_lines = list(sink.lines())
     obs_bytes = ("\n".join(obs_lines) + "\n" if obs_lines else "").encode("utf-8")
 
     (out_dir / "dataset.jsonl").write_bytes(dataset_bytes)

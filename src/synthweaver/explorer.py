@@ -240,6 +240,12 @@ class _Proposals:
         while self._pending:
             self._commit(*self._pending.popleft())
 
+    def cancel(self) -> None:
+        """Drop every pending proposal; those not yet started never run."""
+        for *_, future in self._pending:
+            future.cancel()
+        self._pending.clear()
+
     def _commit(
         self, url: str, category: str, triplet: InteractionTriplet, future: Future
     ) -> None:
@@ -296,12 +302,29 @@ class Explorer:
 
     def explore_site(self, site: SiteSpec, session: Any) -> ExplorationResult:
         """session is any object with observe()/execute() over Actions."""
+        proposals = _Proposals(self.oracle, site, self.config.workers, self.on_event)
+        try:
+            pages_visited = self._crawl(site, session, proposals)
+            proposals.drain()
+        except BaseException:
+            # The stage's pool outlives this site: without this, its queued
+            # proposals would still be sent while other sites crawl.
+            proposals.cancel()
+            raise
+        return ExplorationResult(
+            site=site.name,
+            tasks=tuple(proposals.tasks),
+            triplets=tuple(proposals.triplets),
+            pages_visited=pages_visited,
+        )
+
+    def _crawl(self, site: SiteSpec, session: Any, proposals: _Proposals) -> int:
+        """Visit pages breadth-first and probe them; returns the pages visited."""
         cfg = self.config
         # str seeds derive from sha512, so this is stable across interpreters.
         master = random.Random(f"{cfg.seed}:{site.name}")
         pool = UrlPool()
         probed: set[tuple[str, str, int, str]] = set()
-        proposals = _Proposals(self.oracle, site, cfg.workers, self.on_event)
         start = session.observe()
         pool.add(start.url, 0)
         pages_visited = 0
@@ -349,13 +372,7 @@ class Explorer:
                     self._run_probe(
                         site, session, url, depth, category, proposal, pool, proposals
                     )
-        proposals.drain()
-        return ExplorationResult(
-            site=site.name,
-            tasks=tuple(proposals.tasks),
-            triplets=tuple(proposals.triplets),
-            pages_visited=pages_visited,
-        )
+        return pages_visited
 
     def _goto(self, session: Any, url: str) -> bool:
         """Restore the session to `url`; True when the page is reachable."""

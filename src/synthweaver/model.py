@@ -1,4 +1,11 @@
-"""Domain records shared by every pipeline stage, plus their JSON forms."""
+"""Domain records shared by every pipeline stage, plus their JSON forms.
+
+An observation's JSON form is its stored line, `{"observation":…,"ref":…}`
+in canonical JSON, where the ref is the SHA-256 of the body. The line is
+encoded once per `Observation` object. Steps refer to their observation by
+that ref; the line itself lives once per run, in the run directory's
+`observations.jsonl`, and once per dataset, in the dataset's.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,8 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any
+from functools import cached_property
+from typing import Any, Mapping
 
 from .actions import Action, ActionKind, parse_action, render_action
 from .errors import SchemaError
@@ -52,11 +60,52 @@ class Observation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
 
+    @classmethod
+    def stored(cls, line: str) -> "Observation":
+        """The observation of a stored line; its fields are decoded on first use.
+
+        Only the line's end is checked here: a ValueError means it does not
+        end in a ref.
+        """
+        if not (line.startswith('{"observation":') and line[-74:-66] == ',"ref":"'
+                and line.endswith('"}')):
+            raise ValueError("not a stored observation line")
+        obs = object.__new__(cls)
+        obs.__dict__["stored_line"] = line
+        return obs
+
+    def __getattr__(self, name: str) -> Any:
+        # Python looks here only for an attribute the instance lacks, which
+        # is a field of an observation made by `stored` and not decoded yet.
+        if name not in _OBSERVATION_FIELDS or "stored_line" not in self.__dict__:
+            raise AttributeError(name)
+        decoded = observation_from_dict(json.loads(self.__dict__["stored_line"])["observation"])
+        self.__dict__.update((field, decoded.__dict__[field]) for field in _OBSERVATION_FIELDS)
+        return self.__dict__[name]
+
+    @cached_property
+    def stored_line(self) -> str:
+        """`{"observation":…,"ref":…}` in canonical JSON, encoded once."""
+        body = canonical_json(observation_to_dict(self))
+        ref = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return f'{{"observation":{body},"ref":"{ref}"}}'
+
+    @property
+    def ref(self) -> str:
+        """Content address: the SHA-256 of the canonical JSON body."""
+        return self.stored_line[-66:-2]
+
     def element_ids(self) -> frozenset[int]:
         return frozenset(e.id for e in self.elements)
 
     def has_element(self, element_id: int) -> bool:
         return any(e.id == element_id for e in self.elements)
+
+
+_OBSERVATION_FIELDS = ("url", "accessibility_tree", "elements", "screenshot_ref")
+# The dataclass keeps field defaults on the class, where they would hide an
+# undecoded field from `__getattr__`; its `__init__` holds its own copy.
+del Observation.elements, Observation.screenshot_ref
 
 
 def observation_fingerprint(obs: Observation) -> str:
@@ -242,7 +291,7 @@ def step_to_dict(step: Step) -> dict[str, Any]:
     # Actions cross file boundaries only as wire strings.
     return {
         "index": step.index,
-        "observation": observation_to_dict(step.observation),
+        "observation_ref": step.observation.ref,
         "action": render_action(step.action),
         "low_level_instruction": step.action.low_level_instruction,
         "task_snapshot": step.task_snapshot,
@@ -251,14 +300,22 @@ def step_to_dict(step: Step) -> dict[str, Any]:
     }
 
 
-def step_from_dict(d: dict[str, Any]) -> Step:
+def step_from_dict(d: dict[str, Any], observations: Mapping[str, Observation]) -> Step:
+    """A step whose observation is looked up by its ref in `observations`."""
+    try:
+        observation = observations[d["observation_ref"]]
+    except KeyError:
+        # Older run directories kept each step's observation inline.
+        raise SchemaError(
+            f"step {d.get('index')} refers to no stored observation", field="observation_ref"
+        ) from None
     action = parse_action(d["action"])
     lli = d.get("low_level_instruction", "")
     if lli:
         action = replace(action, low_level_instruction=lli)
     return Step(
         index=d["index"],
-        observation=observation_from_dict(d["observation"]),
+        observation=observation,
         action=action,
         task_snapshot=d["task_snapshot"],
         reasoning=d.get("reasoning", ""),
@@ -275,12 +332,14 @@ def trajectory_to_dict(t: Trajectory) -> dict[str, Any]:
     }
 
 
-def trajectory_from_dict(d: dict[str, Any]) -> Trajectory:
+def trajectory_from_dict(
+    d: dict[str, Any], observations: Mapping[str, Observation]
+) -> Trajectory:
     # Files written before the ledger became the only cost account also
     # carry a per-trajectory "cost_usd"; it is ignored.
     return Trajectory(
         task=task_from_dict(d["task"]),
-        steps=tuple(step_from_dict(s) for s in d["steps"]),
+        steps=tuple(step_from_dict(s, observations) for s in d["steps"]),
         terminal=Terminal(d["terminal"]),
         refine_count=d["refine_count"],
     )

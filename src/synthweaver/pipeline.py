@@ -26,12 +26,11 @@ from .collector import Collector
 from .config import RunConfig, SiteSpec, api_key_for
 from .dataset import corpus_stats, export_dataset, ExportResult
 from .environment import SimulatorSession, load_site_graph
-from .errors import ConfigError, SchemaViolation
+from .errors import ConfigError, SchemaError, SchemaViolation
 from .explorer import Explorer, judge_task_diversity
 from .model import (
     Task,
     Trajectory,
-    observation_to_dict,
     task_from_dict,
     task_to_dict,
     trajectory_from_dict,
@@ -49,7 +48,7 @@ from .oracle import (
     render,
 )
 from .refiner import Refiner, summarize_trajectory
-from .runstore import RunStore
+from .runstore import ObservationStore, RunStore
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -184,11 +183,31 @@ def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClie
         store.mark_stage(name)
 
 
+def _check_layout(store: RunStore) -> None:
+    """Reject a run directory whose records embed their observations.
+
+    Such a directory predates the run-level observations file. Each stage
+    checks the first record of each file before it writes anything.
+    """
+    for name in (rs.TRIPLETS, rs.TRAJECTORIES_RAW, rs.TRAJECTORIES_REFINED):
+        record = next(store.read_records(name), None)
+        if record is None:
+            continue
+        inline = "before" in record if name == rs.TRIPLETS else "observation" in record["steps"][0]
+        if inline:
+            raise SchemaError(
+                "records embed their observations; run directories written before "
+                f"{rs.OBSERVATIONS} was added are not supported",
+                path=str(store.path(name)),
+            )
+
+
 # ======================================================================
 # explore
 # ======================================================================
 
 def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
+    _check_layout(store)
     done = set(store.load_state().get("explored_sites", []))
     todo = [site for site in config.sites if site.name not in done]
 
@@ -204,6 +223,7 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
     # Each site is committed as soon as it finishes; the lock keeps its
     # records contiguous and its state update whole.
     commit = threading.Lock()
+    observations = store.observations()
 
     with _stage(config, store, "explore") as client:
         explorer = Explorer(client, config, on_event=store.event)
@@ -221,12 +241,16 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
                     "site": record.site,
                     "category": record.category,
                     "task_id": record.task_id,
-                    "before": observation_to_dict(record.triplet.before),
+                    "before_ref": record.triplet.before.ref,
                     "action": render_action(record.triplet.action),
-                    "after": observation_to_dict(record.triplet.after),
+                    "after_ref": record.triplet.after.ref,
                 }
                 for record in result.triplets
             ]
+            observations.add(
+                obs for record in result.triplets
+                for obs in (record.triplet.before, record.triplet.after)
+            )
             with commit:
                 store.append_records(rs.TASKS, tasks)
                 store.append_records(rs.TRIPLETS, triplets)
@@ -256,6 +280,7 @@ def _tasks_by_site(store: RunStore) -> dict[str, list[Task]]:
 
 
 def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
+    _check_layout(store)
     existing = {
         record["task"]["id"] for record in store.read_records(rs.TRAJECTORIES_RAW)
     }
@@ -268,6 +293,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
             continue
         factory = make_session_factory(site, config)
         jobs += [(task, factory) for task in tasks if task.id not in existing]
+    observations = store.observations()
 
     with _stage(config, store, "collect") as client:
         collector = Collector(client, config, on_event=store.event)
@@ -275,6 +301,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
         def collect_one(job: tuple[Task, Callable[[], Any]]) -> int:
             result = collector.collect_one(*job)
             if isinstance(result, Trajectory):
+                observations.add(step.observation for step in result.steps)
                 store.append_record(rs.TRAJECTORIES_RAW, trajectory_to_dict(result))
                 return 1
             return 0
@@ -287,18 +314,30 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
 # refine
 # ======================================================================
 
-def _raw_trajectories(store: RunStore) -> list[Trajectory]:
-    return [trajectory_from_dict(r) for r in store.read_records(rs.TRAJECTORIES_RAW)]
+def _raw_trajectories(store: RunStore, observations: ObservationStore) -> list[Trajectory]:
+    return [
+        trajectory_from_dict(r, observations)
+        for r in store.read_records(rs.TRAJECTORIES_RAW)
+    ]
 
 
-def _refined_trajectories(store: RunStore) -> list[Trajectory]:
-    return [trajectory_from_dict(r) for r in store.read_records(rs.TRAJECTORIES_REFINED)]
+def _refined_trajectories(
+    store: RunStore, observations: ObservationStore
+) -> tuple[list[Trajectory], list[dict[str, Any]]]:
+    """The refined trajectories, and the judge's decision and score for each."""
+    trajectories, decisions = [], []
+    for r in store.read_records(rs.TRAJECTORIES_REFINED):
+        trajectories.append(trajectory_from_dict(r, observations))
+        decisions.append({"site": r["task"]["site"], "decision": r["decision"], "score": r["score"]})
+    return trajectories, decisions
 
 
 def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
+    _check_layout(store)
     done = {r["task"]["id"] for r in store.read_records(rs.TRAJECTORIES_REFINED)}
     done |= {r["trajectory_id"] for r in store.read_records(rs.DROPS)}
-    jobs = [t for t in _raw_trajectories(store) if t.id not in done]
+    observations = store.observations()
+    jobs = [t for t in _raw_trajectories(store, observations) if t.id not in done]
 
     with _stage(config, store, "refine") as client:
         refiner = Refiner(client, config, on_event=store.event)
@@ -306,6 +345,7 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
         def refine_one(trajectory: Trajectory) -> str:
             outcome = refiner.refine_trajectory(trajectory)
             if outcome.refined is not None:
+                # Its steps keep observations of the raw trajectory, all stored.
                 store.append_record(
                     rs.TRAJECTORIES_REFINED,
                     {
@@ -341,10 +381,12 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
 # ======================================================================
 
 def run_export(config: RunConfig, store: RunStore, *, window: int | None = None) -> ExportResult:
+    _check_layout(store)
     # Export calls no oracle: its events count against an empty ledger.
     with _stage_events(store, "export", CostLedger()):
+        refined, _ = _refined_trajectories(store, store.observations())
         result = export_dataset(
-            _refined_trajectories(store),
+            refined,
             store.dataset_dir(),
             window=config.context_window if window is None else window,
         )
@@ -424,18 +466,16 @@ def run_stats(
     judge_quality: bool = False,
     with_diversity: bool = True,
 ) -> dict[str, Any]:
-    refined = _refined_trajectories(store)
-    decisions = [
-        {"site": r["task"]["site"], "decision": r["decision"], "score": r["score"]}
-        for r in store.read_records(rs.TRAJECTORIES_REFINED)
-    ]
+    _check_layout(store)
+    observations = store.observations()
+    refined, decisions = _refined_trajectories(store, observations)
     decisions += [
         {"site": r["site"], "decision": "drop", "score": r["score"]}
         for r in store.read_records(rs.DROPS)
     ]
     with _stage(config, store, "stats") as client:
         stats = corpus_stats(
-            _raw_trajectories(store), refined, decisions,
+            _raw_trajectories(store, observations), refined, decisions,
             client.ledger.stage_cost_by_site("collect"),
         )
         if with_diversity:

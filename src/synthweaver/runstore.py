@@ -3,6 +3,13 @@
 One run directory holds JSONL record files per stage, a state file for
 resume bookkeeping, an events log (the only file allowed wall-clock
 timestamps), and the cost ledger snapshot.
+
+Observations are stored once per run, in `observations.jsonl`, one line per
+distinct observation in the form the dataset export writes (see
+`model.Observation.stored_line`). Trajectory steps and triplets hold only
+the ref, and a line is appended before any record that refers to it, so a
+crash never leaves a record whose observation is missing. Lines no record
+refers to are allowed.
 """
 
 from __future__ import annotations
@@ -12,11 +19,12 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import SchemaError
-from .model import canonical_json
+from .model import Observation, canonical_json
 
+OBSERVATIONS = "observations.jsonl"
 TASKS = "tasks.jsonl"
 TRIPLETS = "triplets.jsonl"
 TRAJECTORIES_RAW = "trajectories_raw.jsonl"
@@ -111,6 +119,10 @@ class RunStore:
         with self._lock_for(name):
             self._atomic_write(self.path(name), payload)
 
+    def observations(self) -> "ObservationStore":
+        """The stored observations as of now; build it once per stage."""
+        return ObservationStore(self)
+
     # ------------------------------------------------------------------
     # JSON documents
     # ------------------------------------------------------------------
@@ -155,3 +167,70 @@ class RunStore:
         path = self.root / DATASET_DIR
         path.mkdir(parents=True, exist_ok=True)
         return path
+
+
+class ObservationStore:
+    """The run's `observations.jsonl`, indexed by ref.
+
+    Building the index reads each line's ref from its fixed place at the
+    line's end and decodes no body; a torn last line is repaired by the rule
+    of `RunStore.read_records`. Every lookup of a ref returns the same
+    `Observation.stored`, so a body is decoded at most once per index, and
+    only when a field of it is read.
+    """
+
+    def __init__(self, store: RunStore) -> None:
+        self.path = store.path(OBSERVATIONS)
+        self._lock = store._lock_for(OBSERVATIONS)
+        self._by_ref: dict[str, Observation] = {}
+        with self._lock:
+            self._load()
+
+    def _load(self) -> None:
+        if not self.path.exists():
+            return
+        data = self.path.read_bytes()
+        lines = data.decode("utf-8").split("\n")
+        torn = lines.pop()  # empty when the file ends with a newline
+        if torn:
+            try:
+                json.loads(torn)
+            except ValueError:
+                with open(self.path, "r+b") as out:
+                    out.truncate(len(data) - len(torn.encode("utf-8")))
+            else:
+                with open(self.path, "ab") as out:
+                    out.write(b"\n")
+                lines.append(torn)
+        for number, line in enumerate(lines, 1):
+            if not line:
+                continue
+            try:
+                obs = Observation.stored(line)
+            except ValueError:
+                raise SchemaError(
+                    f"line {number} is not a stored observation", path=str(self.path)
+                ) from None
+            self._by_ref[obs.ref] = obs
+
+    def __getitem__(self, ref: str) -> Observation:
+        return self._by_ref[ref]
+
+    def __contains__(self, ref: object) -> bool:
+        return ref in self._by_ref
+
+    def add(self, observations: Iterable[Observation]) -> None:
+        """Append the lines of observations not stored yet, in one write.
+
+        Call this before appending the records that refer to them. The check
+        and the append hold the file's lock, so no ref is stored twice.
+        """
+        given = {obs.ref: obs for obs in observations}  # encoded outside the lock
+        with self._lock:
+            new = {ref: obs.stored_line for ref, obs in given.items() if ref not in self._by_ref}
+            if not new:
+                return
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in new.values()))
+            for ref, line in new.items():
+                self._by_ref[ref] = Observation.stored(line)

@@ -7,6 +7,7 @@ from decimal import Decimal
 import pytest
 
 from synthweaver import cli
+from synthweaver.model import canonical_json
 from synthweaver.oracle import MockTransport
 from tests.conftest import SHOP_MOCK, write_config
 
@@ -24,6 +25,27 @@ def run_all_stages(capsys, config, run_id: str, workers: str = "1") -> None:
             "--workers", workers,
         )
         assert code == cli.EXIT_OK, err
+
+
+def with_inline_observations(run, names) -> None:
+    """Give the named record files the layout from before observations.jsonl:
+    every step and triplet carries its observation instead of its ref."""
+    bodies = {}
+    for line in (run / "observations.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        bodies[record["ref"]] = record["observation"]
+    for name in names:
+        records = [json.loads(line) for line in (run / name).read_text().splitlines()]
+        for record in records:
+            if name == "triplets.jsonl":
+                for key in ("before", "after"):
+                    record[key] = bodies[record.pop(f"{key}_ref")]
+            else:
+                for step in record["steps"]:
+                    step["observation"] = bodies[step.pop("observation_ref")]
+        (run / name).write_text("".join(canonical_json(r) + "\n" for r in records))
+    if len(names) == 3:
+        (run / "observations.jsonl").unlink()
 
 
 class TestFullRun:
@@ -294,6 +316,27 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "collect", "--config", str(config), "--run", "r")
         assert code == cli.EXIT_USAGE
         assert "by_site_stage" in err
+
+    @pytest.mark.parametrize("inline", [
+        ("triplets.jsonl", "trajectories_raw.jsonl", "trajectories_refined.jsonl"),
+        ("trajectories_raw.jsonl",),
+        ("trajectories_refined.jsonl",),
+    ])
+    def test_run_with_inline_observations_is_rejected(self, capsys, tmp_path, inline):
+        # Run directories written before observations.jsonl kept each step's
+        # and triplet's observation inline.
+        config = write_config(tmp_path)
+        run_all_stages(capsys, config, "r")
+        run = tmp_path / "runs" / "r"
+        with_inline_observations(run, inline)
+        before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+        for command in ("explore", "collect", "refine", "export", "stats"):
+            code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
+            assert code == cli.EXIT_USAGE, command
+            assert f"{inline[0]}: records embed their observations" in err
+            assert "Traceback" not in err
+            after = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+            assert after == before, command
 
     def test_bad_workers_is_usage_error(self, capsys, tmp_path):
         config = write_config(tmp_path)

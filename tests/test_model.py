@@ -106,6 +106,10 @@ class TestFingerprint:
         assert observation_fingerprint(a) != observation_fingerprint(b)
 
 
+def observations_of(t: Trajectory) -> dict[str, Observation]:
+    return {s.observation.ref: s.observation for s in t.steps}
+
+
 class TestSerialization:
     def test_observation_round_trip(self):
         o = obs(ids=(1, 2), screenshot="deadbeef")
@@ -127,7 +131,7 @@ class TestSerialization:
     def test_step_round_trip_preserves_low_level_instruction(self):
         action = make_action(ActionKind.TYPE, 4, "abc", low_level_instruction="Type abc")
         s = step(0, action)
-        back = step_from_dict(step_to_dict(s))
+        back = step_from_dict(step_to_dict(s), {s.observation.ref: s.observation})
         assert back == s
         assert back.action.low_level_instruction == "Type abc"
 
@@ -135,7 +139,7 @@ class TestSerialization:
         steps = (step(0, click_action()), step(1, none_action("ok")))
         t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE,
                        refine_count=1)
-        back = trajectory_from_dict(trajectory_to_dict(t))
+        back = trajectory_from_dict(trajectory_to_dict(t), observations_of(t))
         assert back == t
 
     def test_legacy_cost_key_still_loads(self):
@@ -146,7 +150,7 @@ class TestSerialization:
                        refine_count=1)
         record = trajectory_to_dict(t)
         assert "cost_usd" not in record
-        assert trajectory_from_dict({**record, "cost_usd": "0.0125"}) == t
+        assert trajectory_from_dict({**record, "cost_usd": "0.0125"}, observations_of(t)) == t
 
     def test_random_trajectories_round_trip(self):
         rng = random.Random("model-roundtrip")
@@ -158,7 +162,7 @@ class TestSerialization:
             steps += (step(n - 1, none_action(f"ans-{rng.randint(0, 99)}")),)
             t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE,
                            refine_count=rng.randint(0, 4))
-            assert trajectory_from_dict(trajectory_to_dict(t)) == t
+            assert trajectory_from_dict(trajectory_to_dict(t), observations_of(t)) == t
 
 
 class TestCanonicalJson:

@@ -12,7 +12,7 @@ from decimal import Decimal
 
 import pytest
 
-from synthweaver import cli, pipeline
+from synthweaver import cli, explorer, pipeline
 from synthweaver.config import parse_config
 from synthweaver.errors import BudgetExhausted, TransportError
 from synthweaver.oracle import CostLedger, MockScript, MockTransport, RawCompletion, Usage
@@ -335,6 +335,47 @@ def test_explore_keeps_at_most_two_calls_per_worker_in_flight(tmp_path, monkeypa
     assert workers < served.peak <= 2 * workers
 
 
+def test_failed_site_sends_no_further_proposal(tmp_path, monkeypatch):
+    # The other sites' proposals take 50 ms each, so shop1's later proposals
+    # wait in the stage pool's queue when its third one fails, 30 ms in.
+    Served(monkeypatch, (), http=True)
+    lock = threading.Lock()
+    log = []
+    started = {}
+    propose = explorer.propose_task
+    explore_site = explorer.Explorer.explore_site
+
+    def logged(oracle, site, description):
+        with lock:
+            log.append(("start", site.name))
+            n = started[site.name] = started.get(site.name, 0) + 1
+        if site.name != "shop1":
+            time.sleep(0.05)
+        elif n == 3:
+            time.sleep(0.03)
+            raise TransportError("endpoint down")
+        return propose(oracle, site, description)
+
+    def recorded(self, site, session):
+        try:
+            return explore_site(self, site, session)
+        except TransportError:
+            with lock:
+                log.append(("raised", site.name))
+            raise
+
+    monkeypatch.setattr(explorer, "propose_task", logged)
+    monkeypatch.setattr(explorer.Explorer, "explore_site", recorded)
+    config, store = shop_store(tmp_path, "r", http=True, workers=4)
+    config = replace(config, sites=tuple(
+        replace(config.sites[0], name=f"shop{i}") for i in range(4)))
+    with pytest.raises(TransportError):
+        pipeline.run_explore(config, store)
+    after = log[log.index(("raised", "shop1")):]
+    assert ("start", "shop1") not in after
+    assert {name for kind, name in after if kind == "start"}  # the pool kept sending
+
+
 def test_quality_judges_overlap_and_keep_stats_bytes(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path)
     for command in ("explore", "collect", "refine", "export"):
@@ -562,3 +603,61 @@ def test_resume_after_the_endpoint_goes_down_at_any_call(tmp_path, monkeypatch, 
         stage(config, store)
     assert content_hash(store.root) == SHOP_CONTENT_HASH
     assert ledger_totals(store.root)["calls"] == len(served.served)
+
+
+# ----------------------------------------------------------------------
+# the run-level observation store
+# ----------------------------------------------------------------------
+
+def stored_refs(run) -> list[str]:
+    return [json.loads(line)["ref"] for line in (run / "observations.jsonl").read_text().splitlines()]
+
+
+def referenced_refs(run) -> set[str]:
+    refs = set()
+    for line in (run / "triplets.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        refs |= {record["before_ref"], record["after_ref"]}
+    for name in ("trajectories_raw.jsonl", "trajectories_refined.jsonl"):
+        for line in (run / name).read_text().splitlines():
+            refs |= {step["observation_ref"] for step in json.loads(line)["steps"]}
+    return refs
+
+
+@pytest.mark.parametrize("tear", ["mid-line", "newline"])
+def test_torn_observation_line_resumes_to_the_pinned_hash(tmp_path, tear):
+    config, store = shop_store(tmp_path, "r")
+    pipeline.run_explore(config, store)
+    pipeline.run_collect(config, store)
+    observations = store.root / "observations.jsonl"
+    data = observations.read_bytes()
+    last = data[data.rindex(b"\n", 0, -1) + 1:]
+    if tear == "newline":
+        observations.write_bytes(data[:-1])
+    else:
+        # A crash while appending the line: no record refers to it yet, so
+        # the trajectory that did and every later one were never written.
+        observations.write_bytes(data[:len(data) - len(last) // 2])
+        ref = json.loads(last)["ref"]
+        raw = store.root / "trajectories_raw.jsonl"
+        lines = raw.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if ref in line)
+        raw.write_text("".join(lines[:first]))
+    for stage in STAGES[1:]:
+        stage(config, store)
+    assert content_hash(store.root) == SHOP_CONTENT_HASH
+    assert observations.read_bytes().endswith(b"}\n")
+    refs = stored_refs(store.root)
+    assert len(refs) == len(set(refs))
+    assert referenced_refs(store.root) <= set(refs)
+
+
+def test_concurrent_writers_store_each_observation_once(tmp_path, monkeypatch):
+    Served(monkeypatch, (), http=True)
+    config, store = shop_store(tmp_path, "r", http=True, workers=4)
+    for stage in STAGES:
+        stage(config, store)
+    refs = stored_refs(store.root)
+    assert len(refs) == len(set(refs))
+    assert referenced_refs(store.root) <= set(refs)
+    assert content_hash(store.root) == SHOP_CONTENT_HASH

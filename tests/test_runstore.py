@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
 
 from synthweaver import runstore
+from synthweaver.dataset import observation_ref
 from synthweaver.errors import SchemaError
+from synthweaver.model import canonical_json, observation_to_dict
 from synthweaver.runstore import RunStore
+from tests.conftest import obs
 
 
 class TestRecords:
@@ -78,6 +82,85 @@ class TestRecords:
             t.join()
         seen = sorted(r["i"] for r in store.read_records("things.jsonl"))
         assert seen == sorted(t * 1000 + i for t in range(8) for i in range(200))
+
+
+class TestObservations:
+    def test_each_observation_is_stored_once_in_export_form(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        a = obs(url="https://a.test/", ids=(1, 2), screenshot="s.png")
+        b = obs(url="https://b.test/")
+        observations = store.observations()
+        observations.add([a, b, obs(url="https://a.test/", ids=(1, 2), screenshot="s.png")])
+        observations.add([a])
+        lines = store.path(runstore.OBSERVATIONS).read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            canonical_json({"ref": observation_ref(o), "observation": observation_to_dict(o)})
+            for o in (a, b)
+        ]
+
+    def test_lookup_decodes_a_body_once_on_first_use(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        a = obs(url="https://a.test/", ids=(3,))
+        store.observations().add([a])
+        observations = store.observations()
+        stored = observations[a.ref]
+        assert stored is observations[a.ref]
+        assert "url" not in vars(stored)
+        assert stored.ref == a.ref
+        assert "url" not in vars(stored)
+        assert stored == a
+        assert stored.elements == a.elements and stored.screenshot_ref is None
+
+    def test_torn_last_line_is_cut_off(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        a, b = obs(url="https://a.test/"), obs(url="https://b.test/")
+        store.observations().add([a, b])
+        path = store.path(runstore.OBSERVATIONS)
+        path.write_bytes(path.read_bytes()[:-20])
+        observations = store.observations()
+        assert a.ref in observations and b.ref not in observations
+        observations.add([b])
+        assert path.read_text(encoding="utf-8") == a.stored_line + "\n" + b.stored_line + "\n"
+
+    def test_whole_last_line_without_newline_is_kept(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        a = obs(url="https://a.test/")
+        store.path(runstore.OBSERVATIONS).write_text(a.stored_line, encoding="utf-8")
+        assert a.ref in store.observations()
+        assert store.path(runstore.OBSERVATIONS).read_text(encoding="utf-8") == a.stored_line + "\n"
+
+    def test_concurrent_adds_store_each_observation_once(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        observations = store.observations()
+
+        def page(i: int):
+            return obs(url=f"https://p{i % 40}.test/", ids=tuple(range(i % 7)))
+
+        def work(offset: int) -> None:
+            for i in range(200):
+                # Fresh objects, so every thread encodes its own copy.
+                observations.add([page(offset + i), page(offset + 3 * i)])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t * 11,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        lines = store.path(runstore.OBSERVATIONS).read_text(encoding="utf-8").splitlines()
+        refs = [json.loads(line)["ref"] for line in lines]
+        assert sorted(refs) == sorted({page(i).ref for i in range(280)})
+
+    def test_other_line_is_schema_error(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        store.path(runstore.OBSERVATIONS).write_text('{"i":0}\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"observations\.jsonl: line 1 "):
+            store.observations()
 
 
 class TestJson:
