@@ -204,17 +204,16 @@ class Collector:
             repeat_threshold=cfg.loop_repeat_threshold,
         )
         refine_count = 0
-        # The next step's observation and its speculative next-action reply.
-        pending: tuple[Observation, Future[NextActionReply]] | None = None
+        # The next step's speculative reply, asked on the observation it reads.
+        pending: Future[NextActionReply] | None = None
 
         while len(steps) < cfg.step_budget:
             window = tuple(steps[-cfg.context_window :])
+            obs = session.observe()
             if pending is None:
-                obs = session.observe()
                 reply = self.next_action(task, obs, window)
             else:
-                obs, reply = pending[0], pending[1].result()
-                pending = None
+                reply, pending = pending.result(), None
             action = reply.action
             step = Step(
                 index=len(steps),
@@ -269,7 +268,7 @@ class Collector:
                         },
                     )
                 elif speculative is not None:
-                    pending = (obs_after, speculative)
+                    pending = speculative
 
         terminal = classify_terminal(tuple(steps), cfg.step_budget)
         return Trajectory(

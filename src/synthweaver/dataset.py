@@ -21,7 +21,6 @@ from .model import (
     TrainingExample,
     Trajectory,
     canonical_json,
-    observation_to_dict,
 )
 
 DEFAULT_WINDOW = 3
@@ -97,10 +96,6 @@ class ObservationSink:
     def lines(self) -> Iterable[str]:
         """Each observation's stored line, as encoded once on the observation."""
         return (obs.stored_line for obs in self._by_ref.values())
-
-    def records(self) -> Iterable[dict[str, Any]]:
-        for ref, obs in self._by_ref.items():
-            yield {"ref": ref, "observation": observation_to_dict(obs)}
 
     def __len__(self) -> int:
         return len(self._by_ref)

@@ -4,11 +4,13 @@ A site graph is a JSON file describing pages, their elements, and the
 transitions actions cause. Sessions expose reset/observe/execute; the same
 trio the live-browser adapter implements, so the pipeline never knows which
 backend it is driving.
+
+Both backends read a page state once: `observe()` returns one object until
+the next action or reset. An action changed the page when its views differ.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -17,7 +19,7 @@ from typing import Any
 
 from .actions import Action, ActionKind, ELEMENT_KINDS, validate_action
 from .errors import ElementNotFound, SchemaError, SessionTerminal
-from .model import Element, Observation, observation_fingerprint
+from .model import Element, Observation, observation_fingerprint, read_json_file
 
 SCHEMA_VERSION = 1
 
@@ -70,7 +72,7 @@ class SiteGraph:
 
 @dataclass(frozen=True)
 class TransitionOutcome:
-    """changed is True iff the serialized observation differs before/after."""
+    """changed is True iff the view (url, tree, elements) differs before/after."""
 
     changed: bool
     error: str | None = None
@@ -126,6 +128,7 @@ class SimulatorSession:
         self.reset()
 
     def reset(self) -> None:
+        self._observation: Observation | None = None
         self._history: list[str] = [self._graph.start_page]
         self._position = 0
         self.state: dict[str, str] = {}
@@ -145,6 +148,11 @@ class SimulatorSession:
         return self._terminal
 
     def observe(self) -> Observation:
+        if self._observation is None:
+            self._observation = self._build_observation()
+        return self._observation
+
+    def _build_observation(self) -> Observation:
         page = self._graph.pages[self.current_page]
         tree = _substitute(page.tree_template, self.state)
         elements = page.elements
@@ -174,6 +182,7 @@ class SimulatorSession:
     # internal
 
     def _apply(self, action: Action) -> str | None:
+        self._observation = None
         kind = action.kind
         if kind in (ActionKind.NONE, ActionKind.STOP):
             self._terminal = True
@@ -253,13 +262,7 @@ class SimulatorSession:
 
 def load_site_graph(path: str | Path) -> SiteGraph:
     """Load and validate a site-graph JSON file; SchemaError on any defect."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SchemaError("file not found", path=str(path)) from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", path=str(path)) from None
+    raw = read_json_file(path)
     try:
         graph = _parse_graph(raw)
         _check_graph(graph)

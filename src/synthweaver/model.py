@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 from typing import Any, Mapping
 
 from .actions import Action, ActionKind, parse_action, render_action
@@ -108,20 +109,11 @@ _OBSERVATION_FIELDS = ("url", "accessibility_tree", "elements", "screenshot_ref"
 del Observation.elements, Observation.screenshot_ref
 
 
-def observation_fingerprint(obs: Observation) -> str:
-    """Content hash of an observation; the screenshot ref is excluded so the
-    simulator and the browser adapter share one change-detection rule."""
-    payload = json.dumps(
-        {
-            "url": obs.url,
-            "accessibility_tree": obs.accessibility_tree,
-            "elements": [[e.id, e.role, e.name, e.interactive] for e in obs.elements],
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def observation_fingerprint(obs: Observation) -> tuple[str, str, tuple[Element, ...]]:
+    """The view of an observation: two are the same page state iff these are
+    equal. The screenshot ref is excluded so the simulator and the browser
+    adapter share one change-detection rule; element order counts."""
+    return (obs.url, obs.accessibility_tree, obs.elements)
 
 
 @dataclass(frozen=True)
@@ -348,3 +340,14 @@ def trajectory_from_dict(
 def canonical_json(value: Any) -> str:
     """Stable serialization used wherever bytes feed a content hash."""
     return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def read_json_file(path: str | Path) -> Any:
+    """An input file's JSON; a SchemaError naming it if it is missing or bad."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise SchemaError("file not found", path=str(path)) from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SchemaError(f"invalid JSON: {exc}", path=str(path)) from None

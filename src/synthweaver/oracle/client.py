@@ -24,6 +24,7 @@ from ..errors import (
     SchemaViolation,
     TransportError,
 )
+from ..model import read_json_file
 from .replies import parse_reply
 from .templates import RenderedPrompt
 
@@ -246,8 +247,7 @@ class MockScript:
 
     @classmethod
     def load(cls, path: str) -> "MockScript":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        return cls(read_json_file(path))
 
     def _matches(self, rule: dict[str, Any], prompt: RenderedPrompt) -> bool:
         if rule.get("template") != prompt.template.value:

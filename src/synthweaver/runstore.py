@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import SchemaError
-from .model import Observation, canonical_json
+from .model import Observation, canonical_json, read_json_file
 
 OBSERVATIONS = "observations.jsonl"
 TASKS = "tasks.jsonl"
@@ -82,35 +82,25 @@ class RunStore:
                 fh.write(payload)
 
     def read_records(self, name: str) -> Iterator[dict[str, Any]]:
-        """Yield every record; an undecodable line is a SchemaError.
-
-        A last line without its newline is a torn append. It is cut off when
-        it does not decode and ended with a newline when it does, so the next
-        append starts on a fresh line.
-        """
+        """Yield every record; an undecodable line is a SchemaError, except a
+        last line without its newline, which `_mend_torn_line` repairs."""
         path = self.path(name)
         if not path.exists():
             return
-        offset = 0
         with open(path, "rb") as fh:
             for number, line in enumerate(fh, 1):
-                start, offset = offset, offset + len(line)
-                torn = not line.endswith(b"\n")
+                if not line.endswith(b"\n"):
+                    with self._lock_for(name):
+                        if not _mend_torn_line(path, fh.tell() - len(line), line):
+                            return
                 if not line.strip():
                     continue
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    if not torn:
-                        raise SchemaError(
-                            f"line {number} is not a JSON record", path=str(path)
-                        ) from None
-                    with self._lock_for(name), open(path, "r+b") as out:
-                        out.truncate(start)
-                    return
-                if torn:
-                    with self._lock_for(name), open(path, "ab") as out:
-                        out.write(b"\n")
+                    raise SchemaError(
+                        f"line {number} is not a JSON record", path=str(path)
+                    ) from None
                 yield record
 
     def rewrite_records(self, name: str, records: list[dict[str, Any]]) -> None:
@@ -135,7 +125,7 @@ class RunStore:
         path = self.path(name)
         if not path.exists():
             return default
-        return json.loads(path.read_text(encoding="utf-8"))
+        return read_json_file(path)
 
     @staticmethod
     def _atomic_write(path: Path, payload: str) -> None:
@@ -169,14 +159,30 @@ class RunStore:
         return path
 
 
+def _mend_torn_line(path: Path, start: int, line: bytes | str) -> bool:
+    """Repair a torn append, a last line without its newline, at byte `start`:
+    cut it off when it does not decode, else end it with its newline so the
+    next append starts on a fresh line. True when it is kept. The caller
+    holds the file's lock."""
+    try:
+        json.loads(line)
+    except ValueError:
+        with open(path, "r+b") as out:
+            out.truncate(start)
+        return False
+    with open(path, "ab") as out:
+        out.write(b"\n")
+    return True
+
+
 class ObservationStore:
     """The run's `observations.jsonl`, indexed by ref.
 
     Building the index reads each line's ref from its fixed place at the
-    line's end and decodes no body; a torn last line is repaired by the rule
-    of `RunStore.read_records`. Every lookup of a ref returns the same
-    `Observation.stored`, so a body is decoded at most once per index, and
-    only when a field of it is read.
+    line's end and decodes no body; `_mend_torn_line` repairs a torn last
+    line. Every lookup of a ref returns the same `Observation.stored`, so a
+    body is decoded at most once per index, and only when a field of it is
+    read.
     """
 
     def __init__(self, store: RunStore) -> None:
@@ -192,16 +198,9 @@ class ObservationStore:
         data = self.path.read_bytes()
         lines = data.decode("utf-8").split("\n")
         torn = lines.pop()  # empty when the file ends with a newline
-        if torn:
-            try:
-                json.loads(torn)
-            except ValueError:
-                with open(self.path, "r+b") as out:
-                    out.truncate(len(data) - len(torn.encode("utf-8")))
-            else:
-                with open(self.path, "ab") as out:
-                    out.write(b"\n")
-                lines.append(torn)
+        start = len(data) - len(torn.encode("utf-8"))
+        if torn and _mend_torn_line(self.path, start, torn):
+            lines.append(torn)
         for number, line in enumerate(lines, 1):
             if not line:
                 continue

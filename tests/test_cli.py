@@ -265,6 +265,38 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "error:" in err
 
+    def test_missing_mock_script_is_usage_error(self, capsys, tmp_path):
+        config = write_config(tmp_path)
+        missing = tmp_path / "missing.json"
+        code, _, err = run_cli(
+            capsys, "explore", "--config", str(config), "--run", "r", "--mock", str(missing)
+        )
+        assert code == cli.EXIT_USAGE
+        assert f"{missing}: file not found" in err
+
+    def test_mock_script_that_is_not_json_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.mock.json"
+        bad.write_text("{not json")
+        config = write_config(tmp_path, oracle={"backend": "mock", "mock_script": str(bad)})
+        code, _, err = run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert f"{bad}: invalid JSON" in err
+
+    @pytest.mark.parametrize("name", ["ledger.json", "state.json"])
+    @pytest.mark.parametrize("command", ["collect", "stats"])
+    def test_run_document_that_does_not_decode_is_usage_error(
+        self, capsys, tmp_path, name, command
+    ):
+        config = write_config(tmp_path)
+        for stage in ("explore", "collect", "refine", "export"):
+            code, _, _ = run_cli(capsys, stage, "--config", str(config), "--run", "r")
+            assert code == cli.EXIT_OK
+        document = tmp_path / "runs" / "r" / name
+        document.write_text('{"torn": ')
+        code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert f"{document}: invalid JSON" in err
+
     def test_unmatched_mock_reply_is_runtime_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.mock.json"
         empty.write_text(json.dumps({"schema_version": 1, "rules": []}))

@@ -100,7 +100,7 @@ class TestObservationRef:
         r3 = sink.add(obs(url="https://b.test/"))
         assert r1 == r2 and r1 != r3
         assert len(sink) == 2
-        assert [r["ref"] for r in sink.records()] == [r1, r3]
+        assert [json.loads(line)["ref"] for line in sink.lines()] == [r1, r3]
 
 
 class TestExport:

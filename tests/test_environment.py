@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from synthweaver.actions import ActionKind, make_action
+from synthweaver.actions import ActionKind, make_action, parse_action
 from synthweaver.environment import SimulatorSession, load_site_graph
 from synthweaver.errors import ElementNotFound, SchemaError, SessionTerminal
 from synthweaver.model import observation_fingerprint
@@ -55,6 +57,17 @@ class TestSchema:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError):
             load_site_graph(tmp_path / "absent.json")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Site simulator"):]
+        block = section[section.index("```jsonc\n") + 9 : section.index("\n```\n")]
+        path = tmp_path / "readme.site.json"
+        path.write_text(re.sub(r"\s//.*", "", block), encoding="utf-8")
+        s = SimulatorSession(load_site_graph(path))
+        s.execute(parse_action("type [1] [usb cable]"))
+        assert s.execute(parse_action("click [2]")).changed
+        assert s.observe().url == "https://shop.example.com/search?q=usb cable"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -226,6 +239,68 @@ class TestShopSession:
         o = shop_session.observe()
         assert o.url == "https://shop.example.com/"
         assert shop_session.state == {}
+
+
+# A typed value that neither the page's url nor its tree shows.
+QUIET = {
+    "schema_version": 1,
+    "start_page": "a",
+    "pages": {
+        "a": {
+            "url": "https://quiet.test/",
+            "tree_template": 'RootWebArea "A"\n  textbox "Note" [1]',
+            "elements": [{"id": 1, "role": "textbox", "name": "Note"}],
+            "transitions": [
+                {"kind": "type", "element_id": 1, "effect": {"type": "set_state", "key": "note"}},
+            ],
+        },
+    },
+}
+
+
+class TestObservationMemo:
+    def test_repeated_observe_returns_one_object(self, shop_session):
+        first = shop_session.observe()
+        assert shop_session.observe() is first
+
+    def test_reset_clears_the_memo(self, shop_session):
+        first = shop_session.observe()
+        shop_session.reset()
+        assert shop_session.observe() is not first
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            "click [3]", "type [1] [usb cable]", "hover [3]", "press [enter]",
+            "scroll [down]", "goto [https://shop.example.com/electronics]",
+            "goto [https://nowhere.test/]", "go_back", "go_forward",
+            "none [done]", "stop [halt]",
+        ],
+    )
+    def test_every_action_kind_clears_the_memo(self, shop_session, wire):
+        # hover and press have no transition on the start page: no-ops.
+        first = shop_session.observe()
+        shop_session.execute(parse_action(wire))
+        after = shop_session.observe()
+        assert after is not first
+        assert shop_session.observe() is after
+
+    def test_missing_element_clears_the_memo(self, shop_session):
+        first = shop_session.observe()
+        with pytest.raises(ElementNotFound):
+            shop_session.execute(parse_action("click [99]"))
+        assert shop_session.observe() is not first
+
+    @pytest.mark.parametrize("graph,wire,changed", [
+        (QUIET, "type [1] [hello]", False),
+        (MINI, "scroll [down]", False),
+        (SHOP_GRAPH, "scroll [down]", True),
+    ])
+    def test_changed_compares_views(self, tmp_path, graph, wire, changed):
+        # MINI's start page has nothing below the fold; the shop's home has.
+        path = graph if graph is SHOP_GRAPH else graph_file(tmp_path, graph)
+        s = SimulatorSession(load_site_graph(path))
+        assert s.execute(parse_action(wire)).changed is changed
 
 
 class TestMiniGraph:
