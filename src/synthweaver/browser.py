@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import requests
 
 from .actions import Action, ActionKind, ELEMENT_KINDS, validate_action
+from .config import BrowserSettings
 from .environment import TransitionOutcome
 from .errors import ConnectFailed, ElementNotFound, ProtocolError, SessionTerminal
 from .model import Element, Observation, observation_fingerprint
@@ -96,15 +96,6 @@ def key_sequence(combination: str) -> list[str]:
     return keys
 
 
-@dataclass(frozen=True)
-class BrowserConfig:
-    endpoint_url: str
-    viewport: tuple[int, int] = (1280, 720)
-    nav_timeout_ms: int = 10000
-    screenshot_dir: str | None = None
-    start_url: str = ""
-
-
 class BrowserSession:
     """One WebDriver session implementing observe/execute/reset.
 
@@ -112,10 +103,11 @@ class BrowserSession:
     until an action or a navigation can have changed the page.
     """
 
-    def __init__(self, config: BrowserConfig) -> None:
-        self.config = config
-        self._base = config.endpoint_url.rstrip("/")
-        self._timeout = max(config.nav_timeout_ms, 1000) / 1000.0
+    def __init__(self, settings: BrowserSettings, start_url: str) -> None:
+        self.settings = settings
+        self.start_url = start_url
+        self._base = settings.endpoint_url.rstrip("/")
+        self._timeout = max(settings.nav_timeout_ms, 1000) / 1000.0
         self._terminal = False
         self._observation: Observation | None = None
         payload = {
@@ -134,11 +126,10 @@ class BrowserSession:
             self._request(
                 "POST",
                 f"{self._session}/window/rect",
-                {"width": config.viewport[0], "height": config.viewport[1]},
+                {"width": settings.viewport_width, "height": settings.viewport_height},
                 tolerate_error=True,
             )
-            if config.start_url:
-                self._navigate(config.start_url)
+            self._navigate(start_url)
         except BaseException:
             # No caller gets a session to close when the constructor raises.
             self.close()
@@ -211,8 +202,7 @@ class BrowserSession:
 
     def reset(self) -> None:
         self._terminal = False
-        if self.config.start_url:
-            self._navigate(self.config.start_url)
+        self._navigate(self.start_url)
 
     @property
     def terminal(self) -> bool:
@@ -248,7 +238,7 @@ class BrowserSession:
         )
 
     def _screenshot(self) -> str | None:
-        if not self.config.screenshot_dir:
+        if not self.settings.screenshot_dir:
             return None
         body = self._request("GET", f"{self._session}/screenshot")
         encoded = body.get("value", "")
@@ -256,7 +246,7 @@ class BrowserSession:
             return None
         png = base64.b64decode(encoded)
         digest = hashlib.sha256(png).hexdigest()
-        directory = Path(self.config.screenshot_dir)
+        directory = Path(self.settings.screenshot_dir)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{digest}.png"
         if not path.exists():
@@ -303,7 +293,7 @@ class BrowserSession:
             elif kind is ActionKind.PRESS:
                 self._press(action.value)
             elif kind is ActionKind.SCROLL:
-                delta = self.config.viewport[1] * 0.8
+                delta = self.settings.viewport_height * 0.8
                 sign = 1 if action.value == "down" else -1
                 self._execute_script(f"window.scrollBy(0, {sign * delta});")
             elif kind is ActionKind.GOTO:

@@ -147,9 +147,7 @@ class Collector:
         """Pick the next action; one corrective re-ask on a bad element ref.
         The cost of every attempt is appended to `charged` when given."""
         prompt = self._next_action_prompt(task, obs, history)
-        reply: NextActionReply = self.oracle.call(
-            prompt, site=task.site, stage="collect", charged=charged
-        )
+        reply: NextActionReply = self.oracle.call(prompt, site=task.site, charged=charged)
         action = reply.action
         if action.kind in ELEMENT_KINDS and not obs.has_element(action.element_id):
             correction = replace(prompt, text=(
@@ -157,9 +155,7 @@ class Collector:
                 f"[{action.element_id}], which is not on the current page. Choose "
                 "again using only the element ids listed above."
             ))
-            reply = self.oracle.call(
-                correction, site=task.site, stage="collect", charged=charged
-            )
+            reply = self.oracle.call(correction, site=task.site, charged=charged)
         return reply
 
     # ------------------------------------------------------------------
@@ -190,7 +186,7 @@ class Collector:
                 "img_info": img_info(obs_after),
             },
         )
-        return self.oracle.call(prompt, site=task.site, stage="collect")
+        return self.oracle.call(prompt, site=task.site)
 
     # ------------------------------------------------------------------
     # episode loop

@@ -128,14 +128,22 @@ def _numbers(
     return out
 
 
+def _path(raw: dict[str, Any], key: str, where: str) -> str | None:
+    """An optional path or URL field: absent, null, or a string."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{where}{key} must be a string, got {value!r}")
+    return value
+
+
 def _parse_site(index: int, raw: Any) -> SiteSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"sites[{index}] must be an object")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError(f"sites[{index}].name must be a non-empty string")
-    graph = raw.get("graph")
-    start_url = raw.get("start_url")
+    graph = _path(raw, "graph", f"sites[{index}].")
+    start_url = _path(raw, "start_url", f"sites[{index}].")
     if graph is None and start_url is None:
         raise ConfigError(f"site {name!r} needs either a graph path or a start_url")
     examples = raw.get("task_examples", [])
@@ -155,7 +163,7 @@ def _parse_oracle(raw: Any) -> OracleSettings:
         return OracleSettings()
     if not isinstance(raw, dict):
         raise ConfigError("oracle must be an object")
-    backend = raw.get("backend", "http")
+    backend = raw.get("backend", OracleSettings.backend)
     if backend not in ("http", "mock"):
         raise ConfigError(f"oracle.backend must be 'http' or 'mock', got {backend!r}")
     if "api_key" in raw:
@@ -165,12 +173,16 @@ def _parse_oracle(raw: Any) -> OracleSettings:
         )
     settings = OracleSettings(
         backend=backend,
-        endpoint_url=str(raw.get("endpoint_url", "")),
-        model=str(raw.get("model", "")),
-        api_key_env=str(raw.get("api_key_env", "SYNTHWEAVER_API_KEY")),
-        mock_script=raw.get("mock_script"),
-        prompt_cost_per_token=str(raw.get("prompt_cost_per_token", "0.000002")),
-        completion_cost_per_token=str(raw.get("completion_cost_per_token", "0.000008")),
+        endpoint_url=str(raw.get("endpoint_url", OracleSettings.endpoint_url)),
+        model=str(raw.get("model", OracleSettings.model)),
+        api_key_env=str(raw.get("api_key_env", OracleSettings.api_key_env)),
+        mock_script=_path(raw, "mock_script", "oracle."),
+        prompt_cost_per_token=str(
+            raw.get("prompt_cost_per_token", OracleSettings.prompt_cost_per_token)
+        ),
+        completion_cost_per_token=str(
+            raw.get("completion_cost_per_token", OracleSettings.completion_cost_per_token)
+        ),
         **_numbers(raw, "oracle.", OracleSettings, _ORACLE_NUMBERS),
         budget_usd=None if raw.get("budget_usd") is None else str(raw["budget_usd"]),
     )
@@ -195,9 +207,9 @@ def _parse_browser(raw: Any) -> BrowserSettings:
     if not isinstance(raw, dict):
         raise ConfigError("browser must be an object")
     return BrowserSettings(
-        endpoint_url=str(raw.get("endpoint_url", "")),
+        endpoint_url=str(raw.get("endpoint_url", BrowserSettings.endpoint_url)),
         **_numbers(raw, "browser.", BrowserSettings, _BROWSER_NUMBERS),
-        screenshot_dir=raw.get("screenshot_dir"),
+        screenshot_dir=_path(raw, "screenshot_dir", "browser."),
     )
 
 
@@ -215,7 +227,7 @@ def parse_config(raw: Any, *, base_dir: Path | None = None) -> RunConfig:
         sites=sites,
         oracle=_parse_oracle(raw.get("oracle")),
         browser=_parse_browser(raw.get("browser")),
-        runs_dir=str(raw.get("runs_dir", "runs")),
+        runs_dir=str(raw.get("runs_dir", RunConfig.runs_dir)),
         **_numbers(raw, "", RunConfig, _RUN_NUMBERS),
     )
     if base_dir is not None:

@@ -271,9 +271,7 @@ def load_site_graph(path: str | Path) -> SiteGraph:
     return graph
 
 
-def _parse_graph(raw: Any) -> SiteGraph:
-    if not isinstance(raw, dict):
-        raise SchemaError("top level must be an object")
+def _parse_graph(raw: dict[str, Any]) -> SiteGraph:
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r}", field="schema_version")

@@ -100,7 +100,6 @@ def categorize_page(
     parsed: CategorizationReply = oracle.call(
         prompt,
         site=site,
-        stage="explore",
         context={"element_ids": sorted(obs.element_ids())},
     )
     if not any(parsed.categories.values()):
@@ -171,7 +170,7 @@ def propose_task(
             "website_name": site.name,
         },
     )
-    proposal = oracle.call(prompt, site=site.name, stage="explore")
+    proposal = oracle.call(prompt, site=site.name)
     text = " ".join(proposal.high_level_instruction.split())
     return text, infer_task_type(text, proposal.analysis)
 
@@ -192,7 +191,7 @@ def judge_task_diversity(
     prompt = render(
         TemplateName.JUDGE_DIVERSITY, {"task_list_block": task_list_block(sample)}
     )
-    return oracle.call(prompt, site=site, stage="stats")
+    return oracle.call(prompt, site=site)
 
 
 class _Proposals:

@@ -342,12 +342,18 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def read_json_file(path: str | Path) -> Any:
-    """An input file's JSON; a SchemaError naming it if it is missing or bad."""
+def read_json_file(path: str | Path) -> dict[str, Any]:
+    """An input file's JSON object; a SchemaError naming it if it is missing,
+    bad, or not an object."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("file not found", path=str(path)) from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaError(f"invalid JSON: {exc}", path=str(path)) from None
+    if not isinstance(data, dict):
+        raise SchemaError(
+            f"top level must be an object, got {type(data).__name__}", path=str(path)
+        )
+    return data

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Any, Callable, Protocol
 
+from ..config import OracleSettings, api_key_for
 from ..errors import (
     BudgetExhausted,
     MockReplyMissing,
@@ -69,8 +70,8 @@ def extract_json(text: str) -> dict[str, Any]:
 class Pricing:
     """Per-token USD rates, kept as Decimal so totals are exact."""
 
-    prompt_per_token: Decimal = Decimal("0.000002")
-    completion_per_token: Decimal = Decimal("0.000008")
+    prompt_per_token: Decimal
+    completion_per_token: Decimal
 
     def cost(self, usage: Usage) -> Decimal:
         return (
@@ -166,24 +167,9 @@ class HttpTransport:
     The API key comes from the environment, never from config files.
     """
 
-    def __init__(
-        self,
-        endpoint_url: str,
-        model: str,
-        api_key: str | None = None,
-        *,
-        temperature: float = 0.7,
-        top_p: float = 1.0,
-        max_tokens: int = 2048,
-        timeout_s: float = 120.0,
-    ) -> None:
-        self.endpoint_url = endpoint_url
-        self.model = model
-        self.api_key = api_key
-        self.temperature = temperature
-        self.top_p = top_p
-        self.max_tokens = max_tokens
-        self.timeout_s = timeout_s
+    def __init__(self, settings: OracleSettings) -> None:
+        self.settings = settings
+        self.api_key = api_key_for(settings)
 
     def complete(self, prompt: RenderedPrompt) -> RawCompletion:
         import requests
@@ -195,19 +181,20 @@ class HttpTransport:
                 content.append({"type": "image_url", "image_url": {"url": ref}})
         else:
             content = prompt.text
+        settings = self.settings
         body = {
-            "model": self.model,
+            "model": settings.model,
             "messages": [{"role": "user", "content": content}],
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
+            "temperature": settings.temperature,
+            "top_p": settings.top_p,
+            "max_tokens": settings.max_tokens,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
             resp = requests.post(
-                self.endpoint_url, json=body, headers=headers, timeout=self.timeout_s
+                settings.endpoint_url, json=body, headers=headers, timeout=settings.timeout_s
             )
         except requests.RequestException as exc:
             raise TransportError(f"completion request failed: {exc}") from exc
@@ -218,14 +205,28 @@ class HttpTransport:
         try:
             payload = resp.json()
             text = payload["choices"][0]["message"]["content"]
-            usage_raw = payload.get("usage", {})
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            usage_raw = payload.get("usage")
+            if usage_raw is None:
+                usage_raw = {}
+            usage = Usage(
+                prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
+                completion_tokens=int(usage_raw.get("completion_tokens", 0)),
+            )
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
-        usage = Usage(
-            prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
-            completion_tokens=int(usage_raw.get("completion_tokens", 0)),
-        )
         return RawCompletion(text=text if isinstance(text, str) else "", usage=usage)
+
+
+def _usage(raw: Any, field: str) -> Usage:
+    """A mock script's token counts: an object of non-negative integers."""
+    if not isinstance(raw, dict) or not set(raw) <= {"prompt_tokens", "completion_tokens"}:
+        raise SchemaError(
+            "must be an object with only prompt_tokens and completion_tokens", field=field
+        )
+    for key, value in raw.items():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise SchemaError(f"{key} must be a non-negative integer", field=field)
+    return Usage(**raw)
 
 
 class MockScript:
@@ -240,14 +241,28 @@ class MockScript:
     def __init__(self, data: dict[str, Any]) -> None:
         if data.get("schema_version") != 1:
             raise SchemaError("mock script schema_version must be 1")
-        self.default_usage = Usage(**data.get("default_usage", {}))
-        self.rules: list[dict[str, Any]] = list(data.get("rules", []))
+        self.default_usage = _usage(data.get("default_usage", {}), "default_usage")
+        self.rules: list[dict[str, Any]] = data.get("rules", [])
+        if not isinstance(self.rules, list):
+            raise SchemaError("must be a list", field="rules")
+        self._usages: list[Usage] = []
+        for idx, rule in enumerate(self.rules):
+            if not isinstance(rule, dict):
+                raise SchemaError("rule must be an object", field=f"rules[{idx}]")
+            usage = rule.get("usage")
+            self._usages.append(
+                _usage(usage, f"rules[{idx}].usage") if usage else self.default_usage
+            )
         self._cursors: dict[tuple[int, str], int] = {}
         self._lock = threading.Lock()
 
     @classmethod
     def load(cls, path: str) -> "MockScript":
-        return cls(read_json_file(path))
+        data = read_json_file(path)
+        try:
+            return cls(data)
+        except SchemaError as exc:
+            raise SchemaError(str(exc), path=str(path)) from None
 
     def _matches(self, rule: dict[str, Any], prompt: RenderedPrompt) -> bool:
         if rule.get("template") != prompt.template.value:
@@ -298,9 +313,7 @@ class MockScript:
                     raise SchemaViolation(f"mock rule {idx} has no reply/raw")
             pick = self._interpolate(pick, prompt.variables)
             text = pick if isinstance(pick, str) else json.dumps(pick, ensure_ascii=False)
-            usage_raw = rule.get("usage")
-            usage = Usage(**usage_raw) if usage_raw else self.default_usage
-            return RawCompletion(text=text, usage=usage)
+            return RawCompletion(text=text, usage=self._usages[idx])
         raise MockReplyMissing(
             f"no mock rule matches template={prompt.template.value} "
             f"variables={sorted(prompt.variables)}"
@@ -319,20 +332,15 @@ class MockTransport:
 # client
 # ======================================================================
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    transport_retries: int = 3
-    reparse_attempts: int = 2
-    backoff_base_s: float = 1.0
-
-
 class OracleClient:
     """One call = transport with retry, JSON extraction, schema validation.
 
-    Transport failures retry with exponential backoff. Schema violations get
-    one or more re-requests that append the violation as a corrective hint.
-    Every attempt is charged to the ledger, including failed ones, and none
-    is sent once spend has reached the budget.
+    A client serves one pipeline stage and charges every call to that stage,
+    under the site the caller names. Transport failures retry with
+    exponential backoff. Schema violations get one or more re-requests that
+    append the violation as a corrective hint. Every attempt is charged to
+    the ledger, including failed ones, and none is sent once spend has
+    reached the budget. Retries, re-asks and prices come from `settings`.
 
     `submit` overlaps calls with the caller's work: on one pool of `workers`
     threads when the transport waits on the network (`overlaps`), inline on
@@ -345,16 +353,20 @@ class OracleClient:
         self,
         transport: Transport,
         ledger: CostLedger,
+        settings: OracleSettings,
         *,
-        pricing: Pricing | None = None,
-        policy: RetryPolicy | None = None,
+        stage: str,
         sleep: Callable[[float], None] = time.sleep,
         workers: int = 1,
     ) -> None:
         self.transport = transport
         self.ledger = ledger
-        self.pricing = pricing or Pricing()
-        self.policy = policy or RetryPolicy()
+        self.settings = settings
+        self.stage = stage
+        self.pricing = Pricing(
+            Decimal(settings.prompt_cost_per_token),
+            Decimal(settings.completion_cost_per_token),
+        )
         self._sleep = sleep
         self.overlaps = not isinstance(transport, MockTransport)
         self._pool = ThreadPoolExecutor(max_workers=workers) if self.overlaps else None
@@ -378,37 +390,36 @@ class OracleClient:
             self._pool.shutdown(wait=True, cancel_futures=True)
 
     def _complete_with_retry(self, prompt: RenderedPrompt) -> RawCompletion:
+        retries = self.settings.transport_retries
         last: TransportError | None = None
-        for attempt in range(self.policy.transport_retries):
+        for attempt in range(retries):
             try:
                 return self.transport.complete(prompt)
             except TransportError as exc:
                 last = exc
-                if attempt + 1 < self.policy.transport_retries:
-                    self._sleep(self.policy.backoff_base_s * (2**attempt))
-        raise TransportError(
-            f"transport failed after {self.policy.transport_retries} attempts: {last}"
-        )
+                if attempt + 1 < retries:
+                    self._sleep(self.settings.backoff_base_s * (2**attempt))
+        raise TransportError(f"transport failed after {retries} attempts: {last}")
 
     def call(
         self,
         prompt: RenderedPrompt,
         *,
         site: str = "",
-        stage: str = "",
         context: dict[str, Any] | None = None,
         charged: list[Decimal] | None = None,
     ) -> Any:
-        """Return the validated reply; every attempt is charged to the ledger,
-        and its cost is also appended to `charged` when one is given."""
+        """Return the validated reply; every attempt is charged to the ledger
+        under (site, this client's stage), and its cost is also appended to
+        `charged` when one is given."""
         current = prompt
         last_violation: SchemaViolation | None = None
-        attempts = 1 + self.policy.reparse_attempts
+        attempts = 1 + self.settings.reparse_attempts
         for _ in range(attempts):
             self.ledger.check_budget()
             completion = self._complete_with_retry(current)
             cost = self.pricing.cost(completion.usage)
-            self.ledger.add(completion.usage, cost, site=site, stage=stage)
+            self.ledger.add(completion.usage, cost, site=site, stage=self.stage)
             if charged is not None:
                 charged.append(cost)
             try:

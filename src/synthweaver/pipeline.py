@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, TypeVar
 from . import runstore as rs
 from .actions import render_action
 from .collector import Collector
-from .config import RunConfig, SiteSpec, api_key_for
+from .config import RunConfig, SiteSpec
 from .dataset import corpus_stats, export_dataset, ExportResult
 from .environment import SimulatorSession, load_site_graph
 from .errors import ConfigError, SchemaError, SchemaViolation
@@ -42,8 +42,6 @@ from .oracle import (
     MockScript,
     MockTransport,
     OracleClient,
-    Pricing,
-    RetryPolicy,
     TemplateName,
     render,
 )
@@ -54,7 +52,8 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 
-def make_oracle(config: RunConfig, store: RunStore) -> tuple[OracleClient, CostLedger]:
+def make_oracle(config: RunConfig, store: RunStore, stage: str) -> tuple[OracleClient, CostLedger]:
+    """The oracle client of one stage, over the run's ledger."""
     settings = config.oracle
     budget = None if settings.budget_usd is None else Decimal(settings.budget_usd)
     snapshot = store.read_json(rs.LEDGER)
@@ -68,26 +67,9 @@ def make_oracle(config: RunConfig, store: RunStore) -> tuple[OracleClient, CostL
     if settings.backend == "mock":
         transport: Any = MockTransport(MockScript.load(settings.mock_script))
     else:
-        transport = HttpTransport(
-            settings.endpoint_url,
-            settings.model,
-            api_key=api_key_for(settings),
-            temperature=settings.temperature,
-            top_p=settings.top_p,
-            max_tokens=settings.max_tokens,
-            timeout_s=settings.timeout_s,
-        )
-    pricing = Pricing(
-        prompt_per_token=Decimal(settings.prompt_cost_per_token),
-        completion_per_token=Decimal(settings.completion_cost_per_token),
-    )
-    policy = RetryPolicy(
-        transport_retries=settings.transport_retries,
-        reparse_attempts=settings.reparse_attempts,
-        backoff_base_s=settings.backoff_base_s,
-    )
+        transport = HttpTransport(settings)
     return OracleClient(
-        transport, ledger, pricing=pricing, policy=policy, workers=config.workers
+        transport, ledger, settings, stage=stage, workers=config.workers
     ), ledger
 
 
@@ -96,20 +78,13 @@ def make_session_factory(site: SiteSpec, config: RunConfig) -> Callable[[], Any]
         graph = load_site_graph(site.graph)
         return lambda: SimulatorSession(graph)
     if site.start_url:
-        from .browser import BrowserConfig, BrowserSession
+        from .browser import BrowserSession
 
         if not config.browser.endpoint_url:
             raise ConfigError(
                 f"site {site.name!r} uses start_url but browser.endpoint_url is unset"
             )
-        browser_config = BrowserConfig(
-            endpoint_url=config.browser.endpoint_url,
-            viewport=(config.browser.viewport_width, config.browser.viewport_height),
-            nav_timeout_ms=config.browser.nav_timeout_ms,
-            screenshot_dir=config.browser.screenshot_dir,
-            start_url=site.start_url,
-        )
-        return lambda: BrowserSession(browser_config)
+        return lambda: BrowserSession(config.browser, site.start_url)
     raise ConfigError(f"site {site.name!r} has neither graph nor start_url")
 
 
@@ -173,7 +148,7 @@ def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClie
     the one place that waits for overlapped calls still in flight. Then the
     ledger snapshot is written, so a resumed run counts every call paid for.
     """
-    client, ledger = make_oracle(config, store)
+    client, ledger = make_oracle(config, store, name)
     with _stage_events(store, name, ledger):
         try:
             yield client
@@ -433,7 +408,7 @@ def _judge_quality(
             },
         )
         try:
-            return client.call(prompt, site=trajectory.site, stage="stats").score
+            return client.call(prompt, site=trajectory.site).score
         except SchemaViolation:
             return None
 

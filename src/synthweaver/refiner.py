@@ -132,7 +132,6 @@ class Refiner:
             parsed: RefineTrajectoryReply = self.oracle.call(
                 prompt,
                 site=trajectory.site,
-                stage="refine",
                 context={
                     "k": len(trajectory.steps),
                     "expected_task": trajectory.task.text,

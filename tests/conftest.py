@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from synthweaver.actions import Action, ActionKind, make_action
-from synthweaver.config import RunConfig, parse_config
+from synthweaver.config import OracleSettings, RunConfig, parse_config
 from synthweaver.environment import SimulatorSession, load_site_graph
 from synthweaver.model import Element, Observation, Step
 from synthweaver.oracle import CostLedger, MockScript, MockTransport, OracleClient
@@ -65,17 +65,19 @@ def shop_session(shop_graph) -> SimulatorSession:
     return SimulatorSession(shop_graph)
 
 
-@pytest.fixture
-def shop_oracle() -> OracleClient:
+def shop_client(stage: str = "") -> OracleClient:
+    """Oracle client over the shop's scripted replies, charging `stage`."""
     script = MockScript.load(str(SHOP_MOCK))
-    return OracleClient(MockTransport(script), CostLedger())
+    return OracleClient(MockTransport(script), CostLedger(), OracleSettings(), stage=stage)
 
 
-def make_client(script_data: dict, budget=None, **kwargs) -> OracleClient:
-    """Oracle client over an in-memory mock script. Sleep is a no-op."""
+def make_client(script_data: dict, budget=None, *, stage: str = "", **settings) -> OracleClient:
+    """Oracle client over an in-memory mock script, with `settings` overriding
+    the oracle defaults. Sleep is a no-op."""
     ledger = CostLedger(budget_usd=budget)
     return OracleClient(
-        MockTransport(MockScript(script_data)), ledger, sleep=lambda s: None, **kwargs
+        MockTransport(MockScript(script_data)), ledger, OracleSettings(**settings),
+        stage=stage, sleep=lambda s: None,
     )
 
 

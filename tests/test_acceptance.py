@@ -36,7 +36,7 @@ from synthweaver.errors import (
 )
 from synthweaver.explorer import sample_probes
 from synthweaver.model import Observation, Step, Task, TaskType, Terminal, Trajectory
-from synthweaver.oracle import Pricing, TemplateName, extract_json, parse_reply, render
+from synthweaver.oracle import TemplateName, extract_json, parse_reply, render
 from synthweaver.oracle.replies import ProposedInteraction
 from synthweaver.refiner import apply_edits
 from tests.conftest import SHOP_GRAPH, make_client, shop_config_dict, write_config
@@ -566,10 +566,6 @@ def test_10_oracle_robustness():
 
 def test_11_cost_ledger_additivity():
     with criterion(11, "cost-ledger-additivity"):
-        pricing = Pricing(
-            prompt_per_token=Decimal("0.0000017"),
-            completion_per_token=Decimal("0.0000093"),
-        )
         usages = [(37 * b % 997 + 1, 53 * b % 499 + 1) for b in range(25)]
         rules = [
             {
@@ -580,7 +576,10 @@ def test_11_cost_ledger_additivity():
             }
             for b, (p, c) in enumerate(usages)
         ]
-        client = make_client({"schema_version": 1, "rules": rules}, pricing=pricing)
+        client = make_client({"schema_version": 1, "rules": rules},
+                             prompt_cost_per_token="0.0000017",
+                             completion_cost_per_token="0.0000093")
+        pricing = client.pricing
 
         expected = Decimal("0")
         expected_prompt = 0

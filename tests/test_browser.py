@@ -19,9 +19,9 @@ import pytest
 
 from synthweaver import pipeline
 from synthweaver.actions import Action, ActionKind, parse_action
-from synthweaver.browser import BrowserConfig, BrowserSession, key_sequence
+from synthweaver.browser import BrowserSession, key_sequence
 from synthweaver.collector import Collector
-from synthweaver.config import parse_config
+from synthweaver.config import BrowserSettings, parse_config
 from synthweaver.errors import (
     ConnectFailed,
     ElementNotFound,
@@ -195,10 +195,8 @@ def fake_endpoint():
 
 
 def make_session(endpoint: str, **overrides) -> BrowserSession:
-    config = BrowserConfig(
-        endpoint_url=endpoint, start_url="https://fake.test/home", **overrides
-    )
-    return BrowserSession(config)
+    settings = BrowserSettings(endpoint_url=endpoint, **overrides)
+    return BrowserSession(settings, "https://fake.test/home")
 
 
 def is_observe(path: str, body: dict) -> bool:
@@ -609,11 +607,8 @@ class TestKeySequence:
     reason="set SYNTHWEAVER_WEBDRIVER_URL to run against a real WebDriver",
 )
 def test_real_endpoint_smoke():
-    config = BrowserConfig(
-        endpoint_url=os.environ["SYNTHWEAVER_WEBDRIVER_URL"],
-        start_url="about:blank",
-    )
-    session = BrowserSession(config)
+    settings = BrowserSettings(endpoint_url=os.environ["SYNTHWEAVER_WEBDRIVER_URL"])
+    session = BrowserSession(settings, "about:blank")
     try:
         obs = session.observe()
         assert obs.url

@@ -282,6 +282,39 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert f"{bad}: invalid JSON" in err
 
+    @pytest.mark.parametrize("defect,where", [
+        (lambda script: [], "top level must be an object"),
+        (lambda script: {**script, "default_usage": {"prompt_tokens": 1, "cached_tokens": 2}},
+         "default_usage: "),
+        (lambda script: {**script, "rules": [{**rule, "usage": {"tokens": 5}}
+                                             for rule in script["rules"]]},
+         "rules[0].usage: "),
+    ], ids=["top_level_list", "default_usage_key", "rule_usage_key"])
+    def test_malformed_mock_script_is_usage_error(self, capsys, tmp_path, defect, where):
+        bad = tmp_path / "bad.mock.json"
+        bad.write_text(json.dumps(defect(json.loads(SHOP_MOCK.read_text()))))
+        config = write_config(tmp_path, oracle={"backend": "mock", "mock_script": str(bad)})
+        code, _, err = run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert f"{bad}: {where}" in err
+        assert not (tmp_path / "runs" / "r" / "ledger.json").exists()
+
+    @pytest.mark.parametrize("name,command", [
+        ("state.json", "explore"), ("manifest.json", "export"),
+    ])
+    def test_run_document_that_is_not_an_object_is_usage_error(
+        self, capsys, tmp_path, name, command
+    ):
+        config = write_config(tmp_path)
+        for stage in ("explore", "collect", "refine", "export"):
+            code, _, _ = run_cli(capsys, stage, "--config", str(config), "--run", "r")
+            assert code == cli.EXIT_OK
+        document = tmp_path / "runs" / "r" / name
+        document.write_text("[]")
+        code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert f"{document}: top level must be an object" in err
+
     @pytest.mark.parametrize("name", ["ledger.json", "state.json"])
     @pytest.mark.parametrize("command", ["collect", "stats"])
     def test_run_document_that_does_not_decode_is_usage_error(

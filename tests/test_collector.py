@@ -15,8 +15,7 @@ from synthweaver.collector import (
 )
 from synthweaver.environment import SimulatorSession
 from synthweaver.model import ConflictTrigger, Task, TaskType, Terminal
-from synthweaver.oracle import CostLedger, MockScript, MockTransport, OracleClient
-from tests.conftest import SHOP_MOCK, make_client
+from tests.conftest import make_client, shop_client
 
 
 def make_task(text: str, task_id: str = "t-shop-0000") -> Task:
@@ -125,7 +124,7 @@ class TestClassifyTrigger:
 
 
 def shop_collector(config, events=None):
-    client = OracleClient(MockTransport(MockScript.load(str(SHOP_MOCK))), CostLedger())
+    client = shop_client("collect")
     hook = (lambda k, d: events.append((k, d))) if events is not None else (lambda k, d: None)
     return Collector(client, config, on_event=hook)
 

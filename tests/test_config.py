@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 
 import pytest
@@ -128,6 +129,18 @@ class TestParse:
         assert config.oracle.reparse_attempts == 0
         assert config.browser.viewport_width == 800
         assert config.browser.viewport_height == 720
+
+    @pytest.mark.parametrize("section,key", [
+        ("sites[0]", "graph"), ("sites[0]", "start_url"),
+        ("oracle", "mock_script"), ("browser", "screenshot_dir"),
+    ])
+    @pytest.mark.parametrize("resolve", [True, False])
+    def test_path_fields_must_be_strings(self, tmp_path, section, key, resolve):
+        raw = shop_config_dict()
+        fields = raw["sites"][0] if section == "sites[0]" else raw.setdefault(section, {})
+        fields[key] = 5
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be a string")):
+            parse_config(raw, base_dir=tmp_path if resolve else None)
 
     def test_sites_required(self, tmp_path):
         raw = shop_config_dict()

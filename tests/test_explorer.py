@@ -21,7 +21,7 @@ from synthweaver.explorer import (
 from synthweaver.model import Task, TaskType
 from synthweaver.oracle import ProposedInteraction
 from synthweaver.actions import ActionKind
-from tests.conftest import SHOP_EXAMPLES, SHOP_INTRO, make_client, obs
+from tests.conftest import SHOP_EXAMPLES, SHOP_INTRO, make_client, obs, shop_client
 
 
 def shop_site() -> SiteSpec:
@@ -150,10 +150,10 @@ class TestProposeTask:
 
 
 class TestJudgeDiversity:
-    def test_sample_size_limits_prompt(self, shop_oracle):
+    def test_sample_size_limits_prompt(self):
         tasks = [Task(id=f"t-{i}", text=f"task {i}", category="c",
                       task_type=TaskType.INFORMATION_SEEKING) for i in range(10)]
-        reply = judge_task_diversity(shop_oracle, tasks, site="shop", sample_size=4)
+        reply = judge_task_diversity(shop_client("stats"), tasks, site="shop", sample_size=4)
         assert reply.score == 85
         assert sum(reply.subscores.values()) == 85
 
@@ -162,9 +162,7 @@ class TestExploreShop:
     def run_explore(self, shop_config, shop_graph, **config_overrides):
         from dataclasses import replace
         config = replace(shop_config, **config_overrides) if config_overrides else shop_config
-        from synthweaver.oracle import CostLedger, MockScript, MockTransport, OracleClient
-        from tests.conftest import SHOP_MOCK
-        client = OracleClient(MockTransport(MockScript.load(str(SHOP_MOCK))), CostLedger())
+        client = shop_client("explore")
         self.ledger = client.ledger
         events = []
         explorer = Explorer(client, config, on_event=lambda k, d: events.append((k, d)))

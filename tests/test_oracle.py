@@ -1,12 +1,15 @@
 """Oracle layer: JSON extraction, reply validation, scripted mock, client retries, ledger."""
 from __future__ import annotations
 
+import json
 import threading
 from decimal import Decimal
 
 import pytest
+import requests
 
 from synthweaver.actions import ActionKind
+from synthweaver.config import OracleSettings
 from synthweaver.errors import (
     BudgetExhausted,
     MockReplyMissing,
@@ -17,12 +20,11 @@ from synthweaver.errors import (
 )
 from synthweaver.oracle import (
     CostLedger,
+    HttpTransport,
     MockScript,
     MockTransport,
     OracleClient,
-    Pricing,
     RawCompletion,
-    RetryPolicy,
     Usage,
     extract_json,
     parse_reply,
@@ -433,6 +435,107 @@ class TestMockScript:
 
 
 # ======================================================================
+# HttpTransport
+# ======================================================================
+
+ENDPOINT = "http://127.0.0.1:9/v1/chat/completions"
+
+
+class FakeResponse:
+    def __init__(self, status_code: int, payload):
+        self.status_code = status_code
+        self.payload = payload
+        self.text = json.dumps(payload)
+
+    def json(self):
+        return self.payload
+
+
+def reply_payload(**overrides):
+    payload = {"choices": [{"message": {"content": "hi"}}],
+               "usage": {"prompt_tokens": 3, "completion_tokens": 4}}
+    payload.update(overrides)
+    return payload
+
+
+@pytest.fixture
+def posted(monkeypatch):
+    """Patches `requests.post`: records each request, answers with `posted.reply`."""
+    sent: list[dict] = []
+
+    def post(url, *, json, headers, timeout):
+        sent.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        return post.reply
+
+    post.reply = FakeResponse(200, reply_payload())
+    post.sent = sent
+    monkeypatch.setattr(requests, "post", post)
+    return post
+
+
+def http_transport(**fields) -> HttpTransport:
+    return HttpTransport(OracleSettings(endpoint_url=ENDPOINT, model="m", **fields))
+
+
+class TestHttpTransport:
+    def test_body_and_timeout_come_from_settings(self, posted):
+        transport = http_transport(temperature=0.2, top_p=0.9, max_tokens=64, timeout_s=7.5)
+        completion = transport.complete(prompt(text="do it"))
+        [request] = posted.sent
+        assert request["url"] == ENDPOINT
+        assert request["json"] == {
+            "model": "m",
+            "messages": [{"role": "user", "content": "do it"}],
+            "temperature": 0.2,
+            "top_p": 0.9,
+            "max_tokens": 64,
+        }
+        assert request["timeout"] == 7.5
+        assert completion == RawCompletion(text="hi", usage=Usage(3, 4))
+
+    def test_images_are_sent_as_content_parts(self, posted):
+        shot = RenderedPrompt(template=TemplateName.NEXT_ACTION, text="look",
+                              variables={}, images=("data:image/png;base64,AA",))
+        http_transport().complete(shot)
+        assert posted.sent[0]["json"]["messages"][0]["content"] == [
+            {"type": "text", "text": "look"},
+            {"type": "image_url", "image_url": {"url": "data:image/png;base64,AA"}},
+        ]
+
+    def test_authorization_comes_from_the_named_variable(self, posted, monkeypatch):
+        monkeypatch.setenv("SW_TEST_KEY", "sekret")
+        http_transport(api_key_env="SW_TEST_KEY").complete(prompt())
+        monkeypatch.delenv("SW_TEST_KEY")
+        http_transport(api_key_env="SW_TEST_KEY").complete(prompt())
+        first, second = posted.sent
+        assert first["headers"]["Authorization"] == "Bearer sekret"
+        assert "Authorization" not in second["headers"]
+
+    def test_non_200_raises_transport_error(self, posted):
+        posted.reply = FakeResponse(503, {"error": "busy"})
+        with pytest.raises(TransportError, match="503"):
+            http_transport().complete(prompt())
+
+    @pytest.mark.parametrize("usage", [None, "absent"])
+    def test_null_or_missing_usage_counts_zero_tokens(self, posted, usage):
+        payload = reply_payload(usage=usage)
+        if usage == "absent":
+            del payload["usage"]
+        posted.reply = FakeResponse(200, payload)
+        assert http_transport().complete(prompt()).usage == Usage(0, 0)
+
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": None, "completion_tokens": 4},
+        {"prompt_tokens": 3, "completion_tokens": "many"},
+        ["not", "an", "object"],
+    ])
+    def test_malformed_usage_is_a_transport_error(self, posted, usage):
+        posted.reply = FakeResponse(200, reply_payload(usage=usage))
+        with pytest.raises(TransportError, match="malformed completion payload"):
+            http_transport().complete(prompt())
+
+
+# ======================================================================
 # OracleClient
 # ======================================================================
 
@@ -456,27 +559,31 @@ def quality_prompt():
     return prompt(TemplateName.JUDGE_QUALITY, text="judge this")
 
 
+def flaky_client(transport, ledger=None, *, stage="", sleep=lambda s: None, **settings):
+    return OracleClient(transport, ledger or CostLedger(), OracleSettings(**settings),
+                        stage=stage, sleep=sleep)
+
+
 class TestOracleClient:
     def test_transport_retry_with_backoff(self):
         sleeps: list[float] = []
         transport = FlakyTransport(2, ['{"score": 50, "analysis": "ok"}'])
-        client = OracleClient(transport, CostLedger(), sleep=sleeps.append,
-                              policy=RetryPolicy(transport_retries=3, backoff_base_s=0.5))
+        client = flaky_client(transport, sleep=sleeps.append,
+                              transport_retries=3, backoff_base_s=0.5)
         reply = client.call(quality_prompt())
         assert reply.score == 50
         assert sleeps == [0.5, 1.0]  # base * 2^attempt
 
     def test_transport_exhaustion_raises(self):
         transport = FlakyTransport(5, [])
-        client = OracleClient(transport, CostLedger(), sleep=lambda s: None,
-                              policy=RetryPolicy(transport_retries=3))
+        client = flaky_client(transport, transport_retries=3)
         with pytest.raises(TransportError):
             client.call(quality_prompt())
 
     def test_reparse_appends_hint_and_recovers(self):
         transport = FlakyTransport(0, ["not json at all",
                                        '{"score": 40, "analysis": "fixed"}'])
-        client = OracleClient(transport, CostLedger(), sleep=lambda s: None)
+        client = flaky_client(transport)
         reply = client.call(quality_prompt())
         assert reply.score == 40
         assert client.ledger.calls == 2
@@ -485,16 +592,15 @@ class TestOracleClient:
 
     def test_reparse_exhaustion_raises_schema_violation(self):
         transport = FlakyTransport(0, ["junk", "junk", "junk", "junk"])
-        client = OracleClient(transport, CostLedger(), sleep=lambda s: None,
-                              policy=RetryPolicy(reparse_attempts=2))
+        client = flaky_client(transport, reparse_attempts=2)
         with pytest.raises(SchemaViolation, match="after 3 attempts"):
             client.call(quality_prompt())
 
     def test_every_attempt_is_charged(self):
         ledger = CostLedger()
         transport = FlakyTransport(0, ["junk", '{"score": 10, "analysis": "a"}'])
-        client = OracleClient(transport, ledger, sleep=lambda s: None)
-        client.call(quality_prompt(), site="shop", stage="stats")
+        client = flaky_client(transport, ledger, stage="stats")
+        client.call(quality_prompt(), site="shop")
         snap = ledger.snapshot()
         assert snap["calls"] == 2
         assert snap["prompt_tokens"] == 200  # both attempts accumulated
@@ -502,12 +608,23 @@ class TestOracleClient:
         assert Decimal(snap["total_cost_usd"]) == Decimal("0.00072")
         assert snap["by_site_stage"] == {"shop": {"stats": "0.000720"}}
 
+    def test_client_charges_only_its_stage(self):
+        ledger = CostLedger()
+        transport = FlakyTransport(0, ["junk", '{"score": 10, "analysis": "a"}',
+                                       '{"score": 20, "analysis": "b"}'])
+        client = flaky_client(transport, ledger, stage="refine")
+        client.call(quality_prompt(), site="shop")
+        client.call(quality_prompt(), site="shop")
+        assert ledger.calls == 3
+        assert list(ledger.by_site_stage) == [("shop", "refine")]
+        assert ledger.by_site_stage["shop", "refine"] == ledger.total_cost
+
     def test_budget_exhaustion_blocks_next_call(self):
         # Each call costs 100 * 2e-6 + 20 * 8e-6 = 0.00036 USD, crossing the budget.
         ledger = CostLedger(budget_usd=Decimal("0.0003"))
         transport = FlakyTransport(0, ['{"score": 1, "analysis": "a"}',
                                        '{"score": 2, "analysis": "b"}'])
-        client = OracleClient(transport, ledger, sleep=lambda s: None)
+        client = flaky_client(transport, ledger)
         client.call(quality_prompt())
         with pytest.raises(BudgetExhausted):
             client.call(quality_prompt())
@@ -518,7 +635,7 @@ class TestOracleClient:
         # so the schema re-ask is never sent.
         ledger = CostLedger(budget_usd=Decimal("0.0003"))
         transport = FlakyTransport(0, ["junk", '{"score": 2, "analysis": "b"}'])
-        client = OracleClient(transport, ledger, sleep=lambda s: None)
+        client = flaky_client(transport, ledger)
         with pytest.raises(BudgetExhausted):
             client.call(quality_prompt())
         assert len(transport.prompts) == 1
@@ -540,9 +657,8 @@ class TestOracleClient:
             "default_usage": {"prompt_tokens": 10, "completion_tokens": 10},
             "rules": [{"template": "judge_quality", "reply": {"score": 9, "analysis": "x"}}],
         })
-        pricing = Pricing(prompt_per_token=Decimal("0.001"),
-                          completion_per_token=Decimal("0.002"))
-        client = OracleClient(MockTransport(script), CostLedger(), pricing=pricing)
+        client = flaky_client(MockTransport(script), prompt_cost_per_token="0.001",
+                              completion_cost_per_token="0.002")
         client.call(quality_prompt())
         assert client.ledger.total_cost == Decimal("0.030")
 

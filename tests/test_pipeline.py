@@ -410,6 +410,14 @@ def test_every_stage_writes_timed_start_and_end_events(tmp_path):
     spent = sum(Decimal(e["cost_usd"]) for e in ends)
     assert str(spent) == SHOP_LEDGER["total_cost_usd"]
     assert ends[1]["cost_usd"] == SHOP_COLLECT_USD
+    # Each stage's client charges its own stage, so each stage.end's spend is
+    # that stage's entry in the ledger; export calls no oracle.
+    by_stage = store.read_json("ledger.json")["by_site_stage"]["shop"]
+    assert sorted(by_stage) == sorted(["explore", "collect", "refine", "stats"])
+    for end in ends:
+        spent = Decimal(by_stage.get(end["stage"], "0"))
+        assert Decimal(end["cost_usd"]) == spent, end["stage"]
+    assert Decimal(ends[3]["cost_usd"]) == 0
 
 
 # ----------------------------------------------------------------------

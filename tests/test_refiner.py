@@ -9,7 +9,9 @@ from synthweaver.errors import EditContractViolation
 from synthweaver.model import Task, TaskType, Terminal, Trajectory
 from synthweaver.oracle.replies import RefineDecision, RefineTrajectoryReply
 from synthweaver.refiner import Refiner, apply_edits, summarize_trajectory
-from tests.conftest import click_action, make_client, none_action, step, stop_action
+from tests.conftest import (
+    click_action, make_client, none_action, shop_client, step, stop_action,
+)
 
 
 def make_task(text: str = "the task") -> Task:
@@ -122,9 +124,7 @@ class TestApplyEdits:
 
 def collect_shop(shop_config, shop_graph, text):
     from synthweaver.collector import Collector
-    from synthweaver.oracle import CostLedger, MockScript, MockTransport, OracleClient
-    from tests.conftest import SHOP_MOCK
-    client = OracleClient(MockTransport(MockScript.load(str(SHOP_MOCK))), CostLedger())
+    client = shop_client()
     collector = Collector(client, shop_config)
     task = Task(id="t-shop-0001", text=text, category="c",
                 task_type=TaskType.INFORMATION_SEEKING, site="shop")
