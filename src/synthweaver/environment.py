@@ -7,12 +7,16 @@ backend it is driving.
 
 Both backends read a page state once: `observe()` returns one object until
 the next action or reset. An action changed the page when its views differ.
+The simulator goes further: its sessions share one memo per `SiteGraph`, so
+every session of a graph, on any thread, returns the same `Observation` for
+the same page state, and a `goto` looks its target up in a table built once
+per state.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any
@@ -64,10 +68,50 @@ class PageSpec:
     below_fold: tuple[Element, ...] = ()
 
 
+# A page state: the page id, the sorted state items, and whether it is scrolled.
+ViewKey = tuple[str, tuple[tuple[str, str], ...], bool]
+
+
 @dataclass(frozen=True)
 class SiteGraph:
+    """A loaded site graph and the memos its sessions share.
+
+    `view` builds the `Observation` of each page state once, and `route` the
+    url -> page table of each state once, so every session of the graph gets
+    the same objects. The memos hold one entry per distinct state visited,
+    about the set the run's `observations.jsonl` stores; a graph is loaded
+    once per site per stage, so they live for one stage. Threads share them
+    without a lock: a `setdefault` keeps the first writer's entry, and a
+    losing thread's object equals it.
+    """
+
     pages: dict[str, PageSpec]
     start_page: str
+    _views: dict[ViewKey, Observation] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _routes: dict[tuple[tuple[str, str], ...], dict[str, str]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def view(self, page_id: str, state: dict[str, str], scrolled: bool) -> Observation:
+        """The observation of one page state, built on its first request."""
+        key = (page_id, tuple(sorted(state.items())), scrolled)
+        obs = self._views.get(key)
+        if obs is None:
+            obs = self._views.setdefault(key, _build_view(self.pages[page_id], state, scrolled))
+        return obs
+
+    def route(self, url: str, state: dict[str, str]) -> str | None:
+        """The first page, in file order, whose url under `state` is `url`."""
+        key = tuple(sorted(state.items()))
+        table = self._routes.get(key)
+        if table is None:
+            table = {}
+            for page_id, page in self.pages.items():
+                table.setdefault(_substitute(page.url, state), page_id)
+            table = self._routes.setdefault(key, table)
+        return table.get(url)
 
 
 @dataclass(frozen=True)
@@ -84,6 +128,19 @@ _PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 def _substitute(template: str, state: dict[str, str]) -> str:
     # Unknown keys render as the empty string.
     return _PLACEHOLDER.sub(lambda m: state.get(m.group(1), ""), template)
+
+
+def _build_view(page: PageSpec, state: dict[str, str], scrolled: bool) -> Observation:
+    tree = _substitute(page.tree_template, state)
+    elements = page.elements
+    if scrolled and page.below_fold:
+        # The revealed elements are appended to both the list and the tree.
+        extra = "\n".join(f'  {e.role} "{e.name}" [{e.id}]' for e in page.below_fold)
+        tree = f"{tree}\n{extra}" if tree else extra
+        elements = elements + page.below_fold
+    return Observation(
+        url=_substitute(page.url, state), accessibility_tree=tree, elements=elements
+    )
 
 
 def _check_graph(graph: SiteGraph) -> None:
@@ -121,6 +178,9 @@ class SimulatorSession:
     """Single-owner, fully deterministic session over one SiteGraph.
 
     The graph is trusted: load_site_graph checked it when it was built.
+    `observe()` keeps the session's observation until the next action or
+    `reset()`, and then asks the graph, which returns the object every
+    session of that graph gets for the same page state.
     """
 
     def __init__(self, graph: SiteGraph):
@@ -149,23 +209,8 @@ class SimulatorSession:
 
     def observe(self) -> Observation:
         if self._observation is None:
-            self._observation = self._build_observation()
+            self._observation = self._graph.view(self.current_page, self.state, self.scrolled)
         return self._observation
-
-    def _build_observation(self) -> Observation:
-        page = self._graph.pages[self.current_page]
-        tree = _substitute(page.tree_template, self.state)
-        elements = page.elements
-        if self.scrolled and page.below_fold:
-            # The revealed elements are appended to both the list and the tree.
-            extra = "\n".join(f'  {e.role} "{e.name}" [{e.id}]' for e in page.below_fold)
-            tree = f"{tree}\n{extra}" if tree else extra
-            elements = elements + page.below_fold
-        return Observation(
-            url=_substitute(page.url, self.state),
-            accessibility_tree=tree,
-            elements=elements,
-        )
 
     def execute(self, action: Action) -> TransitionOutcome:
         if self._terminal:
@@ -198,11 +243,11 @@ class SimulatorSession:
                 self.scrolled = False
             return None
         if kind is ActionKind.GOTO:
-            for page_id, page in self._graph.pages.items():
-                if _substitute(page.url, self.state) == action.value:
-                    self._navigate(page_id)
-                    return None
-            return f"no route to {action.value}"
+            page_id = self._graph.route(action.value, self.state)
+            if page_id is None:
+                return f"no route to {action.value}"
+            self._navigate(page_id)
+            return None
         if kind in ELEMENT_KINDS:
             page = self._graph.pages[self.current_page]
             visible = {e.id for e in page.elements}

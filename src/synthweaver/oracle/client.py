@@ -139,18 +139,33 @@ class CostLedger:
                 "ledger snapshot has no by_site_stage; start a fresh run",
                 field="by_site_stage",
             )
-        budget = data.get("budget_usd")
-        ledger = cls(budget_usd=None if budget is None else Decimal(budget))
-        ledger.total_cost = Decimal(data.get("total_cost_usd", "0"))
-        ledger.total_prompt_tokens = int(data.get("prompt_tokens", 0))
-        ledger.total_completion_tokens = int(data.get("completion_tokens", 0))
-        ledger.calls = int(data.get("calls", 0))
-        ledger.by_site_stage = {
-            (site, stage): Decimal(cost)
-            for site, stages in data["by_site_stage"].items()
-            for stage, cost in stages.items()
-        }
+
+        def read(name: str, convert: Callable[[Any], Any], default: Any) -> Any:
+            value = data.get(name, default)
+            try:
+                return convert(value)
+            except (AttributeError, TypeError, ValueError, ArithmeticError):
+                raise SchemaError(f"malformed value {value!r}", field=name) from None
+
+        ledger = cls(budget_usd=read("budget_usd", _optional_decimal, None))
+        ledger.total_cost = read("total_cost_usd", Decimal, "0")
+        ledger.total_prompt_tokens = read("prompt_tokens", int, 0)
+        ledger.total_completion_tokens = read("completion_tokens", int, 0)
+        ledger.calls = read("calls", int, 0)
+        ledger.by_site_stage = read("by_site_stage", _costs_by_site_stage, None)
         return ledger
+
+
+def _optional_decimal(value: Any) -> Decimal | None:
+    return None if value is None else Decimal(value)
+
+
+def _costs_by_site_stage(nested: dict[str, dict[str, str]]) -> dict[tuple[str, str], Decimal]:
+    return {
+        (site, stage): Decimal(cost)
+        for site, stages in nested.items()
+        for stage, cost in stages.items()
+    }
 
 
 # ======================================================================
@@ -229,6 +244,29 @@ def _usage(raw: Any, field: str) -> Usage:
     return Usage(**raw)
 
 
+_REPLY_KEYS = ("reply", "raw", "replies", "raws")
+
+
+def _check_rule(rule: Any, loc: str) -> None:
+    """A mock rule: a template name, string `when` patterns and `scope`, and
+    exactly one reply field, where a series is a non-empty list."""
+    if not isinstance(rule, dict):
+        raise SchemaError("rule must be an object", field=loc)
+    if not isinstance(rule.get("template"), str):
+        raise SchemaError("must be a string", field=f"{loc}.template")
+    when = rule.get("when", {})
+    if not isinstance(when, dict) or not all(isinstance(p, str) for p in when.values()):
+        raise SchemaError("must be an object of string patterns", field=f"{loc}.when")
+    if not isinstance(rule.get("scope", ""), str):
+        raise SchemaError("must be a string", field=f"{loc}.scope")
+    replies = [key for key in _REPLY_KEYS if key in rule]
+    if len(replies) != 1:
+        raise SchemaError(f"needs exactly one of {', '.join(_REPLY_KEYS)}", field=loc)
+    series = rule.get(replies[0])
+    if replies[0] in ("replies", "raws") and not (isinstance(series, list) and series):
+        raise SchemaError("must be a non-empty list", field=f"{loc}.{replies[0]}")
+
+
 class MockScript:
     """Deterministic scripted replies loaded from a JSON file.
 
@@ -247,8 +285,7 @@ class MockScript:
             raise SchemaError("must be a list", field="rules")
         self._usages: list[Usage] = []
         for idx, rule in enumerate(self.rules):
-            if not isinstance(rule, dict):
-                raise SchemaError("rule must be an object", field=f"rules[{idx}]")
+            _check_rule(rule, f"rules[{idx}]")
             usage = rule.get("usage")
             self._usages.append(
                 _usage(usage, f"rules[{idx}].usage") if usage else self.default_usage
@@ -295,8 +332,10 @@ class MockScript:
         for idx, rule in enumerate(self.rules):
             if not self._matches(rule, prompt):
                 continue
-            if "replies" in rule or "raws" in rule:
-                series = rule.get("replies", rule.get("raws"))
+            series = rule.get("replies", rule.get("raws"))
+            if series is None:
+                pick = rule["reply"] if "reply" in rule else rule["raw"]
+            else:
                 scope_var = rule.get("scope", "")
                 scope_value = str(prompt.variables.get(scope_var, "")) if scope_var else ""
                 with self._lock:
@@ -304,13 +343,6 @@ class MockScript:
                     # Repeat the last entry once the series runs out.
                     pick = series[min(cursor, len(series) - 1)]
                     self._cursors[(idx, scope_value)] = cursor + 1
-            else:
-                if "reply" in rule:
-                    pick = rule["reply"]
-                elif "raw" in rule:
-                    pick = rule["raw"]
-                else:
-                    raise SchemaViolation(f"mock rule {idx} has no reply/raw")
             pick = self._interpolate(pick, prompt.variables)
             text = pick if isinstance(pick, str) else json.dumps(pick, ensure_ascii=False)
             return RawCompletion(text=text, usage=self._usages[idx])

@@ -60,7 +60,10 @@ def make_oracle(config: RunConfig, store: RunStore, stage: str) -> tuple[OracleC
     if snapshot is not None:
         # Spend and counts carry over; the cap is always the config's, so a
         # run stopped by its budget can continue under a larger one.
-        ledger = CostLedger.from_snapshot(snapshot)
+        try:
+            ledger = CostLedger.from_snapshot(snapshot)
+        except SchemaError as exc:
+            raise SchemaError(str(exc), path=str(store.path(rs.LEDGER))) from None
         ledger.budget_usd = budget
     else:
         ledger = CostLedger(budget_usd=budget)
@@ -114,29 +117,31 @@ def _map_jobs(
 
 @contextmanager
 def _stage_events(store: RunStore, name: str, ledger: CostLedger) -> Iterator[None]:
-    """Write `stage.start` and `stage.end` around a stage, also when it raises.
+    """Write `stage.start` and `stage.end` around a stage, also when it raises;
+    the events file stays open in between.
 
     `stage.end` carries the wall time and the oracle calls and USD the stage
     added to `ledger`.
     """
     calls, usd = ledger.calls, ledger.total_cost
-    store.event("stage.start", {"stage": name})
-    started = time.perf_counter()
-    outcome = "error"
-    try:
-        yield
-        outcome = "ok"
-    finally:
-        store.event(
-            "stage.end",
-            {
-                "stage": name,
-                "duration_ms": round(1000 * (time.perf_counter() - started), 3),
-                "oracle_calls": ledger.calls - calls,
-                "cost_usd": str(ledger.total_cost - usd),
-                "outcome": outcome,
-            },
-        )
+    with store.kept_open(rs.EVENTS):
+        store.event("stage.start", {"stage": name})
+        started = time.perf_counter()
+        outcome = "error"
+        try:
+            yield
+            outcome = "ok"
+        finally:
+            store.event(
+                "stage.end",
+                {
+                    "stage": name,
+                    "duration_ms": round(1000 * (time.perf_counter() - started), 3),
+                    "oracle_calls": ledger.calls - calls,
+                    "cost_usd": str(ledger.total_cost - usd),
+                    "outcome": outcome,
+                },
+            )
 
 
 @contextmanager
@@ -183,7 +188,7 @@ def _check_layout(store: RunStore) -> None:
 
 def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
     _check_layout(store)
-    done = set(store.load_state().get("explored_sites", []))
+    done = set(store.load_state()["explored_sites"])
     todo = [site for site in config.sites if site.name not in done]
 
     # A crash mid-site may have left partial records; exploration is
@@ -230,7 +235,7 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
                 store.append_records(rs.TASKS, tasks)
                 store.append_records(rs.TRIPLETS, triplets)
                 state = store.load_state()
-                state.setdefault("explored_sites", []).append(site.name)
+                state["explored_sites"].append(site.name)
                 store.save_state(state)
             return len(tasks), len(triplets)
 

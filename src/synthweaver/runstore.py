@@ -2,7 +2,8 @@
 
 One run directory holds JSONL record files per stage, a state file for
 resume bookkeeping, an events log (the only file allowed wall-clock
-timestamps), and the cost ledger snapshot.
+timestamps), and the cost ledger snapshot. A stage keeps the events log
+open while it runs (`kept_open`), and every line is flushed as it is written.
 
 Observations are stored once per run, in `observations.jsonl`, one line per
 distinct observation in the form the dataset export writes (see
@@ -18,8 +19,9 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from .errors import SchemaError
 from .model import Observation, canonical_json, read_json_file
@@ -53,6 +55,7 @@ class RunStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
+        self._open: dict[str, IO[str]] = {}
 
     def path(self, name: str) -> Path:
         return self.root / name
@@ -68,18 +71,32 @@ class RunStore:
     # ------------------------------------------------------------------
 
     def append_record(self, name: str, record: dict[str, Any]) -> None:
-        line = canonical_json(record)
-        with self._lock_for(name):
-            with open(self.path(name), "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        self._append(name, canonical_json(record) + "\n")
 
     def append_records(self, name: str, records: list[dict[str, Any]]) -> None:
-        if not records:
-            return
-        payload = "".join(canonical_json(r) + "\n" for r in records)
+        if records:
+            self._append(name, "".join(canonical_json(r) + "\n" for r in records))
+
+    def _append(self, name: str, payload: str) -> None:
         with self._lock_for(name):
-            with open(self.path(name), "a", encoding="utf-8") as fh:
+            fh = self._open.get(name)
+            if fh is None:
+                with open(self.path(name), "a", encoding="utf-8") as out:
+                    out.write(payload)
+            else:
                 fh.write(payload)
+                fh.flush()
+
+    @contextmanager
+    def kept_open(self, name: str) -> Iterator[None]:
+        """Append to `name` through one open handle until the block ends."""
+        with self._lock_for(name):
+            self._open[name] = open(self.path(name), "a", encoding="utf-8")
+        try:
+            yield
+        finally:
+            with self._lock_for(name):
+                self._open.pop(name).close()
 
     def read_records(self, name: str) -> Iterator[dict[str, Any]]:
         """Yield every record; an undecodable line is a SchemaError, except a
@@ -108,6 +125,10 @@ class RunStore:
         payload = "".join(canonical_json(r) + "\n" for r in records)
         with self._lock_for(name):
             self._atomic_write(self.path(name), payload)
+            if name in self._open:
+                # The kept handle still points at the replaced file.
+                self._open.pop(name).close()
+                self._open[name] = open(self.path(name), "a", encoding="utf-8")
 
     def observations(self) -> "ObservationStore":
         """The stored observations as of now; build it once per stage."""
@@ -138,7 +159,12 @@ class RunStore:
     # ------------------------------------------------------------------
 
     def load_state(self) -> dict[str, Any]:
-        return self.read_json(STATE, default={"explored_sites": [], "stages": []})
+        state = self.read_json(STATE, default={})
+        for key in ("explored_sites", "stages"):
+            names = state.setdefault(key, [])
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise SchemaError("must be a list of names", path=str(self.path(STATE)), field=key)
+        return state
 
     def save_state(self, state: dict[str, Any]) -> None:
         self.write_json(STATE, state)

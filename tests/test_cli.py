@@ -27,6 +27,13 @@ def run_all_stages(capsys, config, run_id: str, workers: str = "1") -> None:
         assert code == cli.EXIT_OK, err
 
 
+def with_rule(script: dict, **fields) -> dict:
+    """The mock script with `fields` set on its first rule; None removes one."""
+    rule = {key: value for key, value in {**script["rules"][0], **fields}.items()
+            if value is not None}
+    return {**script, "rules": [rule, *script["rules"][1:]]}
+
+
 def with_inline_observations(run, names) -> None:
     """Give the named record files the layout from before observations.jsonl:
     every step and triplet carries its observation instead of its ref."""
@@ -289,7 +296,17 @@ class TestExitCodes:
         (lambda script: {**script, "rules": [{**rule, "usage": {"tokens": 5}}
                                              for rule in script["rules"]]},
          "rules[0].usage: "),
-    ], ids=["top_level_list", "default_usage_key", "rule_usage_key"])
+        (lambda script: with_rule(script, when=["x"]), "rules[0].when: "),
+        (lambda script: with_rule(script, when={"url": 5}), "rules[0].when: "),
+        (lambda script: with_rule(script, scope=3), "rules[0].scope: "),
+        (lambda script: with_rule(script, template=None), "rules[0].template: "),
+        (lambda script: with_rule(script, reply=None, replies=[]), "rules[0].replies: "),
+        (lambda script: with_rule(script, reply=None, raws="x"), "rules[0].raws: "),
+        (lambda script: with_rule(script, raw="x"), "rules[0]: needs exactly one of"),
+        (lambda script: with_rule(script, reply=None), "rules[0]: needs exactly one of"),
+    ], ids=["top_level_list", "default_usage_key", "rule_usage_key", "when_list",
+            "when_pattern_int", "scope_int", "template_missing", "replies_empty", "raws_string",
+            "two_replies", "no_reply"])
     def test_malformed_mock_script_is_usage_error(self, capsys, tmp_path, defect, where):
         bad = tmp_path / "bad.mock.json"
         bad.write_text(json.dumps(defect(json.loads(SHOP_MOCK.read_text()))))
@@ -314,6 +331,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
         assert code == cli.EXIT_USAGE
         assert f"{document}: top level must be an object" in err
+
+    @pytest.mark.parametrize("name,field,value,command", [
+        ("state.json", "explored_sites", 5, "explore"),
+        ("state.json", "stages", "explore", "collect"),
+        ("ledger.json", "calls", "x", "collect"),
+        ("ledger.json", "total_cost_usd", "lots", "collect"),
+    ])
+    def test_run_document_field_of_wrong_type_is_usage_error(
+        self, capsys, tmp_path, name, field, value, command
+    ):
+        config = write_config(tmp_path)
+        code, _, _ = run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_OK
+        document = tmp_path / "runs" / "r" / name
+        document.write_text(json.dumps({**json.loads(document.read_text()), field: value}))
+        code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert f"{document}: {field}: " in err
 
     @pytest.mark.parametrize("name", ["ledger.json", "state.json"])
     @pytest.mark.parametrize("command", ["collect", "stats"])

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -259,37 +262,56 @@ QUIET = {
 
 
 class TestObservationMemo:
+    """Every session of one graph gets one object per page state."""
+
     def test_repeated_observe_returns_one_object(self, shop_session):
         first = shop_session.observe()
         assert shop_session.observe() is first
 
-    def test_reset_clears_the_memo(self, shop_session):
-        first = shop_session.observe()
-        shop_session.reset()
-        assert shop_session.observe() is not first
+    def test_same_state_is_one_object(self, shop_graph):
+        a, b = SimulatorSession(shop_graph), SimulatorSession(shop_graph)
+        first = a.observe()
+        assert b.observe() is first
+        a.execute(parse_action("click [3]"))
+        a.reset()
+        assert a.observe() is first
+        b.execute(parse_action("click [3]"))
+        b.execute(parse_action("go_back"))
+        assert b.observe() is first
 
     @pytest.mark.parametrize(
         "wire",
-        [
-            "click [3]", "type [1] [usb cable]", "hover [3]", "press [enter]",
-            "scroll [down]", "goto [https://shop.example.com/electronics]",
-            "goto [https://nowhere.test/]", "go_back", "go_forward",
-            "none [done]", "stop [halt]",
-        ],
+        ["click [3]", "type [1] [usb cable]", "scroll [down]",
+         "goto [https://shop.example.com/electronics]"],
     )
     def test_every_action_kind_clears_the_memo(self, shop_session, wire):
-        # hover and press have no transition on the start page: no-ops.
+        """Each kind that changes the page state gives a new object, the one
+        a fresh graph builds for that state."""
         first = shop_session.observe()
         shop_session.execute(parse_action(wire))
         after = shop_session.observe()
         assert after is not first
         assert shop_session.observe() is after
+        fresh = SimulatorSession(load_site_graph(SHOP_GRAPH))
+        fresh.execute(parse_action(wire))
+        assert fresh.observe() == after
 
-    def test_missing_element_clears_the_memo(self, shop_session):
+    @pytest.mark.parametrize(
+        "wire",
+        ["hover [3]", "press [enter]", "goto [https://nowhere.test/]", "go_back",
+         "go_forward", "none [done]", "stop [halt]"],
+    )
+    def test_no_op_keeps_object(self, shop_session, wire):
+        # hover and press have no transition on the start page.
+        first = shop_session.observe()
+        shop_session.execute(parse_action(wire))
+        assert shop_session.observe() is first
+
+    def test_missing_element_keeps_the_object(self, shop_session):
         first = shop_session.observe()
         with pytest.raises(ElementNotFound):
             shop_session.execute(parse_action("click [99]"))
-        assert shop_session.observe() is not first
+        assert shop_session.observe() is first
 
     @pytest.mark.parametrize("graph,wire,changed", [
         (QUIET, "type [1] [hello]", False),
@@ -301,6 +323,76 @@ class TestObservationMemo:
         path = graph if graph is SHOP_GRAPH else graph_file(tmp_path, graph)
         s = SimulatorSession(load_site_graph(path))
         assert s.execute(parse_action(wire)).changed is changed
+
+
+# Under state q=x, pages "q" and "x" both have the url https://dup.test/x.
+DUPLICATE_URLS = {
+    "schema_version": 1,
+    "start_page": "home",
+    "pages": {
+        "home": {
+            "url": "https://dup.test/",
+            "elements": [{"id": 1, "role": "textbox", "name": "Q"}],
+            "transitions": [
+                {"kind": "type", "element_id": 1, "effect": {"type": "set_state", "key": "q"}},
+            ],
+        },
+        "q": {"url": "https://dup.test/{q}", "elements": [{"id": 2, "role": "link", "name": "Q"}]},
+        "x": {"url": "https://dup.test/x", "elements": [{"id": 3, "role": "link", "name": "X"}]},
+    },
+}
+
+
+class TestSharedMemo:
+    def test_threads_get_one_object_per_state(self):
+        # Each round starts 8 threads at once on a fresh graph, so they race
+        # to build the same states; a lost `setdefault` shows as two objects.
+        script = [parse_action(w) for w in (
+            "type [1] [usb cable]", "click [2]", "scroll [down]", "go_back",
+            "goto [https://shop.example.com/electronics]", "click [22]",
+        )]
+        start = threading.Barrier(8, timeout=10)
+
+        def walk(graph):
+            session = SimulatorSession(graph)
+            start.wait()
+            seen = [session.observe()]
+            for action in script:
+                session.execute(action)
+                seen.append(session.observe())
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(10):
+                    runs = list(pool.map(walk, [load_site_graph(SHOP_GRAPH)] * 8, timeout=10))
+                    for run in runs[1:]:
+                        assert all(a is b for a, b in zip(run, runs[0], strict=True))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_two_loads_share_nothing(self):
+        first, second = load_site_graph(SHOP_GRAPH), load_site_graph(SHOP_GRAPH)
+        a, b = SimulatorSession(first), SimulatorSession(second)
+        a.execute(parse_action("goto [https://shop.example.com/electronics]"))
+        b.execute(parse_action("goto [https://shop.example.com/electronics]"))
+        assert a.observe() == b.observe()
+        assert a.observe() is not b.observe()
+        assert first == second  # the memos are not part of a graph's value
+
+    @pytest.mark.parametrize("order,page", [(("home", "q", "x"), "q"), (("home", "x", "q"), "x")])
+    def test_goto_takes_the_first_page_in_file_order(self, tmp_path, order, page):
+        data = json.loads(json.dumps(DUPLICATE_URLS))
+        data["pages"] = {name: data["pages"][name] for name in order}
+        s = SimulatorSession(load_site_graph(graph_file(tmp_path, data)))
+        assert s.execute(parse_action("goto [https://dup.test/x]")).error is None
+        assert s.current_page == "x"  # under the empty state only "x" matches
+        s.reset()
+        s.execute(parse_action("type [1] [x]"))
+        assert s.execute(parse_action("goto [https://dup.test/x]")).error is None
+        assert s.current_page == page
 
 
 class TestMiniGraph:

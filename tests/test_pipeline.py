@@ -12,8 +12,9 @@ from decimal import Decimal
 
 import pytest
 
-from synthweaver import cli, explorer, pipeline
+from synthweaver import cli, explorer, pipeline, runstore
 from synthweaver.config import parse_config
+from synthweaver.environment import SimulatorSession
 from synthweaver.errors import BudgetExhausted, TransportError
 from synthweaver.oracle import CostLedger, MockScript, MockTransport, RawCompletion, Usage
 from synthweaver.runstore import RunStore
@@ -58,6 +59,34 @@ def test_shop_output_is_pinned(tmp_path, capsys, workers):
     assert ledger_totals(run) == SHOP_LEDGER
     stats = json.loads((run / "stats.json").read_text())
     assert stats["overall"]["collection_cost_usd"] == collect_spend(run) == SHOP_COLLECT_USD
+
+
+def test_collect_threads_share_one_graph(tmp_path, monkeypatch):
+    # At 4 workers, every thread's sessions read page states from the one
+    # graph collect loads for the site: one object per state, same bytes.
+    config = parse_config(
+        shop_config_dict(runs_dir=str(tmp_path / "runs"), workers=4), base_dir=tmp_path)
+    store = RunStore(tmp_path / "runs" / "r")
+    pipeline.run_explore(config, store)
+    seen = []
+    observe = SimulatorSession.observe
+
+    def recorded(self):
+        obs = observe(self)
+        page_state = (self.current_page, tuple(sorted(self.state.items())), self.scrolled)
+        seen.append((threading.get_ident(), page_state, obs))
+        return obs
+
+    monkeypatch.setattr(SimulatorSession, "observe", recorded)
+    pipeline.run_collect(config, store)
+    assert len({thread for thread, _, _ in seen}) > 1
+    objects: dict = {}
+    for _, page_state, obs in seen:
+        objects.setdefault(page_state, set()).add(id(obs))
+    assert all(len(ids) == 1 for ids in objects.values())
+    for stage in (pipeline.run_refine, pipeline.run_export):
+        stage(config, store)
+    assert content_hash(store.root) == SHOP_CONTENT_HASH
 
 
 def test_failed_stage_keeps_ledger_and_resumes(tmp_path, monkeypatch):
@@ -391,6 +420,31 @@ def test_quality_judges_overlap_and_keep_stats_bytes(tmp_path, monkeypatch, caps
         peaks[workers] = served.peak
     assert peaks["1"] == 1 and peaks["4"] > 1
     assert (runs / "w4" / "stats.json").read_bytes() == (runs / "w1" / "stats.json").read_bytes()
+
+
+def test_a_stage_appends_its_events_through_one_handle(tmp_path, monkeypatch):
+    config, store = shop_store(tmp_path, "r")
+    opened = []
+
+    def recorded(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        if path == store.path("events.jsonl"):
+            opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(runstore, "open", recorded, raising=False)
+    pipeline.run_explore(config, store)
+    assert len(opened) == 1 and opened[0].closed
+
+    def down(self, prompt):
+        raise TransportError("endpoint down")
+
+    monkeypatch.setattr(MockTransport, "complete", down)
+    with pytest.raises(TransportError):
+        pipeline.run_collect(config, store)
+    assert len(opened) == 2 and opened[1].closed
+    assert stage_events(store)[-1]["outcome"] == "error"
+    assert len(stage_events(store)) == 4
 
 
 def test_every_stage_writes_timed_start_and_end_events(tmp_path):

@@ -203,6 +203,34 @@ class TestStateAndEvents:
         assert record["stage"] == "explore"
         assert isinstance(record["ts"], float)
 
+    def test_kept_open_file_is_opened_once_and_flushed(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path / "run")
+        opened = []
+
+        def recorded(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(runstore, "open", recorded, raising=False)
+        with pytest.raises(RuntimeError):
+            with store.kept_open(runstore.EVENTS):
+                for i in range(3):
+                    store.event("tick", {"i": i})
+                    assert len(store.path(runstore.EVENTS).read_bytes().splitlines()) == i + 1
+                raise RuntimeError("stage failed")
+        assert len(opened) == 1 and opened[0].closed
+        store.event("tick", {"i": 3})  # after the block, each append opens the file
+        assert len(opened) == 2 and opened[1].closed
+        assert [r["i"] for r in store.read_records(runstore.EVENTS)] == [0, 1, 2, 3]
+
+    def test_rewrite_reopens_a_kept_file(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        with store.kept_open("things.jsonl"):
+            store.append_record("things.jsonl", {"i": 0})
+            store.rewrite_records("things.jsonl", [{"i": 1}])
+            store.append_record("things.jsonl", {"i": 2})
+        assert [r["i"] for r in store.read_records("things.jsonl")] == [1, 2]
+
     def test_only_events_have_timestamps(self, tmp_path):
         """Every other artifact must be byte-stable across reruns."""
         store = RunStore(tmp_path / "run")
