@@ -59,6 +59,9 @@ class TransitionSpec:
     requires_state: tuple[tuple[str, str], ...] = ()
 
 
+_PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+
 @dataclass(frozen=True)
 class PageSpec:
     url: str
@@ -66,10 +69,17 @@ class PageSpec:
     elements: tuple[Element, ...]
     transitions: tuple[TransitionSpec, ...] = ()
     below_fold: tuple[Element, ...] = ()
+    # The state keys the page's url and tree show, in order of appearance.
+    shown_keys: tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        keys = _PLACEHOLDER.findall(self.url) + _PLACEHOLDER.findall(self.tree_template)
+        object.__setattr__(self, "shown_keys", tuple(dict.fromkeys(keys)))
 
 
-# A page state: the page id, the sorted state items, and whether it is scrolled.
-ViewKey = tuple[str, tuple[tuple[str, str], ...], bool]
+# What a page state shows: the page id, the values of the state keys the page
+# shows, and whether elements below its fold are revealed.
+ViewKey = tuple[str, tuple[str, ...], bool]
 
 
 @dataclass(frozen=True)
@@ -78,11 +88,12 @@ class SiteGraph:
 
     `view` builds the `Observation` of each page state once, and `route` the
     url -> page table of each state once, so every session of the graph gets
-    the same objects. The memos hold one entry per distinct state visited,
-    about the set the run's `observations.jsonl` stores; a graph is loaded
-    once per site per stage, so they live for one stage. Threads share them
-    without a lock: a `setdefault` keeps the first writer's entry, and a
-    losing thread's object equals it.
+    the same objects. A view is keyed on what the page shows, so states that
+    differ only in a value the page does not show share one object, and the
+    memo holds about the set of observations the run's `observations.jsonl`
+    stores. A graph is loaded once per site per stage, so the memos live for
+    one stage. Threads share them without a lock: a `setdefault` keeps the
+    first writer's entry, and a losing thread's object equals it.
     """
 
     pages: dict[str, PageSpec]
@@ -96,10 +107,13 @@ class SiteGraph:
 
     def view(self, page_id: str, state: dict[str, str], scrolled: bool) -> Observation:
         """The observation of one page state, built on its first request."""
-        key = (page_id, tuple(sorted(state.items())), scrolled)
+        page = self.pages[page_id]
+        # A missing key reads as "", as in `_substitute`.
+        shown = tuple(state.get(name, "") for name in page.shown_keys)
+        key = (page_id, shown, scrolled and bool(page.below_fold))
         obs = self._views.get(key)
         if obs is None:
-            obs = self._views.setdefault(key, _build_view(self.pages[page_id], state, scrolled))
+            obs = self._views.setdefault(key, _build_view(page, state, scrolled))
         return obs
 
     def route(self, url: str, state: dict[str, str]) -> str | None:
@@ -120,9 +134,6 @@ class TransitionOutcome:
 
     changed: bool
     error: str | None = None
-
-
-_PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 def _substitute(template: str, state: dict[str, str]) -> str:

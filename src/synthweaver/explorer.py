@@ -6,9 +6,11 @@ probes per category, each probe is executed from a restored page state, and
 the resulting before/action/after triplet seeds one task proposal.
 
 Proposals need only their triplet, so on an HTTP oracle they run on the
-oracle client's pool while the crawl keeps probing; they are committed in
-probe order, so tasks, triplets and their ids do not depend on the transport
-or the worker count.
+oracle client's pool while the crawl keeps probing and categorizing. The
+pool gets the slots the crawl threads leave free, so explore has at most
+2 x `workers` calls in flight. Proposals are committed in probe order, so
+tasks, triplets and their ids do not depend on the transport or the worker
+count.
 """
 
 from __future__ import annotations
@@ -201,15 +203,15 @@ class _Proposals:
     crawl on an HTTP oracle and runs it inline on the mock. Either way it
     joins one FIFO, and commit (the text dedupe, the task and triplet ids,
     the events) takes finished proposals from its head, so the records are
-    those of an inline run. At most `workers` proposals are pending.
+    those of an inline run. Submitting never waits: the client's pool gets
+    the slots the crawl threads leave free, so explore has at most
+    2 x `workers` calls in flight. A proposal that failed other than by a
+    bad reply stops the crawl at the next `room` or `submit`.
     """
 
-    def __init__(
-        self, oracle: OracleClient, site: SiteSpec, workers: int, on_event: EventHook
-    ) -> None:
+    def __init__(self, oracle: OracleClient, site: SiteSpec, on_event: EventHook) -> None:
         self.oracle = oracle
         self.site = site
-        self.workers = workers
         self.on_event = on_event
         self.tasks: list[Task] = []
         self.triplets: list[TripletRecord] = []
@@ -222,22 +224,31 @@ class _Proposals:
         Pending proposals count as tasks; when they would fill the cap they
         are committed first, so the cap makes the calls one worker makes.
         """
+        self._raise_failed()
         if len(self.tasks) + len(self._pending) >= cap:
             self.drain()
         return len(self.tasks) < cap
 
     def submit(self, url: str, category: str, triplet: InteractionTriplet) -> None:
+        self._raise_failed()
         description = describe_interaction(triplet.action, triplet.before)
         future = self.oracle.submit(propose_task, self.oracle, self.site, description)
         self._pending.append((url, category, triplet, future))
-        while self._pending and (
-            len(self._pending) > self.workers or self._pending[0][3].done()
-        ):
+        while self._pending and self._pending[0][3].done():
             self._commit(*self._pending.popleft())
 
     def drain(self) -> None:
         while self._pending:
             self._commit(*self._pending.popleft())
+
+    def _raise_failed(self) -> None:
+        """Once a pending proposal has failed other than by a bad reply,
+        commit up to it, which re-raises, so no further call is sent."""
+        if any(
+            future.done() and not isinstance(future.exception(), (type(None), SchemaViolation))
+            for *_, future in self._pending
+        ):
+            self.drain()
 
     def cancel(self) -> None:
         """Drop every pending proposal; those not yet started never run."""
@@ -301,7 +312,7 @@ class Explorer:
 
     def explore_site(self, site: SiteSpec, session: Any) -> ExplorationResult:
         """session is any object with observe()/execute() over Actions."""
-        proposals = _Proposals(self.oracle, site, self.config.workers, self.on_event)
+        proposals = _Proposals(self.oracle, site, self.on_event)
         try:
             pages_visited = self._crawl(site, session, proposals)
             proposals.drain()

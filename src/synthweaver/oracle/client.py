@@ -374,10 +374,12 @@ class OracleClient:
     the ledger, including failed ones, and none is sent once spend has
     reached the budget. Retries, re-asks and prices come from `settings`.
 
-    `submit` overlaps calls with the caller's work: on one pool of `workers`
-    threads when the transport waits on the network (`overlaps`), inline on
-    the in-process `MockTransport`, which has nothing to wait for. Callers on
-    at most `workers` threads thus have at most 2 x `workers` calls in flight
+    `submit` overlaps calls with the caller's work when the transport waits
+    on the network (`overlaps`), and runs them inline on the in-process
+    `MockTransport`, which has nothing to wait for. The pool gets the slots
+    the caller threads leave free: `callers` threads (by default `workers`)
+    call the client directly, and the pool has max(1, 2 x `workers` -
+    `callers`) threads. So a stage has at most 2 x `workers` calls in flight
     on an HTTP oracle, and at most `workers` on the mock.
     """
 
@@ -390,6 +392,7 @@ class OracleClient:
         stage: str,
         sleep: Callable[[float], None] = time.sleep,
         workers: int = 1,
+        callers: int | None = None,
     ) -> None:
         self.transport = transport
         self.ledger = ledger
@@ -401,7 +404,8 @@ class OracleClient:
         )
         self._sleep = sleep
         self.overlaps = not isinstance(transport, MockTransport)
-        self._pool = ThreadPoolExecutor(max_workers=workers) if self.overlaps else None
+        threads = max(1, 2 * workers - (workers if callers is None else callers))
+        self._pool = ThreadPoolExecutor(max_workers=threads) if self.overlaps else None
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
         """Run fn(*args) on the pool, or inline when the client does not

@@ -7,8 +7,11 @@ trajectories, judge calls) with a thread pool; one worker runs these one
 after another, so record order is byte-reproducible. On an HTTP oracle,
 explore's task proposals and collect's speculative next actions also
 overlap, on the stage's `OracleClient` pool, and are committed as if asked
-in turn. So any stage has at most 2 x `workers` oracle calls in flight on an
-HTTP oracle, and at most `workers` on the mock backend.
+in turn. That pool gets the slots the stage's own threads leave free: it has
+max(1, 2 x `workers` - callers) threads, where callers are the stage's
+threads that call the oracle directly. So any stage has at most 2 x `workers`
+oracle calls in flight on an HTTP oracle, and at most `workers` on the mock
+backend.
 """
 
 from __future__ import annotations
@@ -52,8 +55,12 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 
-def make_oracle(config: RunConfig, store: RunStore, stage: str) -> tuple[OracleClient, CostLedger]:
-    """The oracle client of one stage, over the run's ledger."""
+def make_oracle(
+    config: RunConfig, store: RunStore, stage: str, callers: int | None = None
+) -> tuple[OracleClient, CostLedger]:
+    """The oracle client of one stage, over the run's ledger; `callers` is the
+    number of the stage's threads that call it directly (by default
+    `workers`)."""
     settings = config.oracle
     budget = None if settings.budget_usd is None else Decimal(settings.budget_usd)
     snapshot = store.read_json(rs.LEDGER)
@@ -72,7 +79,7 @@ def make_oracle(config: RunConfig, store: RunStore, stage: str) -> tuple[OracleC
     else:
         transport = HttpTransport(settings)
     return OracleClient(
-        transport, ledger, settings, stage=stage, workers=config.workers
+        transport, ledger, settings, stage=stage, workers=config.workers, callers=callers
     ), ledger
 
 
@@ -145,15 +152,17 @@ def _stage_events(store: RunStore, name: str, ledger: CostLedger) -> Iterator[No
 
 
 @contextmanager
-def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClient]:
-    """Yield the oracle client of one stage; mark the stage done when the
-    body returns.
+def _stage(
+    config: RunConfig, store: RunStore, name: str, callers: int | None = None
+) -> Iterator[OracleClient]:
+    """Yield the oracle client of one stage, called directly from `callers`
+    threads; mark the stage done when the body returns.
 
     On the way out, also when the body raises, the client is closed: this is
     the one place that waits for overlapped calls still in flight. Then the
     ledger snapshot is written, so a resumed run counts every call paid for.
     """
-    client, ledger = make_oracle(config, store, name)
+    client, ledger = make_oracle(config, store, name, callers)
     with _stage_events(store, name, ledger):
         try:
             yield client
@@ -205,7 +214,7 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
     commit = threading.Lock()
     observations = store.observations()
 
-    with _stage(config, store, "explore") as client:
+    with _stage(config, store, "explore", min(len(todo), config.workers)) as client:
         explorer = Explorer(client, config, on_event=store.event)
 
         def explore_one(site: SiteSpec) -> tuple[int, int]:
@@ -275,7 +284,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
         jobs += [(task, factory) for task in tasks if task.id not in existing]
     observations = store.observations()
 
-    with _stage(config, store, "collect") as client:
+    with _stage(config, store, "collect", min(len(jobs), config.workers)) as client:
         collector = Collector(client, config, on_event=store.event)
 
         def collect_one(job: tuple[Task, Callable[[], Any]]) -> int:

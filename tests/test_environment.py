@@ -373,6 +373,22 @@ class TestSharedMemo:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("graph,wire", [(QUIET, "type [1] [hello]"), (MINI, "scroll [down]")])
+    def test_what_the_page_does_not_show_keeps_the_object(self, tmp_path, graph, wire):
+        # QUIET's page shows no state key; MINI's start page has no fold.
+        s = SimulatorSession(load_site_graph(graph_file(tmp_path, graph)))
+        first = s.observe()
+        s.execute(parse_action(wire))
+        assert s.observe() is first
+
+    def test_one_object_per_shown_value(self, tmp_path):
+        graph = load_site_graph(graph_file(tmp_path, DUPLICATE_URLS))
+        shown = graph.view("q", {"q": "x"}, False)
+        assert graph.view("q", {"q": "x", "other": "y"}, True) is shown
+        assert graph.view("q", {"q": "y"}, False) is not shown
+        # A missing key reads as the empty string.
+        assert graph.view("q", {}, False) is graph.view("q", {"q": ""}, False)
+
     def test_two_loads_share_nothing(self):
         first, second = load_site_graph(SHOP_GRAPH), load_site_graph(SHOP_GRAPH)
         a, b = SimulatorSession(first), SimulatorSession(second)

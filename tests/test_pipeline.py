@@ -364,6 +364,57 @@ def test_explore_keeps_at_most_two_calls_per_worker_in_flight(tmp_path, monkeypa
     assert workers < served.peak <= 2 * workers
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_one_site_fills_two_calls_per_worker(tmp_path, monkeypatch, workers):
+    # One crawl thread calls the client directly, so the pool takes the other
+    # 2 x workers - 1 slots and a categorize overlaps the site's proposals.
+    served = Served(monkeypatch, ("categorize", "propose_task"),
+                    delay=lambda n: 0.01 + 0.01 * (n % 2), http=True)
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers)
+    pipeline.run_explore(config, store)
+    assert served.peak <= 2 * workers
+    if workers > 1:
+        assert served.peak > workers + 1
+
+
+def test_failed_proposal_stops_the_crawl_at_once(tmp_path, monkeypatch):
+    # The first proposal takes 200 ms and the fifth fails at once: the crawl
+    # must not categorize another page while it waits for the first.
+    served = Served(monkeypatch, "propose_task", delay=lambda n: 0.2 if n == 0 else 0.0,
+                    fail_at=4, http=True)
+    lock = threading.Lock()
+    log = []
+    categorize, propose = explorer.categorize_page, explorer.propose_task
+
+    def logged_categorize(oracle, obs, *, site):
+        with lock:
+            log.append("categorize")
+        return categorize(oracle, obs, site=site)
+
+    def logged_propose(oracle, site, description):
+        try:
+            return propose(oracle, site, description)
+        except TransportError:
+            with lock:
+                log.append("failed")
+            raise
+
+    monkeypatch.setattr(explorer, "categorize_page", logged_categorize)
+    monkeypatch.setattr(explorer, "propose_task", logged_propose)
+    config, store = shop_store(tmp_path, "r", http=True, workers=4)
+    with pytest.raises(TransportError):
+        pipeline.run_explore(config, store)
+    assert "failed" in log
+    assert "categorize" not in log[log.index("failed"):]
+    assert ledger_totals(store.root)["calls"] == len(served.served)
+
+    monkeypatch.undo()
+    Served(monkeypatch, (), http=True)
+    for stage in STAGES:
+        stage(config, store)
+    assert content_hash(store.root) == SHOP_CONTENT_HASH
+
+
 def test_failed_site_sends_no_further_proposal(tmp_path, monkeypatch):
     # The other sites' proposals take 50 ms each, so shop1's later proposals
     # wait in the stage pool's queue when its third one fails, 30 ms in.
@@ -609,6 +660,27 @@ def test_invalid_discarded_reply_does_not_fail_the_task(tmp_path, monkeypatch):
     assert (http.root / raw).read_bytes() == (mock.root / raw).read_bytes()
 
 
+def charged_totals(monkeypatch) -> list:
+    """The ledger's running total after each charge, in charge order."""
+    totals = []
+    order = threading.Lock()
+    add = CostLedger.add
+
+    def recorded(ledger, usage, cost, **kwargs):
+        with order:
+            add(ledger, usage, cost, **kwargs)
+            totals.append(ledger.total_cost)
+
+    monkeypatch.setattr(CostLedger, "add", recorded)
+    return totals
+
+
+def overshoot(totals, budget) -> int:
+    """Calls charged after the spend reached `budget`."""
+    reached = next(i for i, total in enumerate(totals) if total >= budget)
+    return len(totals) - 1 - reached
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_speculative_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
     Served(monkeypatch, COLLECT, delay=lambda n: 0.005, http=True)
@@ -617,22 +689,28 @@ def test_speculative_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers)
     budget = Decimal(ledger_totals(store.root)["total_cost_usd"]) + Decimal("0.1")
     config, store = shop_store(tmp_path, "r", http=True, workers=workers,
                                oracle={"budget_usd": str(budget)})
-    totals = []
-    order = threading.Lock()
-    add = CostLedger.add
-
-    def recorded(ledger, usage, cost, **kwargs):
-        with order:  # the running total after each charge, in charge order
-            add(ledger, usage, cost, **kwargs)
-            totals.append(ledger.total_cost)
-
-    monkeypatch.setattr(CostLedger, "add", recorded)
+    totals = charged_totals(monkeypatch)
     with pytest.raises(BudgetExhausted):
         pipeline.run_collect(config, store)
-    reached = next(i for i, total in enumerate(totals) if total >= budget)
-    overshoot = len(totals) - 1 - reached  # calls charged after the cap was hit
-    assert overshoot <= 2 * workers
+    assert overshoot(totals, budget) <= 2 * workers
     assert ledger_totals(store.root)["calls"] == len(totals) + 25
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_explore_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
+    # The crawl keeps proposing while earlier proposals are in flight; once
+    # the cap is hit, queued proposals are not sent and the crawl stops.
+    Served(monkeypatch, ("categorize", "propose_task"), delay=lambda n: 0.005, http=True)
+    config, store = shop_store(tmp_path, "uncapped", http=True, workers=workers)
+    pipeline.run_explore(config, store)
+    budget = Decimal(ledger_totals(store.root)["total_cost_usd"]) / 2
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers,
+                               oracle={"budget_usd": str(budget)})
+    totals = charged_totals(monkeypatch)
+    with pytest.raises(BudgetExhausted):
+        pipeline.run_explore(config, store)
+    assert overshoot(totals, budget) <= 2 * workers
+    assert ledger_totals(store.root)["calls"] == len(totals)
 
 
 # ----------------------------------------------------------------------
