@@ -8,8 +8,8 @@ actually supports; a mechanical stall detector feeds that check.
 On an HTTP oracle, the next action is asked for speculatively, on the oracle
 client's pool, while that check runs: the checker rarely rewrites the task,
 so its reply is almost always the one a sequential episode would get. When
-the check does rewrite the task, the speculative reply is discarded (it was
-still paid for) and the next action is asked again for the new task.
+the check rewrites the task or fails, the speculative reply is discarded (it
+was still paid for), and a rewritten task asks for its next action again.
 """
 
 from __future__ import annotations
@@ -245,10 +245,13 @@ class Collector:
                         self.next_action, task, obs_after,
                         tuple(steps[-cfg.context_window :]), charged,
                     )
-                check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
+                try:
+                    check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
+                except OracleError:
+                    self._discard(speculative, charged, task, step.index)
+                    raise
                 if check.need_to_refine:
-                    if speculative is not None:
-                        self._discard(speculative, charged, task, step.index)
+                    self._discard(speculative, charged, task, step.index)
                     trigger = classify_trigger(stalled, check.analysis)
                     task = task.refined(step.index, check.high_level_task, trigger)
                     refine_count += 1
@@ -276,14 +279,16 @@ class Collector:
 
     def _discard(
         self,
-        speculative: Future[NextActionReply],
+        speculative: Future[NextActionReply] | None,
         charged: list[Decimal],
         task: Task,
         step_index: int,
     ) -> None:
-        """Wait for a speculative reply the task check made stale and drop it,
-        or the exception it raised: the next action is asked again for the
-        rewritten task, which raises again if the oracle is really at fault."""
+        """Wait for the speculative reply, if any, of a check that failed or
+        rewrote the task, and drop it or its exception: a rewritten task asks
+        again, which raises again if the oracle is really at fault."""
+        if speculative is None:
+            return
         try:
             speculative.result()
         except OracleError:

@@ -6,11 +6,10 @@ probes per category, each probe is executed from a restored page state, and
 the resulting before/action/after triplet seeds one task proposal.
 
 Proposals need only their triplet, so on an HTTP oracle they run on the
-oracle client's pool while the crawl keeps probing and categorizing. The
-pool gets the slots the crawl threads leave free, so explore has at most
-2 x `workers` calls in flight. Proposals are committed in probe order, so
-tasks, triplets and their ids do not depend on the transport or the worker
-count.
+oracle client's pool, on the threads the site crawls leave free, while the
+crawl keeps probing and categorizing. Proposals are committed in probe
+order, so tasks, triplets and their ids do not depend on the transport or
+the worker count.
 """
 
 from __future__ import annotations
@@ -203,10 +202,10 @@ class _Proposals:
     crawl on an HTTP oracle and runs it inline on the mock. Either way it
     joins one FIFO, and commit (the text dedupe, the task and triplet ids,
     the events) takes finished proposals from its head, so the records are
-    those of an inline run. Submitting never waits: the client's pool gets
-    the slots the crawl threads leave free, so explore has at most
-    2 x `workers` calls in flight. A proposal that failed other than by a
-    bad reply stops the crawl at the next `room` or `submit`.
+    those of an inline run. Submitting never waits: proposals take the pool
+    threads the site crawls leave free (see `OracleClient`). A proposal that
+    failed other than by a bad reply stops the crawl at the next `room` or
+    `submit`.
     """
 
     def __init__(self, oracle: OracleClient, site: SiteSpec, on_event: EventHook) -> None:

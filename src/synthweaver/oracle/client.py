@@ -11,10 +11,11 @@ import fnmatch
 import json
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from ..config import OracleSettings, api_key_for
 from ..errors import (
@@ -28,6 +29,9 @@ from ..errors import (
 from ..model import read_json_file
 from .replies import parse_reply
 from .templates import RenderedPrompt
+
+T = TypeVar("T")
+U = TypeVar("U")
 
 
 @dataclass(frozen=True)
@@ -374,13 +378,13 @@ class OracleClient:
     the ledger, including failed ones, and none is sent once spend has
     reached the budget. Retries, re-asks and prices come from `settings`.
 
-    `submit` overlaps calls with the caller's work when the transport waits
-    on the network (`overlaps`), and runs them inline on the in-process
-    `MockTransport`, which has nothing to wait for. The pool gets the slots
-    the caller threads leave free: `callers` threads (by default `workers`)
-    call the client directly, and the pool has max(1, 2 x `workers` -
-    `callers`) threads. So a stage has at most 2 x `workers` calls in flight
-    on an HTTP oracle, and at most `workers` on the mock.
+    The client owns the stage's one pool, of 2 x `workers` - 1 threads
+    started on demand: `map` runs the stage's jobs on the calling thread and
+    up to `workers` - 1 of them, and `submit` overlaps calls on the rest when
+    the transport waits on the network (`overlaps`), and runs them inline on
+    the in-process `MockTransport`, which has nothing to wait for. So a stage
+    has at most 2 x `workers` calls in flight on an HTTP oracle, and at most
+    `workers` on the mock.
     """
 
     def __init__(
@@ -392,7 +396,6 @@ class OracleClient:
         stage: str,
         sleep: Callable[[float], None] = time.sleep,
         workers: int = 1,
-        callers: int | None = None,
     ) -> None:
         self.transport = transport
         self.ledger = ledger
@@ -404,13 +407,44 @@ class OracleClient:
         )
         self._sleep = sleep
         self.overlaps = not isinstance(transport, MockTransport)
-        threads = max(1, 2 * workers - (workers if callers is None else callers))
-        self._pool = ThreadPoolExecutor(max_workers=threads) if self.overlaps else None
+        self.workers = workers
+        self._pool = ThreadPoolExecutor(max_workers=2 * workers - 1)
+
+    def map(self, fn: Callable[[T], U], jobs: Sequence[T]) -> list[U]:
+        """fn over jobs, in job order. Jobs run on the calling thread and up to
+        `workers` - 1 pool threads, each taking the next job. Once a job has
+        raised, or the caller is interrupted, no job starts; the others finish
+        their current job, then the first job in order that raised re-raises."""
+        results: list[Any] = [None] * len(jobs)
+        errors: dict[int, BaseException] = {}
+        todo = deque(range(len(jobs)))  # its pops and clears are atomic
+
+        def work() -> None:
+            while True:
+                try:
+                    i = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = fn(jobs[i])
+                except BaseException as exc:
+                    errors[i] = exc
+                    todo.clear()
+
+        helpers = [self._pool.submit(work) for _ in range(min(self.workers, len(jobs)) - 1)]
+        try:
+            work()
+        finally:
+            todo.clear()  # the caller is done or interrupted
+            wait(helpers)
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
         """Run fn(*args) on the pool, or inline when the client does not
         overlap; its result or exception is read from the future."""
-        if self._pool is not None:
+        if self.overlaps:
             return self._pool.submit(fn, *args)
         future: Future = Future()
         try:
@@ -422,8 +456,7 @@ class OracleClient:
     def close(self) -> None:
         """Cancel submitted work not yet started and wait for the running
         work, so nothing is charged after this returns."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
     def _complete_with_retry(self, prompt: RenderedPrompt) -> RawCompletion:
         retries = self.settings.transport_retries

@@ -3,25 +3,22 @@
 Each function runs one pipeline stage over a run directory and leaves the
 store in a resumable state, and writes `stage.start`/`stage.end` events.
 Worker counts above one parallelize across independent units (sites, tasks,
-trajectories, judge calls) with a thread pool; one worker runs these one
-after another, so record order is byte-reproducible. On an HTTP oracle,
-explore's task proposals and collect's speculative next actions also
-overlap, on the stage's `OracleClient` pool, and are committed as if asked
-in turn. That pool gets the slots the stage's own threads leave free: it has
-max(1, 2 x `workers` - callers) threads, where callers are the stage's
-threads that call the oracle directly. So any stage has at most 2 x `workers`
-oracle calls in flight on an HTTP oracle, and at most `workers` on the mock
-backend.
+trajectories, judge calls); one worker runs these one after another, so
+record order is byte-reproducible. A stage has one thread pool, owned by its
+`OracleClient`: `OracleClient.map` runs the units, and on an HTTP oracle
+explore's task proposals and collect's speculative next actions overlap on
+the threads the units leave free, and are committed as if asked in turn. So
+any stage has at most 2 x `workers` oracle calls in flight on an HTTP
+oracle, and at most `workers` on the mock backend.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from decimal import Decimal
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator
 
 from . import runstore as rs
 from .actions import render_action
@@ -51,16 +48,9 @@ from .oracle import (
 from .refiner import Refiner, summarize_trajectory
 from .runstore import ObservationStore, RunStore
 
-T = TypeVar("T")
-U = TypeVar("U")
 
-
-def make_oracle(
-    config: RunConfig, store: RunStore, stage: str, callers: int | None = None
-) -> tuple[OracleClient, CostLedger]:
-    """The oracle client of one stage, over the run's ledger; `callers` is the
-    number of the stage's threads that call it directly (by default
-    `workers`)."""
+def make_oracle(config: RunConfig, store: RunStore, stage: str) -> tuple[OracleClient, CostLedger]:
+    """The oracle client of one stage, over the run's ledger."""
     settings = config.oracle
     budget = None if settings.budget_usd is None else Decimal(settings.budget_usd)
     snapshot = store.read_json(rs.LEDGER)
@@ -78,9 +68,7 @@ def make_oracle(
         transport: Any = MockTransport(MockScript.load(settings.mock_script))
     else:
         transport = HttpTransport(settings)
-    return OracleClient(
-        transport, ledger, settings, stage=stage, workers=config.workers, callers=callers
-    ), ledger
+    return OracleClient(transport, ledger, settings, stage=stage, workers=config.workers), ledger
 
 
 def make_session_factory(site: SiteSpec, config: RunConfig) -> Callable[[], Any]:
@@ -96,30 +84,6 @@ def make_session_factory(site: SiteSpec, config: RunConfig) -> Callable[[], Any]
             )
         return lambda: BrowserSession(config.browser, site.start_url)
     raise ConfigError(f"site {site.name!r} has neither graph nor start_url")
-
-
-def _map_jobs(
-    workers: int, jobs: list[T], fn: Callable[[T], U]
-) -> list[U]:
-    """Run fn over jobs; once one job has raised, no further job starts and
-    the exception propagates."""
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    failed = threading.Event()
-
-    def guarded(job: T) -> Any:
-        # Jobs start in list order, so a skipped job always follows the one
-        # that raised, and map re-raises that before reaching the skip.
-        if failed.is_set():
-            return None
-        try:
-            return fn(job)
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, jobs))
 
 
 @contextmanager
@@ -152,17 +116,15 @@ def _stage_events(store: RunStore, name: str, ledger: CostLedger) -> Iterator[No
 
 
 @contextmanager
-def _stage(
-    config: RunConfig, store: RunStore, name: str, callers: int | None = None
-) -> Iterator[OracleClient]:
-    """Yield the oracle client of one stage, called directly from `callers`
-    threads; mark the stage done when the body returns.
+def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClient]:
+    """Yield the oracle client of one stage; mark the stage done when the
+    body returns.
 
     On the way out, also when the body raises, the client is closed: this is
     the one place that waits for overlapped calls still in flight. Then the
     ledger snapshot is written, so a resumed run counts every call paid for.
     """
-    client, ledger = make_oracle(config, store, name, callers)
+    client, ledger = make_oracle(config, store, name)
     with _stage_events(store, name, ledger):
         try:
             yield client
@@ -214,7 +176,7 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
     commit = threading.Lock()
     observations = store.observations()
 
-    with _stage(config, store, "explore", min(len(todo), config.workers)) as client:
+    with _stage(config, store, "explore") as client:
         explorer = Explorer(client, config, on_event=store.event)
 
         def explore_one(site: SiteSpec) -> tuple[int, int]:
@@ -248,7 +210,7 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
                 store.save_state(state)
             return len(tasks), len(triplets)
 
-        counts = _map_jobs(config.workers, todo, explore_one)
+        counts = client.map(explore_one, todo)
     return {
         "sites": len(counts),
         "tasks": sum(n for n, _ in counts),
@@ -284,7 +246,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
         jobs += [(task, factory) for task in tasks if task.id not in existing]
     observations = store.observations()
 
-    with _stage(config, store, "collect", min(len(jobs), config.workers)) as client:
+    with _stage(config, store, "collect") as client:
         collector = Collector(client, config, on_event=store.event)
 
         def collect_one(job: tuple[Task, Callable[[], Any]]) -> int:
@@ -295,7 +257,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
                 return 1
             return 0
 
-        collected = sum(_map_jobs(config.workers, jobs, collect_one))
+        collected = sum(client.map(collect_one, jobs))
     return {"tasks": len(jobs), "trajectories": collected}
 
 
@@ -356,7 +318,7 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
                 )
             return outcome.decision
 
-        decisions = _map_jobs(config.workers, jobs, refine_one)
+        decisions = client.map(refine_one, jobs)
     return {
         "trajectories": len(jobs),
         "kept": decisions.count("keep"),
@@ -407,7 +369,7 @@ def _judge_diversity(client: OracleClient, config: RunConfig, store: RunStore) -
             "n_sampled": min(len(tasks), config.diversity_sample_size),
         }
 
-    return dict(zip(names, _map_jobs(config.workers, names, judge)))
+    return dict(zip(names, client.map(judge, names)))
 
 
 def _judge_quality(
@@ -427,7 +389,7 @@ def _judge_quality(
             return None
 
     scores_by_site: dict[str, list[int]] = {}
-    for trajectory, score in zip(refined, _map_jobs(config.workers, refined, judge)):
+    for trajectory, score in zip(refined, client.map(judge, refined)):
         if score is not None:
             scores_by_site.setdefault(trajectory.site, []).append(score)
     all_scores = [s for scores in scores_by_site.values() for s in scores]

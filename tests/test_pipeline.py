@@ -13,10 +13,11 @@ from decimal import Decimal
 import pytest
 
 from synthweaver import cli, explorer, pipeline, runstore
-from synthweaver.config import parse_config
+from synthweaver.config import OracleSettings, parse_config
 from synthweaver.environment import SimulatorSession
 from synthweaver.errors import BudgetExhausted, TransportError
-from synthweaver.oracle import CostLedger, MockScript, MockTransport, RawCompletion, Usage
+from synthweaver.oracle import (
+    CostLedger, MockScript, MockTransport, OracleClient, RawCompletion, Usage)
 from synthweaver.runstore import RunStore
 from tests.conftest import SHOP_MOCK, shop_config_dict, write_config
 
@@ -156,19 +157,61 @@ def test_collection_cost_counts_tasks_that_never_validate(tmp_path, monkeypatch)
     assert stats["by_site"]["shop"]["collection_cost_usd"] == collect_spend(store.root)
 
 
-def test_map_jobs_starts_no_job_after_one_raised():
+def raise_second(index, on_caller, barrier):
+    if index == 0:
+        time.sleep(0.2)
+    else:
+        raise TransportError("endpoint down")
+
+
+def raise_on_pool(index, on_caller, barrier):
+    if on_caller:
+        time.sleep(0.2)
+    else:
+        raise TransportError("endpoint down")
+
+
+def interrupt_caller(index, on_caller, barrier):
+    if on_caller:
+        raise KeyboardInterrupt
+    time.sleep(0.2)
+
+
+def raise_both(index, on_caller, barrier):
+    # Both jobs run at once; the second raises first.
+    barrier.wait(timeout=5)
+    if index == 0:
+        time.sleep(0.05)
+        raise TransportError("job 0")
+    raise BudgetExhausted("job 1")
+
+
+@pytest.mark.parametrize("first_two, raised", [
+    (raise_second, TransportError),
+    (raise_on_pool, TransportError),
+    (interrupt_caller, KeyboardInterrupt),
+    (raise_both, TransportError),
+])
+def test_map_starts_no_job_after_one_raised(first_two, raised):
+    # Two workers run the first two jobs, one on the calling thread and one
+    # on a pool thread; every later job only records that it started.
+    caller = threading.current_thread()
+    barrier = threading.Barrier(2)
     started = []
 
-    def job(kind):
-        if kind == "sleep":
-            time.sleep(0.2)
-        elif kind == "raise":
-            raise TransportError("endpoint down")
+    def job(index):
+        if index < 2:
+            first_two(index, threading.current_thread() is caller, barrier)
         else:
-            started.append(kind)
+            started.append(index)
 
-    with pytest.raises(TransportError):
-        pipeline._map_jobs(2, ["sleep", "raise", "record", "record", "record"], job)
+    client = OracleClient(MockTransport(MockScript.load(str(SHOP_MOCK))), CostLedger(),
+                          OracleSettings(), stage="", workers=2)
+    try:
+        with pytest.raises(raised):
+            client.map(job, range(5))
+    finally:
+        client.close()
     assert started == []
 
 
@@ -584,6 +627,38 @@ def test_each_episode_overlaps_at_most_one_call(tmp_path, monkeypatch, workers):
     assert workers < served.peak <= 2 * workers
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_stage_runs_at_most_two_threads_per_worker(tmp_path, monkeypatch, workers):
+    # The stage's one pool has 2 x workers - 1 threads; the caller runs jobs
+    # too. A sampler thread counts the threads besides its own and the
+    # caller's while four sites are explored and collected.
+    served = Served(monkeypatch, ("categorize", "propose_task") + COLLECT,
+                    delay=lambda n: 0.002, http=True)
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers)
+    config = replace(config, sites=tuple(
+        replace(config.sites[0], name=f"shop{i}") for i in range(4)))
+    before = threading.active_count()
+    extra = []
+    done = threading.Event()
+
+    def sample():
+        while not done.wait(0.001):
+            extra.append(threading.active_count() - before - 1)
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        pipeline.run_explore(config, store)
+        pipeline.run_collect(config, store)
+    finally:
+        done.set()
+        sampler.join()
+    assert max(extra) <= 2 * workers - 1
+    assert served.peak <= 2 * workers
+    if workers > 1:
+        assert served.peak > workers
+
+
 @pytest.mark.parametrize("overrides", [{"max_refines_per_task": 0}, {"step_budget": 1}])
 def test_no_speculation_without_a_check_to_overlap(tmp_path, monkeypatch, overrides):
     served, stores = {}, {}
@@ -617,6 +692,34 @@ def test_failed_check_raises_once_the_speculative_call_is_paid(tmp_path, monkeyp
     for stage in STAGES[1:]:
         stage(config, store)
     assert content_hash(store.root) == SHOP_CONTENT_HASH
+
+
+def test_failed_check_reports_its_speculative_call(tmp_path, monkeypatch):
+    # The first task's checks never reply with JSON, so the task fails on its
+    # first check; the next action sent with that check is discarded too.
+    config, mock = shop_store(tmp_path, "mock")
+    pipeline.run_explore(config, mock)
+    first = next(mock.read_records("tasks.jsonl"))
+    reply_for = MockScript.reply_for
+
+    def junk_checks(script, prompt):
+        if prompt.variables.get("current_high_level_task") == first["text"]:
+            return RawCompletion("no JSON here", Usage(100, 20))
+        return reply_for(script, prompt)
+
+    monkeypatch.setattr(MockScript, "reply_for", junk_checks)
+    pipeline.run_collect(config, mock)
+    Served(monkeypatch, COLLECT, http=True)
+    config, http = shop_store(tmp_path, "http", http=True)
+    pipeline.run_explore(config, http)
+    pipeline.run_collect(config, http)
+    failed = [r["task_id"] for r in http.read_records("events.jsonl")
+              if r["kind"] == "collect.failed"]
+    assert failed == [first["id"]]
+    events = discarded(http)
+    assert first["id"] in {e["task_id"] for e in events}
+    wasted = ledger_totals(http.root)["calls"] - ledger_totals(mock.root)["calls"]
+    assert sum(e["oracle_calls"] for e in events) == wasted > 0
 
 
 def test_invalid_discarded_reply_does_not_fail_the_task(tmp_path, monkeypatch):
