@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 from pathlib import Path
 from typing import Any
-
-import requests
 
 from .actions import Action, ActionKind, ELEMENT_KINDS, validate_action
 from .config import BrowserSettings
 from .environment import TransitionOutcome
 from .errors import ConnectFailed, ElementNotFound, ProtocolError, SessionTerminal
+from .http_json import NoReply, request_json
 from .model import Element, Observation, observation_fingerprint
 
 # Tags elements with stable integer ids (data-swid) and reports the visible
@@ -148,27 +148,26 @@ class BrowserSession:
         connect: bool = False,
         tolerate_error: bool = False,
     ) -> dict[str, Any]:
-        url = f"{self._base}{path}"
         try:
-            response = requests.request(url=url, method=method, json=payload, timeout=self._timeout)
-        except requests.RequestException as exc:
+            status, raw = request_json(method, f"{self._base}{path}", payload, {}, self._timeout)
+        except NoReply as exc:
             if connect:
                 raise ConnectFailed(f"cannot reach WebDriver endpoint {self._base}: {exc}") from exc
             raise ProtocolError(f"WebDriver request failed: {method} {path}: {exc}") from exc
         try:
-            body = response.json() if response.content else {}
+            body = json.loads(raw) if raw else {}
         except ValueError:
             raise ProtocolError(
-                f"non-JSON reply from {method} {path}: {response.text[:200]}"
+                f"non-JSON reply from {method} {path}: {raw.decode('utf-8', 'replace')[:200]}"
             ) from None
-        if response.status_code >= 400:
+        if status >= 300:  # a redirect that urllib did not follow is an error too
             error = (body.get("value") or {}).get("error", "")
             if error == "no such element":
                 raise ElementNotFound((body.get("value") or {}).get("message", error))
             if tolerate_error:
                 return body
             raise ProtocolError(
-                f"{method} {path} -> {response.status_code} {error or response.text[:200]}"
+                f"{method} {path} -> {status} {error or raw.decode('utf-8', 'replace')[:200]}"
             )
         return body
 

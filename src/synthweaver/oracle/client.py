@@ -26,6 +26,7 @@ from ..errors import (
     SchemaViolation,
     TransportError,
 )
+from ..http_json import NoReply, request_json
 from ..model import read_json_file
 from .replies import parse_reply
 from .templates import RenderedPrompt
@@ -191,8 +192,6 @@ class HttpTransport:
         self.api_key = api_key_for(settings)
 
     def complete(self, prompt: RenderedPrompt) -> RawCompletion:
-        import requests
-
         content: Any
         if prompt.images:
             content = [{"type": "text", "text": prompt.text}]
@@ -208,21 +207,19 @@ class HttpTransport:
             "top_p": settings.top_p,
             "max_tokens": settings.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         try:
-            resp = requests.post(
-                settings.endpoint_url, json=body, headers=headers, timeout=settings.timeout_s
+            status, raw = request_json(
+                "POST", settings.endpoint_url, body, headers, settings.timeout_s
             )
-        except requests.RequestException as exc:
+        except NoReply as exc:
             raise TransportError(f"completion request failed: {exc}") from exc
-        if resp.status_code != 200:
+        if status != 200:
             raise TransportError(
-                f"completion endpoint returned {resp.status_code}: {resp.text[:200]}"
+                f"completion endpoint returned {status}: {raw.decode('utf-8', 'replace')[:200]}"
             )
         try:
-            payload = resp.json()
+            payload = json.loads(raw)
             text = payload["choices"][0]["message"]["content"]
             usage_raw = payload.get("usage")
             if usage_raw is None:

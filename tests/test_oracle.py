@@ -4,10 +4,12 @@ from __future__ import annotations
 import json
 import threading
 from decimal import Decimal
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
-import requests
 
+from synthweaver import __version__
 from synthweaver.actions import ActionKind
 from synthweaver.config import OracleSettings
 from synthweaver.errors import (
@@ -438,17 +440,50 @@ class TestMockScript:
 # HttpTransport
 # ======================================================================
 
-ENDPOINT = "http://127.0.0.1:9/v1/chat/completions"
+PATH = "/v1/chat/completions"
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, payload):
-        self.status_code = status_code
-        self.payload = payload
-        self.text = json.dumps(payload)
+class _ChatHandler(BaseHTTPRequestHandler):
+    def log_message(self, *args: object) -> None:
+        pass
 
-    def json(self):
-        return self.payload
+    def do_POST(self) -> None:  # noqa: N802 (protocol casing)
+        fake = self.server.fake  # type: ignore[attr-defined]
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        fake.sent.append({"method": self.command, "path": self.path,
+                          "headers": self.headers, "json": json.loads(raw)})
+        fake.release.wait(fake.delay_s)
+        status, payload = fake.reply
+        data = json.dumps(payload).encode()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except ConnectionError:  # the client gave up waiting
+            pass
+
+
+@pytest.fixture
+def posted():
+    """A chat endpoint on 127.0.0.1: records each request's method, path,
+    headers and decoded JSON body, and answers with `posted.reply`, a
+    (status, payload) pair, after holding it `posted.delay_s` seconds."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    fake = server.fake = SimpleNamespace(  # type: ignore[attr-defined]
+        sent=[], reply=(200, reply_payload()), delay_s=0.0, release=threading.Event(),
+        url=f"http://127.0.0.1:{server.server_address[1]}{PATH}",
+    )
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02})
+    thread.start()
+    try:
+        yield fake
+    finally:
+        fake.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
 
 
 def reply_payload(**overrides):
@@ -458,31 +493,18 @@ def reply_payload(**overrides):
     return payload
 
 
-@pytest.fixture
-def posted(monkeypatch):
-    """Patches `requests.post`: records each request, answers with `posted.reply`."""
-    sent: list[dict] = []
-
-    def post(url, *, json, headers, timeout):
-        sent.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        return post.reply
-
-    post.reply = FakeResponse(200, reply_payload())
-    post.sent = sent
-    monkeypatch.setattr(requests, "post", post)
-    return post
-
-
-def http_transport(**fields) -> HttpTransport:
-    return HttpTransport(OracleSettings(endpoint_url=ENDPOINT, model="m", **fields))
+def http_transport(posted, **fields) -> HttpTransport:
+    return HttpTransport(OracleSettings(endpoint_url=posted.url, model="m", **fields))
 
 
 class TestHttpTransport:
     def test_body_and_timeout_come_from_settings(self, posted):
-        transport = http_transport(temperature=0.2, top_p=0.9, max_tokens=64, timeout_s=7.5)
+        posted.delay_s = 0.3  # answered within timeout_s=7.5
+        transport = http_transport(posted, temperature=0.2, top_p=0.9, max_tokens=64,
+                                   timeout_s=7.5)
         completion = transport.complete(prompt(text="do it"))
         [request] = posted.sent
-        assert request["url"] == ENDPOINT
+        assert (request["method"], request["path"]) == ("POST", PATH)
         assert request["json"] == {
             "model": "m",
             "messages": [{"role": "user", "content": "do it"}],
@@ -490,13 +512,19 @@ class TestHttpTransport:
             "top_p": 0.9,
             "max_tokens": 64,
         }
-        assert request["timeout"] == 7.5
+        assert request["headers"]["Content-Type"] == "application/json"
+        assert request["headers"]["User-Agent"] == f"synthweaver/{__version__}"
         assert completion == RawCompletion(text="hi", usage=Usage(3, 4))
+
+    def test_reply_held_past_the_timeout_is_a_transport_error(self, posted):
+        posted.delay_s = 0.3
+        with pytest.raises(TransportError, match="completion request failed"):
+            http_transport(posted, timeout_s=0.1).complete(prompt())
 
     def test_images_are_sent_as_content_parts(self, posted):
         shot = RenderedPrompt(template=TemplateName.NEXT_ACTION, text="look",
                               variables={}, images=("data:image/png;base64,AA",))
-        http_transport().complete(shot)
+        http_transport(posted).complete(shot)
         assert posted.sent[0]["json"]["messages"][0]["content"] == [
             {"type": "text", "text": "look"},
             {"type": "image_url", "image_url": {"url": "data:image/png;base64,AA"}},
@@ -504,25 +532,25 @@ class TestHttpTransport:
 
     def test_authorization_comes_from_the_named_variable(self, posted, monkeypatch):
         monkeypatch.setenv("SW_TEST_KEY", "sekret")
-        http_transport(api_key_env="SW_TEST_KEY").complete(prompt())
+        http_transport(posted, api_key_env="SW_TEST_KEY").complete(prompt())
         monkeypatch.delenv("SW_TEST_KEY")
-        http_transport(api_key_env="SW_TEST_KEY").complete(prompt())
+        http_transport(posted, api_key_env="SW_TEST_KEY").complete(prompt())
         first, second = posted.sent
         assert first["headers"]["Authorization"] == "Bearer sekret"
         assert "Authorization" not in second["headers"]
 
     def test_non_200_raises_transport_error(self, posted):
-        posted.reply = FakeResponse(503, {"error": "busy"})
+        posted.reply = (503, {"error": "busy"})
         with pytest.raises(TransportError, match="503"):
-            http_transport().complete(prompt())
+            http_transport(posted).complete(prompt())
 
     @pytest.mark.parametrize("usage", [None, "absent"])
     def test_null_or_missing_usage_counts_zero_tokens(self, posted, usage):
         payload = reply_payload(usage=usage)
         if usage == "absent":
             del payload["usage"]
-        posted.reply = FakeResponse(200, payload)
-        assert http_transport().complete(prompt()).usage == Usage(0, 0)
+        posted.reply = (200, payload)
+        assert http_transport(posted).complete(prompt()).usage == Usage(0, 0)
 
     @pytest.mark.parametrize("usage", [
         {"prompt_tokens": None, "completion_tokens": 4},
@@ -530,9 +558,9 @@ class TestHttpTransport:
         ["not", "an", "object"],
     ])
     def test_malformed_usage_is_a_transport_error(self, posted, usage):
-        posted.reply = FakeResponse(200, reply_payload(usage=usage))
+        posted.reply = (200, reply_payload(usage=usage))
         with pytest.raises(TransportError, match="malformed completion payload"):
-            http_transport().complete(prompt())
+            http_transport(posted).complete(prompt())
 
 
 # ======================================================================
