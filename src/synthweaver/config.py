@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -122,6 +123,9 @@ def _numbers(
         if not isinstance(value, accepted) or isinstance(value, bool):
             what = "an integer" if kind is int else "a number"
             raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+        # False for NaN, the infinities, and ints too large for a float.
+        if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{prefix}{key} must be a finite number, got {value!r}")
         if low is not None and value < low:
             raise ConfigError(f"{prefix}{key} must be at least {low}, got {value!r}")
         out[key] = kind(value)
@@ -191,9 +195,11 @@ def _parse_oracle(raw: Any) -> OracleSettings:
         if value is None:
             continue
         try:
-            Decimal(value)
+            finite = Decimal(value).is_finite()
         except InvalidOperation:
-            raise ConfigError(f"oracle.{key} is not a decimal number: {value!r}") from None
+            finite = False
+        if not finite:
+            raise ConfigError(f"oracle.{key} is not a finite decimal number: {value!r}")
     if backend == "mock" and not settings.mock_script:
         raise ConfigError("oracle.backend=mock requires oracle.mock_script")
     if backend == "http" and not settings.endpoint_url:

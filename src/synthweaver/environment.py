@@ -154,41 +154,11 @@ def _build_view(page: PageSpec, state: dict[str, str], scrolled: bool) -> Observ
     )
 
 
-def _check_graph(graph: SiteGraph) -> None:
-    if not graph.pages:
-        raise SchemaError("pages map is empty", field="pages")
-    if graph.start_page not in graph.pages:
-        raise SchemaError(f"start_page {graph.start_page!r} is not a page", field="start_page")
-    for page_id, page in graph.pages.items():
-        loc = f"pages.{page_id}"
-        all_elements = page.elements + page.below_fold
-        if not all_elements:
-            raise SchemaError("page has no elements", field=loc)
-        seen: set[int] = set()
-        for e in all_elements:
-            if e.id in seen:
-                raise SchemaError(f"duplicate element id {e.id}", field=loc)
-            seen.add(e.id)
-            if e.id < 0:
-                raise SchemaError(f"negative element id {e.id}", field=loc)
-            if e.interactive and not (e.role or e.name):
-                raise SchemaError(
-                    f"interactive element {e.id} has neither role nor name", field=loc
-                )
-        for i, t in enumerate(page.transitions):
-            tloc = f"{loc}.transitions[{i}]"
-            if t.element_id is not None and t.element_id not in seen:
-                raise SchemaError(f"unknown element id {t.element_id}", field=tloc)
-            if isinstance(t.effect, GotoEffect) and t.effect.page not in graph.pages:
-                raise SchemaError(f"unknown target page {t.effect.page!r}", field=tloc)
-            if isinstance(t.effect, SetStateEffect) and not t.effect.key:
-                raise SchemaError("set_state effect needs a non-empty key", field=tloc)
-
-
 class SimulatorSession:
     """Single-owner, fully deterministic session over one SiteGraph.
 
-    The graph is trusted: load_site_graph checked it when it was built.
+    The graph is trusted: load_site_graph checked it when it was built. An
+    action on an element may name only an element of the current observation.
     `observe()` keeps the session's observation until the next action or
     `reset()`, and then asks the graph, which returns the object every
     session of that graph gets for the same page state.
@@ -227,10 +197,14 @@ class SimulatorSession:
         if self._terminal:
             raise SessionTerminal("session already terminated by none/stop")
         validate_action(action)
-        before = observation_fingerprint(self.observe())
+        before = self.observe()
+        if action.kind in ELEMENT_KINDS and not before.has_element(action.element_id):
+            raise ElementNotFound(
+                f"element {action.element_id} not in current view of {self.current_page}"
+            )
         error = self._apply(action)
-        after = observation_fingerprint(self.observe())
-        return TransitionOutcome(changed=before != after, error=error)
+        changed = observation_fingerprint(before) != observation_fingerprint(self.observe())
+        return TransitionOutcome(changed=changed, error=error)
 
     def close(self) -> None:
         """Nothing to release; present so every session can be closed."""
@@ -259,20 +233,8 @@ class SimulatorSession:
                 return f"no route to {action.value}"
             self._navigate(page_id)
             return None
-        if kind in ELEMENT_KINDS:
-            page = self._graph.pages[self.current_page]
-            visible = {e.id for e in page.elements}
-            if self.scrolled:
-                visible |= {e.id for e in page.below_fold}
-            if action.element_id not in visible:
-                raise ElementNotFound(
-                    f"element {action.element_id} not in current view of {self.current_page}"
-                )
-            spec = self._find_transition(action)
-            if spec is None:
-                return None
-            return self._apply_effect(spec.effect, action)
-        # press / scroll: explicit transition first, then built-in scroll.
+        # Element actions, press and scroll: an explicit transition first,
+        # then scroll's built-in effect.
         spec = self._find_transition(action)
         if spec is not None:
             return self._apply_effect(spec.effect, action)
@@ -317,14 +279,17 @@ class SimulatorSession:
 # ======================================================================
 
 def load_site_graph(path: str | Path) -> SiteGraph:
-    """Load and validate a site-graph JSON file; SchemaError on any defect."""
+    """Load and validate a site-graph JSON file; SchemaError on any defect.
+
+    One walk over the file builds the graph and checks it. Page ids are the
+    keys of the `pages` object, so `start_page` and `goto` targets are checked
+    against them as the walk meets them.
+    """
     raw = read_json_file(path)
     try:
-        graph = _parse_graph(raw)
-        _check_graph(graph)
+        return _parse_graph(raw)
     except SchemaError as exc:
         raise SchemaError(str(exc), path=str(path)) from None
-    return graph
 
 
 def _parse_graph(raw: dict[str, Any]) -> SiteGraph:
@@ -333,36 +298,48 @@ def _parse_graph(raw: dict[str, Any]) -> SiteGraph:
         raise SchemaError(f"unsupported schema_version {version!r}", field="schema_version")
     pages_raw = raw.get("pages")
     if not isinstance(pages_raw, dict) or not pages_raw:
-        raise SchemaError("pages map is empty", field="pages")
+        raise SchemaError("must be a non-empty object", field="pages")
     start = raw.get("start_page")
-    if not isinstance(start, str):
-        raise SchemaError("start_page must be a string", field="start_page")
+    if not isinstance(start, str) or start not in pages_raw:
+        raise SchemaError(f"start_page {start!r} is not a page", field="start_page")
     pages = {
-        page_id: _parse_page(page_id, page_raw) for page_id, page_raw in pages_raw.items()
+        page_id: _parse_page(f"pages.{page_id}", page_raw, pages_raw)
+        for page_id, page_raw in pages_raw.items()
     }
     return SiteGraph(pages=pages, start_page=start)
 
 
-def _parse_page(page_id: str, raw: Any) -> PageSpec:
-    loc = f"pages.{page_id}"
+def _list(raw: dict[str, Any], key: str, loc: str) -> list[Any]:
+    """An optional list field of the object at `loc`; absent reads as empty."""
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError("must be a list", field=f"{loc}.{key}")
+    return value
+
+
+def _parse_page(loc: str, raw: Any, page_ids: dict[str, Any]) -> PageSpec:
     if not isinstance(raw, dict):
         raise SchemaError("page must be an object", field=loc)
     url = raw.get("url")
     if not isinstance(url, str) or not url:
-        raise SchemaError("url must be a non-empty string", field=loc)
+        raise SchemaError("must be a non-empty string", field=f"{loc}.url")
     template = raw.get("tree_template", "")
     if not isinstance(template, str):
-        raise SchemaError("tree_template must be a string", field=loc)
+        raise SchemaError("must be a string", field=f"{loc}.tree_template")
+    ids: set[int] = set()  # the page's element ids, above and below the fold
     elements = tuple(
-        _parse_element(f"{loc}.elements[{i}]", e) for i, e in enumerate(raw.get("elements", []))
+        _parse_element(f"{loc}.elements[{i}]", e, ids)
+        for i, e in enumerate(_list(raw, "elements", loc))
     )
     below = tuple(
-        _parse_element(f"{loc}.below_fold[{i}]", e)
-        for i, e in enumerate(raw.get("below_fold", []))
+        _parse_element(f"{loc}.below_fold[{i}]", e, ids)
+        for i, e in enumerate(_list(raw, "below_fold", loc))
     )
+    if not ids:
+        raise SchemaError("page has no elements", field=loc)
     transitions = tuple(
-        _parse_transition(f"{loc}.transitions[{i}]", t)
-        for i, t in enumerate(raw.get("transitions", []))
+        _parse_transition(f"{loc}.transitions[{i}]", t, ids, page_ids)
+        for i, t in enumerate(_list(raw, "transitions", loc))
     )
     return PageSpec(
         url=url,
@@ -373,20 +350,32 @@ def _parse_page(page_id: str, raw: Any) -> PageSpec:
     )
 
 
-def _parse_element(loc: str, raw: Any) -> Element:
+def _parse_element(loc: str, raw: Any, ids: set[int]) -> Element:
+    """One element; its id must be new to `ids`, which it is added to."""
     if not isinstance(raw, dict):
         raise SchemaError("element must be an object", field=loc)
-    if not isinstance(raw.get("id"), int) or isinstance(raw.get("id"), bool):
+    element_id = raw.get("id")
+    if type(element_id) is not int:
         raise SchemaError("element id must be an integer", field=loc)
-    return Element(
-        id=raw["id"],
+    if element_id < 0:
+        raise SchemaError(f"negative element id {element_id}", field=loc)
+    if element_id in ids:
+        raise SchemaError(f"duplicate element id {element_id}", field=loc)
+    ids.add(element_id)
+    element = Element(
+        id=element_id,
         role=str(raw.get("role", "")),
         name=str(raw.get("name", "")),
         interactive=bool(raw.get("interactive", True)),
     )
+    if element.interactive and not (element.role or element.name):
+        raise SchemaError(f"interactive element {element_id} has neither role nor name", field=loc)
+    return element
 
 
-def _parse_transition(loc: str, raw: Any) -> TransitionSpec:
+def _parse_transition(
+    loc: str, raw: Any, ids: set[int], page_ids: dict[str, Any]
+) -> TransitionSpec:
     if not isinstance(raw, dict):
         raise SchemaError("transition must be an object", field=loc)
     kind_raw = raw.get("kind")
@@ -395,29 +384,28 @@ def _parse_transition(loc: str, raw: Any) -> TransitionSpec:
     except ValueError:
         raise SchemaError(f"unknown action kind {kind_raw!r}", field=loc) from None
     element_id = raw.get("element_id")
-    if element_id is not None and (not isinstance(element_id, int) or isinstance(element_id, bool)):
-        raise SchemaError("element_id must be an integer or null", field=loc)
+    if element_id is not None and (type(element_id) is not int or element_id not in ids):
+        raise SchemaError(f"element_id {element_id!r} is not an element of the page", field=loc)
     requires = raw.get("requires_state", {})
     if not isinstance(requires, dict):
         raise SchemaError("requires_state must be an object", field=loc)
-    effect = _parse_effect(loc, raw.get("effect"))
     return TransitionSpec(
         kind=kind,
         element_id=element_id,
-        effect=effect,
+        effect=_parse_effect(loc, raw.get("effect"), page_ids),
         value_pattern=str(raw.get("value_pattern", "*")),
         requires_state=tuple(sorted((str(k), str(v)) for k, v in requires.items())),
     )
 
 
-def _parse_effect(loc: str, raw: Any) -> Effect:
+def _parse_effect(loc: str, raw: Any, page_ids: dict[str, Any]) -> Effect:
     if not isinstance(raw, dict) or "type" not in raw:
         raise SchemaError("effect must be an object with a type", field=loc)
     etype = raw["type"]
     if etype == "goto":
         page = raw.get("page")
-        if not isinstance(page, str) or not page:
-            raise SchemaError("goto effect needs a page id", field=loc)
+        if not isinstance(page, str) or page not in page_ids:
+            raise SchemaError(f"goto target {page!r} is not a page", field=loc)
         sets = raw.get("set", {})
         if not isinstance(sets, dict):
             raise SchemaError("goto effect 'set' must be an object", field=loc)

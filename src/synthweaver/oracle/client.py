@@ -246,13 +246,18 @@ def _usage(raw: Any, field: str) -> Usage:
 
 
 _REPLY_KEYS = ("reply", "raw", "replies", "raws")
+_RULE_KEYS = frozenset(("template", "when", "scope", "usage", *_REPLY_KEYS))
 
 
 def _check_rule(rule: Any, loc: str) -> None:
     """A mock rule: a template name, string `when` patterns and `scope`, and
-    exactly one reply field, where a series is a non-empty list."""
+    exactly one reply field, where a series is a non-empty list. Any other
+    key is an error, so a misspelt `when` cannot widen what a rule matches."""
     if not isinstance(rule, dict):
         raise SchemaError("rule must be an object", field=loc)
+    unknown = set(rule) - _RULE_KEYS
+    if unknown:
+        raise SchemaError(f"unknown keys: {', '.join(sorted(unknown))}", field=loc)
     if not isinstance(rule.get("template"), str):
         raise SchemaError("must be a string", field=f"{loc}.template")
     when = rule.get("when", {})
@@ -304,9 +309,6 @@ class MockScript:
 
     def _matches(self, rule: dict[str, Any], prompt: RenderedPrompt) -> bool:
         if rule.get("template") != prompt.template.value:
-            return False
-        fingerprint = rule.get("fingerprint")
-        if fingerprint is not None and fingerprint != prompt.fingerprint:
             return False
         for var, pattern in rule.get("when", {}).items():
             value = prompt.variables.get(var)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,14 +61,6 @@ class RenderedPrompt:
     text: str
     variables: dict[str, str] = field(default_factory=dict)
     images: tuple[str, ...] = ()
-
-    @property
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self.template.value.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(self.text.encode("utf-8"))
-        return digest.hexdigest()
 
 
 def render(

@@ -100,25 +100,14 @@ class RunStore:
 
     def read_records(self, name: str) -> Iterator[dict[str, Any]]:
         """Yield every record; an undecodable line is a SchemaError, except a
-        last line without its newline, which `_mend_torn_line` repairs."""
+        torn last line, which `_lines` repairs."""
         path = self.path(name)
-        if not path.exists():
-            return
-        with open(path, "rb") as fh:
-            for number, line in enumerate(fh, 1):
-                if not line.endswith(b"\n"):
-                    with self._lock_for(name):
-                        if not _mend_torn_line(path, fh.tell() - len(line), line):
-                            return
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    raise SchemaError(
-                        f"line {number} is not a JSON record", path=str(path)
-                    ) from None
-                yield record
+        for number, line in _lines(path, self._lock_for(name)):
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise SchemaError(f"line {number} is not a JSON record", path=str(path)) from None
+            yield record
 
     def rewrite_records(self, name: str, records: list[dict[str, Any]]) -> None:
         """Atomically replace a record file (used when resume wipes partials)."""
@@ -185,53 +174,48 @@ class RunStore:
         return path
 
 
-def _mend_torn_line(path: Path, start: int, line: bytes | str) -> bool:
-    """Repair a torn append, a last line without its newline, at byte `start`:
-    cut it off when it does not decode, else end it with its newline so the
-    next append starts on a fresh line. True when it is kept. The caller
-    holds the file's lock."""
-    try:
-        json.loads(line)
-    except ValueError:
-        with open(path, "r+b") as out:
-            out.truncate(start)
-        return False
-    with open(path, "ab") as out:
-        out.write(b"\n")
-    return True
+def _lines(path: Path, lock: threading.Lock) -> Iterator[tuple[int, bytes]]:
+    """Yield the number and the bytes, newline cut, of each non-blank line of
+    a JSONL file; a missing file has none.
+
+    A torn append, a last line without its newline, is repaired under `lock`,
+    which the caller must not hold: it is cut off when it does not decode,
+    else ended with its newline so the next append starts on a fresh line.
+    """
+    if not path.exists():
+        return
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                with lock:
+                    try:
+                        json.loads(line)
+                    except ValueError:
+                        with open(path, "r+b") as out:
+                            out.truncate(fh.tell() - len(line))
+                        return
+                    with open(path, "ab") as out:
+                        out.write(b"\n")
+            if line.strip():
+                yield number, line.rstrip(b"\n")
 
 
 class ObservationStore:
     """The run's `observations.jsonl`, indexed by ref.
 
     Building the index reads each line's ref from its fixed place at the
-    line's end and decodes no body; `_mend_torn_line` repairs a torn last
-    line. Every lookup of a ref returns the same `Observation.stored`, so a
-    body is decoded at most once per index, and only when a field of it is
-    read.
+    line's end and decodes no body; `_lines` repairs a torn last line. Every
+    lookup of a ref returns the same `Observation.stored`, so a body is
+    decoded at most once per index, and only when a field of it is read.
     """
 
     def __init__(self, store: RunStore) -> None:
         self.path = store.path(OBSERVATIONS)
         self._lock = store._lock_for(OBSERVATIONS)
         self._by_ref: dict[str, Observation] = {}
-        with self._lock:
-            self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        lines = data.decode("utf-8").split("\n")
-        torn = lines.pop()  # empty when the file ends with a newline
-        start = len(data) - len(torn.encode("utf-8"))
-        if torn and _mend_torn_line(self.path, start, torn):
-            lines.append(torn)
-        for number, line in enumerate(lines, 1):
-            if not line:
-                continue
+        for number, line in _lines(self.path, self._lock):
             try:
-                obs = Observation.stored(line)
+                obs = Observation.stored(line.decode("utf-8"))
             except ValueError:
                 raise SchemaError(
                     f"line {number} is not a stored observation", path=str(self.path)

@@ -304,9 +304,11 @@ class TestExitCodes:
         (lambda script: with_rule(script, reply=None, raws="x"), "rules[0].raws: "),
         (lambda script: with_rule(script, raw="x"), "rules[0]: needs exactly one of"),
         (lambda script: with_rule(script, reply=None), "rules[0]: needs exactly one of"),
+        (lambda script: with_rule(script, fingerprint="ab"), "rules[0]: unknown keys: fingerprint"),
+        (lambda script: with_rule(script, whne={"url": "*"}), "rules[0]: unknown keys: whne"),
     ], ids=["top_level_list", "default_usage_key", "rule_usage_key", "when_list",
             "when_pattern_int", "scope_int", "template_missing", "replies_empty", "raws_string",
-            "two_replies", "no_reply"])
+            "two_replies", "no_reply", "rule_key_fingerprint", "rule_key_misspelt"])
     def test_malformed_mock_script_is_usage_error(self, capsys, tmp_path, defect, where):
         bad = tmp_path / "bad.mock.json"
         bad.write_text(json.dumps(defect(json.loads(SHOP_MOCK.read_text()))))

@@ -119,6 +119,22 @@ class TestParse:
         with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
             parse_config(raw, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("key,bad", [
+        ("temperature", float("nan")), ("top_p", float("inf")),
+        ("timeout_s", float("inf")), ("backoff_base_s", float("-inf")),
+        ("timeout_s", 10**400),
+        ("budget_usd", "NaN"), ("budget_usd", "sNaN"), ("budget_usd", "Infinity"),
+        ("prompt_cost_per_token", "NaN"), ("completion_cost_per_token", "-Infinity"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, key, bad):
+        # json.dumps writes NaN and Infinity, which the config loader reads.
+        raw = shop_config_dict()
+        raw["oracle"][key] = bad
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"oracle.{key} .*finite"):
+            load_config(path)
+
     def test_section_numbers_accept_ints_for_floats(self, tmp_path):
         raw = shop_config_dict()
         raw["oracle"].update(backoff_base_s=0, temperature=1, reparse_attempts=0)

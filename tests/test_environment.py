@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from synthweaver import cli
 from synthweaver.actions import ActionKind, make_action, parse_action
 from synthweaver.environment import SimulatorSession, load_site_graph
 from synthweaver.errors import ElementNotFound, SchemaError, SessionTerminal
 from synthweaver.model import observation_fingerprint
-from tests.conftest import SHOP_GRAPH
+from tests.conftest import SHOP_GRAPH, write_config
 
 
 def graph_file(tmp_path, data: dict):
@@ -105,6 +106,84 @@ class TestSchema:
         data["pages"]["a"]["transitions"][0]["element_id"] = 42
         with pytest.raises(SchemaError):
             load_site_graph(graph_file(tmp_path, data))
+
+
+DELETE = object()
+T0 = "pages.a.transitions[0]: "
+
+# Each defect the loader rejects, as (the dotted path of an item of MINI, the
+# value put there or DELETE, what the message names after the file).
+GRAPH_DEFECTS = {
+    "schema_version": ("schema_version", 2, "schema_version: "),
+    "pages_not_object": ("pages", [], "pages: "),
+    "pages_empty": ("pages", {}, "pages: "),
+    "start_page_unknown": ("start_page", "nowhere", "start_page: "),
+    "start_page_not_string": ("start_page", ["a"], "start_page: "),
+    "page_not_object": ("pages.b", 5, "pages.b: "),
+    "url_missing": ("pages.a.url", DELETE, "pages.a.url: "),
+    "url_not_string": ("pages.a.url", 5, "pages.a.url: "),
+    "tree_template_not_string": ("pages.a.tree_template", 5, "pages.a.tree_template: "),
+    "element_not_object": ("pages.a.elements.0", "Go", "pages.a.elements[0]: "),
+    "element_id_missing": ("pages.a.elements.0.id", DELETE, "pages.a.elements[0]: "),
+    "element_id_bool": ("pages.a.elements.0.id", True, "pages.a.elements[0]: "),
+    "element_id_duplicate": (
+        "pages.b.below_fold.0.id", 2, "pages.b.below_fold[0]: duplicate element id 2"
+    ),
+    "element_id_negative": (
+        "pages.a.elements.0.id", -1, "pages.a.elements[0]: negative element id -1"
+    ),
+    "element_without_role_or_name": (
+        "pages.a.elements.0", {"id": 1}, "pages.a.elements[0]: interactive element 1"
+    ),
+    "page_without_elements": ("pages.a.elements", [], "pages.a: page has no elements"),
+    "elements_not_list": ("pages.a.elements", 5, "pages.a.elements: must be a list"),
+    "below_fold_not_list": ("pages.b.below_fold", {"id": 3}, "pages.b.below_fold: must be a list"),
+    "transitions_not_list": ("pages.a.transitions", 7, "pages.a.transitions: must be a list"),
+    "transitions_null": ("pages.a.transitions", None, "pages.a.transitions: must be a list"),
+    "transition_not_object": ("pages.a.transitions.0", "click", T0),
+    "kind_unknown": ("pages.a.transitions.0.kind", "fly", T0),
+    "kind_not_string": ("pages.a.transitions.0.kind", ["click"], T0),
+    "element_id_not_on_page": ("pages.a.transitions.0.element_id", 3, T0 + "element_id 3"),
+    "element_id_not_int": ("pages.a.transitions.0.element_id", "1", T0 + "element_id '1'"),
+    "requires_state_not_object": ("pages.a.transitions.0.requires_state", ["q"], T0),
+    "effect_missing": ("pages.a.transitions.0.effect", DELETE, T0),
+    "effect_type_unknown": ("pages.a.transitions.0.effect.type", "teleport", T0),
+    "goto_target_unknown": ("pages.a.transitions.0.effect.page", "ghost", T0),
+    "goto_target_not_string": ("pages.a.transitions.0.effect.page", ["b"], T0),
+    "goto_set_not_object": ("pages.a.transitions.0.effect.set", ["q"], T0),
+    "set_state_key_empty": ("pages.a.transitions.0.effect", {"type": "set_state", "key": ""}, T0),
+    "set_state_key_missing": ("pages.a.transitions.0.effect", {"type": "set_state"}, T0),
+}
+
+
+def defective(where: str, value) -> dict:
+    """A copy of MINI with the item at the dotted path `where` set to `value`
+    (or deleted); a numeric part indexes a list."""
+    data = json.loads(json.dumps(MINI))
+    *parents, last = [int(part) if part.isdigit() else part for part in where.split(".")]
+    node = data
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return data
+
+
+@pytest.mark.parametrize("where,value,names", GRAPH_DEFECTS.values(), ids=GRAPH_DEFECTS.keys())
+def test_every_graph_defect_is_a_schema_error_naming_file_and_field(tmp_path, where, value, names):
+    path = graph_file(tmp_path, defective(where, value))
+    with pytest.raises(SchemaError) as info:
+        load_site_graph(path)
+    assert str(info.value).startswith(f"{path}: {names}")
+
+
+def test_graph_defect_exits_2(capsys, tmp_path):
+    path = graph_file(tmp_path, defective("pages.a.transitions", None))
+    config = write_config(tmp_path, sites=[{"name": "mini", "graph": str(path)}])
+    assert cli.main(["explore", "--config", str(config), "--run", "r"]) == cli.EXIT_USAGE
+    assert f"{path}: pages.a.transitions: must be a list" in capsys.readouterr().err
 
 
 class TestShopSession:

@@ -424,17 +424,6 @@ class TestMockScript:
         assert script.reply_for(prompt(task="big")).usage == Usage(1000, 400)
         assert script.reply_for(prompt(task="small")).usage == Usage(10, 5)
 
-    def test_fingerprint_matching(self):
-        p = prompt(text="exact body")
-        script = MockScript({
-            "schema_version": 1,
-            "rules": [{"template": "next_action", "fingerprint": p.fingerprint,
-                       "raw": '{"hit": true}'}],
-        })
-        assert script.reply_for(p).text == '{"hit": true}'
-        with pytest.raises(MockReplyMissing):
-            script.reply_for(prompt(text="different body"))
-
 
 # ======================================================================
 # HttpTransport
