@@ -6,8 +6,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 from . import __version__
 from .config import RunConfig, load_config
@@ -77,22 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup(args: argparse.Namespace) -> tuple[RunConfig, RunStore]:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
-        config = replace(config, workers=args.workers)
+    overrides: dict[str, Any] = {"seed": args.seed, "workers": args.workers}
     if args.mock is not None:
-        config = replace(
-            config,
-            oracle=replace(
-                config.oracle,
-                backend="mock",
-                mock_script=str(Path(args.mock).resolve()),
-            ),
-        )
+        overrides["oracle"] = {"backend": "mock", "mock_script": str(Path(args.mock).resolve())}
+    config = load_config(
+        args.config, {key: value for key, value in overrides.items() if value is not None}
+    )
     run_id = args.run or time.strftime("run-%Y%m%d-%H%M%S")
     store = RunStore(Path(config.runs_dir) / run_id)
     return config, store

@@ -161,6 +161,8 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
     _check_layout(store)
     done = set(store.load_state()["explored_sites"])
     todo = [site for site in config.sites if site.name not in done]
+    # Open every site before anything is written, so a bad graph leaves no trace.
+    factories = {site.name: make_session_factory(site, config) for site in todo}
 
     # A crash mid-site may have left partial records; exploration is
     # all-or-nothing per site, so records for unfinished sites are wiped.
@@ -180,7 +182,7 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
         explorer = Explorer(client, config, on_event=store.event)
 
         def explore_one(site: SiteSpec) -> tuple[int, int]:
-            session = make_session_factory(site, config)()
+            session = factories[site.name]()
             try:
                 result = explorer.explore_site(site, session)
             finally:

@@ -442,10 +442,11 @@ class TestExitCodes:
 
     def test_bad_workers_is_usage_error(self, capsys, tmp_path):
         config = write_config(tmp_path)
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "explore", "--config", str(config), "--run", "r", "--workers", "0"
         )
         assert code == cli.EXIT_USAGE
+        assert "error: workers must be at least 1, got 0" in err
 
     def test_negative_window_is_usage_error(self, capsys, tmp_path):
         config = write_config(tmp_path)

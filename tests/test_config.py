@@ -3,13 +3,35 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from synthweaver.config import api_key_for, load_config, parse_config
+from synthweaver.config import (
+    BrowserSettings, OracleSettings, RunConfig, api_key_for, load_config, parse_config,
+)
 from synthweaver.errors import ConfigError
 from tests.conftest import SHOP_GRAPH, SHOP_MOCK, shop_config_dict
+
+
+def section_of(raw: dict, section: str) -> dict:
+    """The object of `raw` that holds the settings of `section` ("" is the root)."""
+    if section == "sites[0]":
+        return raw["sites"][0]
+    return raw.setdefault(section, {}) if section else raw
+
+
+def setting(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
+
+
+# String settings that do not take null, by section ("" is the root).
+NOT_NULL_STRINGS = [
+    ("", "runs_dir"), ("sites[0]", "intro"), ("oracle", "model"),
+    ("oracle", "endpoint_url"), ("oracle", "api_key_env"), ("browser", "endpoint_url"),
+]
 
 
 class TestParse:
@@ -112,6 +134,7 @@ class TestParse:
         ("oracle", "top_p", -0.1), ("oracle", "backoff_base_s", None),
         ("browser", "viewport_width", "wide"), ("browser", "viewport_height", 0),
         ("browser", "nav_timeout_ms", 1.5),
+        ("oracle", "timeout_s", 1e10), ("browser", "nav_timeout_ms", 10**13),
     ])
     def test_section_numbers_validated(self, tmp_path, section, key, bad):
         raw = shop_config_dict()
@@ -148,15 +171,32 @@ class TestParse:
 
     @pytest.mark.parametrize("section,key", [
         ("sites[0]", "graph"), ("sites[0]", "start_url"),
-        ("oracle", "mock_script"), ("browser", "screenshot_dir"),
+        ("oracle", "mock_script"), ("browser", "screenshot_dir"), *NOT_NULL_STRINGS,
     ])
     @pytest.mark.parametrize("resolve", [True, False])
     def test_path_fields_must_be_strings(self, tmp_path, section, key, resolve):
         raw = shop_config_dict()
-        fields = raw["sites"][0] if section == "sites[0]" else raw.setdefault(section, {})
-        fields[key] = 5
-        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be a string")):
+        section_of(raw, section)[key] = 5
+        with pytest.raises(ConfigError, match=re.escape(f"{setting(section, key)} must be a string")):
             parse_config(raw, base_dir=tmp_path if resolve else None)
+
+    @pytest.mark.parametrize("section,key", NOT_NULL_STRINGS)
+    def test_string_fields_reject_null(self, tmp_path, section, key):
+        raw = shop_config_dict()
+        section_of(raw, section)[key] = None
+        with pytest.raises(ConfigError, match=re.escape(f"{setting(section, key)} must be a string")):
+            parse_config(raw, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("section,key", [
+        ("", "budget_usd"), ("oracle", "budget"), ("browser", "timeout_ms"),
+        ("sites[0]", "intro_text"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, section, key):
+        raw = shop_config_dict()
+        section_of(raw, section)[key] = "x"
+        where = section or "config root"
+        with pytest.raises(ConfigError, match=re.escape(f"{where} has no setting {key!r}")):
+            parse_config(raw, base_dir=tmp_path)
 
     def test_sites_required(self, tmp_path):
         raw = shop_config_dict()
@@ -191,3 +231,20 @@ class TestParse:
         path.write_text("{oops")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def readme_config_block() -> dict:
+    """The README's ```jsonc configuration example, its // comments stripped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Configuration\n"):]
+    block = section.split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+    # A string is kept whole, so the // of a URL is not taken for a comment.
+    return json.loads(re.sub(r'("(?:\\.|[^"\\])*")|//[^\n]*', lambda m: m.group(1) or "", block))
+
+
+def test_readme_config_block_is_every_setting():
+    raw = readme_config_block()
+    parse_config(raw)
+    assert set(raw) == {f.name for f in fields(RunConfig)}
+    assert set(raw["oracle"]) == {f.name for f in fields(OracleSettings)}
+    assert set(raw["browser"]) == {f.name for f in fields(BrowserSettings)}

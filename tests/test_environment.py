@@ -184,6 +184,9 @@ def test_graph_defect_exits_2(capsys, tmp_path):
     config = write_config(tmp_path, sites=[{"name": "mini", "graph": str(path)}])
     assert cli.main(["explore", "--config", str(config), "--run", "r"]) == cli.EXIT_USAGE
     assert f"{path}: pages.a.transitions: must be a list" in capsys.readouterr().err
+    run = tmp_path / "runs" / "r"
+    assert not (run / "ledger.json").exists()
+    assert not (run / "events.jsonl").exists()
 
 
 class TestShopSession:
