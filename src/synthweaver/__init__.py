@@ -13,7 +13,6 @@ from .actions import (
     make_action,
     parse_action,
     render_action,
-    validate_action,
 )
 from .model import (
     ConflictTrigger,
@@ -51,5 +50,4 @@ __all__ = [
     "observation_fingerprint",
     "parse_action",
     "render_action",
-    "validate_action",
 ]

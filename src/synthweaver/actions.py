@@ -24,25 +24,37 @@ class ActionKind(str, Enum):
     STOP = "stop"
 
 
+# The bracketed arguments, or slots, of the wire grammar.
+ELEMENT = "element"  # a non-negative integer element id
+VALUE = "value"  # a value that may be empty
+TEXT = "text"  # a value that must not be empty
+
+
+# The grammar: each kind's bracketed arguments in wire order. The check every
+# Action passes when it is made, the parser and the renderer derive from it.
+SLOTS: dict[ActionKind, tuple[str, ...]] = {
+    ActionKind.CLICK: (ELEMENT,),
+    ActionKind.TYPE: (ELEMENT, TEXT),
+    ActionKind.HOVER: (ELEMENT,),
+    ActionKind.PRESS: (VALUE,),
+    ActionKind.SCROLL: (TEXT,),
+    ActionKind.GOTO: (TEXT,),
+    ActionKind.GO_BACK: (),
+    ActionKind.GO_FORWARD: (),
+    ActionKind.NONE: (TEXT,),
+    ActionKind.STOP: (TEXT,),
+}
+
 # Kinds that target an element; all others must not carry an element id.
-ELEMENT_KINDS = frozenset({ActionKind.CLICK, ActionKind.TYPE, ActionKind.HOVER})
-
-# Kinds whose value must be non-empty on the wire.
-VALUE_REQUIRED_KINDS = frozenset(
-    {ActionKind.TYPE, ActionKind.SCROLL, ActionKind.GOTO, ActionKind.NONE, ActionKind.STOP}
-)
-
-# Kinds whose grammar has no value slot at all.
-_NO_VALUE_KINDS = frozenset(
-    {ActionKind.CLICK, ActionKind.HOVER, ActionKind.GO_BACK, ActionKind.GO_FORWARD}
-)
+ELEMENT_KINDS = frozenset(kind for kind, slots in SLOTS.items() if ELEMENT in slots)
 
 SCROLL_DIRECTIONS = ("up", "down")
 
 
 @dataclass(frozen=True)
 class Action:
-    """One atomic browser interaction.
+    """One atomic browser interaction; one that breaks the grammar cannot be
+    made (InvalidAction).
 
     low_level_instruction is an annotation for prompts and logs; it is
     excluded from equality so the wire round-trip is the identity.
@@ -53,44 +65,38 @@ class Action:
     value: str = ""
     low_level_instruction: str = field(default="", compare=False)
 
+    def __post_init__(self) -> None:
+        kind, element_id, value = self.kind, self.element_id, self.value
+        if not isinstance(kind, ActionKind):
+            raise InvalidAction(f"unknown action kind: {kind!r}")
+        slots = SLOTS[kind]
+        if ELEMENT in slots:
+            if not isinstance(element_id, int) or isinstance(element_id, bool):
+                raise InvalidAction(f"{kind.value} requires an integer element_id")
+            if element_id < 0:
+                raise InvalidAction("element_id must be non-negative")
+        elif element_id is not None:
+            raise InvalidAction(f"{kind.value} must not carry an element_id")
+        if not isinstance(value, str):
+            raise InvalidAction("value must be a string")
+        if "]" in value:
+            # No escaping exists in the wire grammar.
+            raise InvalidAction("value must not contain ']'")
+        if not value and TEXT in slots:
+            raise InvalidAction(f"{kind.value} requires a non-empty value")
+        if value and TEXT not in slots and VALUE not in slots:
+            raise InvalidAction(f"{kind.value} carries no value slot")
+        if kind is ActionKind.SCROLL and value not in SCROLL_DIRECTIONS:
+            raise InvalidAction("scroll value must be 'up' or 'down'")
 
-def validate_action(action: Action) -> None:
-    """Raise InvalidAction unless the action satisfies every invariant."""
-    kind = action.kind
-    if not isinstance(kind, ActionKind):
-        raise InvalidAction(f"unknown action kind: {kind!r}")
-    if kind in ELEMENT_KINDS:
-        if not isinstance(action.element_id, int) or isinstance(action.element_id, bool):
-            raise InvalidAction(f"{kind.value} requires an integer element_id")
-        if action.element_id < 0:
-            raise InvalidAction("element_id must be non-negative")
-    elif action.element_id is not None:
-        raise InvalidAction(f"{kind.value} must not carry an element_id")
-    if not isinstance(action.value, str):
-        raise InvalidAction("value must be a string")
-    if "]" in action.value:
-        # No escaping exists in the wire grammar.
-        raise InvalidAction("value must not contain ']'")
-    if kind in VALUE_REQUIRED_KINDS and not action.value:
-        raise InvalidAction(f"{kind.value} requires a non-empty value")
-    if kind in _NO_VALUE_KINDS and action.value:
-        raise InvalidAction(f"{kind.value} carries no value slot")
-    if kind is ActionKind.SCROLL and action.value not in SCROLL_DIRECTIONS:
-        raise InvalidAction("scroll value must be 'up' or 'down'")
 
-
-_ARG = r"\[([^\]]*)\]"
-_ARGUMENT_PATTERNS: dict[ActionKind, re.Pattern[str]] = {
-    ActionKind.CLICK: re.compile(_ARG, re.DOTALL),
-    ActionKind.HOVER: re.compile(_ARG, re.DOTALL),
-    ActionKind.TYPE: re.compile(_ARG + r"\s*" + _ARG, re.DOTALL),
-    ActionKind.PRESS: re.compile(_ARG, re.DOTALL),
-    ActionKind.SCROLL: re.compile(_ARG, re.DOTALL),
-    ActionKind.GOTO: re.compile(_ARG, re.DOTALL),
-    ActionKind.GO_BACK: re.compile(r""),
-    ActionKind.GO_FORWARD: re.compile(r""),
-    ActionKind.NONE: re.compile(_ARG, re.DOTALL),
-    ActionKind.STOP: re.compile(_ARG, re.DOTALL),
+_ARGUMENTS = {
+    kind: re.compile(r"\s*".join([r"\[([^\]]*)\]"] * len(slots)), re.DOTALL)
+    for kind, slots in SLOTS.items()
+}
+_FORMATS = {
+    kind: " ".join([kind.value] + ["[{0}]" if slot == ELEMENT else "[{1}]" for slot in slots])
+    for kind, slots in SLOTS.items()
 }
 
 _HEAD = re.compile(r"([a-z_]+)(?:\s+(.*))?", re.DOTALL)
@@ -108,41 +114,28 @@ def parse_action(text: str) -> Action:
         kind = ActionKind(kind_word)
     except ValueError:
         raise MalformedAction(f"unknown action kind: {kind_word!r}") from None
-    args = _ARGUMENT_PATTERNS[kind].fullmatch(rest)
+    args = _ARGUMENTS[kind].fullmatch(rest)
     if args is None:
         raise MalformedAction(f"arguments do not match the {kind.value} grammar: {text!r}")
 
     element_id: int | None = None
     value = ""
-    if kind in ELEMENT_KINDS:
-        raw_id = args.group(1)
-        if not raw_id.isdigit():
-            raise MalformedAction(f"element_id must be a non-negative integer: {raw_id!r}")
-        element_id = int(raw_id)
-        if kind is ActionKind.TYPE:
-            value = args.group(2)
-    elif kind not in (ActionKind.GO_BACK, ActionKind.GO_FORWARD):
-        value = args.group(1)
-
-    action = Action(kind=kind, element_id=element_id, value=value)
+    for slot, raw in zip(SLOTS[kind], args.groups()):
+        if slot != ELEMENT:
+            value = raw
+        elif raw.isascii() and raw.isdigit():
+            element_id = int(raw)
+        else:
+            raise MalformedAction(f"element_id must be a non-negative integer: {raw!r}")
     try:
-        validate_action(action)
+        return Action(kind=kind, element_id=element_id, value=value)
     except InvalidAction as exc:
         raise MalformedAction(str(exc)) from None
-    return action
 
 
 def render_action(action: Action) -> str:
     """Render an Action to its canonical wire string."""
-    validate_action(action)
-    parts = [action.kind.value]
-    if action.kind in ELEMENT_KINDS:
-        parts.append(f"[{action.element_id}]")
-        if action.kind is ActionKind.TYPE:
-            parts.append(f"[{action.value}]")
-    elif action.kind not in (ActionKind.GO_BACK, ActionKind.GO_FORWARD):
-        parts.append(f"[{action.value}]")
-    return " ".join(parts)
+    return _FORMATS[action.kind].format(action.element_id, action.value)
 
 
 def make_action(
@@ -151,17 +144,10 @@ def make_action(
     value: str = "",
     low_level_instruction: str = "",
 ) -> Action:
-    """Build and validate an Action from loosely typed parts."""
+    """Build an Action from loosely typed parts: `kind` may be a wire word."""
     if not isinstance(kind, ActionKind):
         try:
             kind = ActionKind(str(kind).strip().lower())
         except ValueError:
             raise InvalidAction(f"unknown action kind: {kind!r}") from None
-    action = Action(
-        kind=kind,
-        element_id=element_id,
-        value=value,
-        low_level_instruction=low_level_instruction,
-    )
-    validate_action(action)
-    return action
+    return Action(kind, element_id, value, low_level_instruction)

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .actions import Action, ActionKind, ELEMENT_KINDS, validate_action
+from .actions import Action, ActionKind, ELEMENT_KINDS
 from .config import BrowserSettings
 from .environment import TransitionOutcome
 from .errors import ConnectFailed, ElementNotFound, ProtocolError, SessionTerminal
@@ -255,7 +255,6 @@ class BrowserSession:
     def execute(self, action: Action) -> TransitionOutcome:
         if self._terminal:
             raise SessionTerminal("session already terminated by none/stop")
-        validate_action(action)
         before = observation_fingerprint(self.observe())
         error = self._apply(action)
         after = observation_fingerprint(self.observe())

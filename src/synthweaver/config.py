@@ -13,7 +13,6 @@ environment variable named by `api_key_env`.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
@@ -22,7 +21,8 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
+from .model import read_json_file
 
 
 def _setting(default: Any, **metadata: Any) -> Any:
@@ -220,11 +220,9 @@ def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> Ru
     the command line) laid over it before the check."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {path}: {exc}") from None
+        raw = read_json_file(path)
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
     if overrides:
         raw = _overlaid(raw, overrides)
     return parse_config(raw, base_dir=path.resolve().parent)

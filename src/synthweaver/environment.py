@@ -21,7 +21,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any
 
-from .actions import Action, ActionKind, ELEMENT_KINDS, validate_action
+from .actions import Action, ActionKind, ELEMENT_KINDS
 from .errors import ElementNotFound, SchemaError, SessionTerminal
 from .model import Element, Observation, observation_fingerprint, read_json_file
 
@@ -196,7 +196,6 @@ class SimulatorSession:
     def execute(self, action: Action) -> TransitionOutcome:
         if self._terminal:
             raise SessionTerminal("session already terminated by none/stop")
-        validate_action(action)
         before = self.observe()
         if action.kind in ELEMENT_KINDS and not before.has_element(action.element_id):
             raise ElementNotFound(

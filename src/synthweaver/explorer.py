@@ -20,7 +20,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any
 
-from .actions import ActionKind, make_action, render_action
+from .actions import Action, ActionKind, make_action, render_action
 from .config import RunConfig, SiteSpec
 from .errors import ElementNotFound, EmptyPlan, SchemaViolation
 from .model import InteractionTriplet, Observation, Task, TaskType
@@ -28,7 +28,6 @@ from .oracle import (
     CategorizationReply,
     DiversityReply,
     OracleClient,
-    ProposedInteraction,
     TemplateName,
     UNINTERACTIVE_CATEGORY,
     render,
@@ -176,12 +175,10 @@ def propose_task(
     return text, infer_task_type(text, proposal.analysis)
 
 
-def sample_probes(
-    rng: random.Random, proposals: list[ProposedInteraction], k: int
-) -> list[ProposedInteraction]:
-    """Pick up to k proposals uniformly at random, keeping page order."""
-    take = min(k, len(proposals))
-    return [proposals[i] for i in sorted(rng.sample(range(len(proposals)), take))]
+def sample_probes(rng: random.Random, probes: list[Action], k: int) -> list[Action]:
+    """Pick up to k probes uniformly at random, keeping page order."""
+    take = min(k, len(probes))
+    return [probes[i] for i in sorted(rng.sample(range(len(probes)), take))]
 
 
 def judge_task_diversity(
@@ -333,7 +330,7 @@ class Explorer:
         # str seeds derive from sha512, so this is stable across interpreters.
         master = random.Random(f"{cfg.seed}:{site.name}")
         pool = UrlPool()
-        probed: set[tuple[str, str, int, str]] = set()
+        probed: set[tuple[str, Action]] = set()
         start = session.observe()
         pool.add(start.url, 0)
         pages_visited = 0
@@ -369,18 +366,12 @@ class Explorer:
                 },
             )
             for category, candidates in reply.categories.items():
-                fresh = [
-                    p
-                    for p in candidates
-                    if (url, p.kind.value, p.element_id, p.value) not in probed
-                ]
-                for proposal in sample_probes(page_rng, fresh, cfg.probes_per_category):
+                fresh = [probe for probe in candidates if (url, probe) not in probed]
+                for probe in sample_probes(page_rng, fresh, cfg.probes_per_category):
                     if not proposals.room(cfg.max_tasks_per_site):
                         break
-                    probed.add((url, proposal.kind.value, proposal.element_id, proposal.value))
-                    self._run_probe(
-                        site, session, url, depth, category, proposal, pool, proposals
-                    )
+                    probed.add((url, probe))
+                    self._run_probe(site, session, url, depth, category, probe, pool, proposals)
         return pages_visited
 
     def _goto(self, session: Any, url: str) -> bool:
@@ -398,7 +389,7 @@ class Explorer:
         url: str,
         depth: int,
         category: str,
-        proposal: ProposedInteraction,
+        action: Action,
         pool: UrlPool,
         proposals: _Proposals,
     ) -> None:
@@ -407,7 +398,6 @@ class Explorer:
         if not self._goto(session, url):
             return
         before = session.observe()
-        action = proposal.to_action()
         try:
             session.execute(action)
         except ElementNotFound as exc:

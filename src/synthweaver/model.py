@@ -344,12 +344,14 @@ def canonical_json(value: Any) -> str:
 
 def read_json_file(path: str | Path) -> dict[str, Any]:
     """An input file's JSON object; a SchemaError naming it if it is missing,
-    bad, or not an object."""
+    unreadable (a directory, say), bad, or not an object."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("file not found", path=str(path)) from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read: {exc.strerror or exc}", path=str(path)) from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaError(f"invalid JSON: {exc}", path=str(path)) from None
     if not isinstance(data, dict):

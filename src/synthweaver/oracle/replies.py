@@ -23,24 +23,10 @@ class RefineDecision(str, Enum):
 
 
 @dataclass(frozen=True)
-class ProposedInteraction:
-    """One exploration probe: click/type/hover on a concrete element."""
-
-    kind: ActionKind
-    element_id: int
-    value: str
-    low_level_instruction: str
-
-    def to_action(self) -> Action:
-        return make_action(
-            self.kind, self.element_id, self.value, self.low_level_instruction
-        )
-
-
-@dataclass(frozen=True)
 class CategorizationReply:
     analysis: str
-    categories: dict[str, tuple[ProposedInteraction, ...]]
+    # Probes target an element, so each is a click, type or hover.
+    categories: dict[str, tuple[Action, ...]]
     uninteractive: tuple[int, ...]
 
 
@@ -152,7 +138,7 @@ def _parse_categorize(
     raw = _require(payload, "Categorization")
     if not isinstance(raw, dict):
         raise SchemaViolation("Categorization must be an object")
-    categories: dict[str, tuple[ProposedInteraction, ...]] = {}
+    categories: dict[str, tuple[Action, ...]] = {}
     uninteractive: tuple[int, ...] = ()
     seen_ids: set[int] = set()
     for name, entries in raw.items():
@@ -167,27 +153,14 @@ def _parse_categorize(
         for entry in entries:
             if not isinstance(entry, dict):
                 raise SchemaViolation(f"category {name!r} entries must be objects")
-            kind_raw = _as_str(_require(entry, "action"), "action").strip().lower()
-            try:
-                kind = ActionKind(kind_raw)
-            except ValueError:
-                raise SchemaViolation(f"unknown action {kind_raw!r}") from None
-            if kind not in (ActionKind.CLICK, ActionKind.TYPE, ActionKind.HOVER):
-                raise SchemaViolation(f"category action must be click/type/hover, got {kind_raw!r}")
+            kind = _as_str(_require(entry, "action"), "action")
             element_id = _as_int(_require(entry, "element_id"), "element_id", lo=0)
             value = _as_str(entry.get("value", ""), "value")
-            if kind is ActionKind.TYPE and not value:
-                raise SchemaViolation(f"type proposal for element {element_id} needs a value")
-            parsed.append(
-                ProposedInteraction(
-                    kind=kind,
-                    element_id=element_id,
-                    value=value,
-                    low_level_instruction=_as_str(
-                        entry.get("low-level_instruction", ""), "low-level_instruction"
-                    ),
-                )
-            )
+            lli = _as_str(entry.get("low-level_instruction", ""), "low-level_instruction")
+            try:
+                parsed.append(make_action(kind, element_id, value, lli))
+            except InvalidAction as exc:
+                raise SchemaViolation(f"invalid probe on element {element_id}: {exc}") from None
         categories[name] = tuple(parsed)
     for pid in [p.element_id for c in categories.values() for p in c] + list(uninteractive):
         if pid in seen_ids:
@@ -303,9 +276,14 @@ def _parse_refine_trajectory(
             raise SchemaViolation("drop requires a non-empty drop_reason")
         if final_none.strip():
             raise SchemaViolation("drop requires an empty final_none_value")
-    else:
-        if not final_none.strip():
-            raise SchemaViolation(f"{decision.value} requires a non-empty final_none_value")
+    elif not final_none.strip():
+        raise SchemaViolation(f"{decision.value} requires a non-empty final_none_value")
+    elif modify_end or append_end:
+        # The edit makes it the answer of a final `none` step.
+        try:
+            make_action(ActionKind.NONE, None, final_none)
+        except InvalidAction as exc:
+            raise SchemaViolation(f"final_none_value: {exc}") from None
     return RefineTrajectoryReply(
         task=task,
         score=score,

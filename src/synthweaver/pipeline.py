@@ -26,7 +26,7 @@ from .collector import Collector
 from .config import RunConfig, SiteSpec
 from .dataset import corpus_stats, export_dataset, ExportResult
 from .environment import SimulatorSession, load_site_graph
-from .errors import ConfigError, SchemaError, SchemaViolation
+from .errors import ConfigError, MalformedAction, SchemaError, SchemaViolation
 from .explorer import Explorer, judge_task_diversity
 from .model import (
     Task,
@@ -134,6 +134,19 @@ def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClie
         store.mark_stage(name)
 
 
+@contextmanager
+def _reading(store: RunStore, name: str) -> Iterator[Iterator[dict[str, Any]]]:
+    """Yield the records of `name`; one the block cannot read, say one that
+    lacks a key or holds a malformed action, is a SchemaError naming the file."""
+    try:
+        yield store.read_records(name)
+    except (LookupError, TypeError, ValueError, MalformedAction) as exc:
+        raise SchemaError(
+            f"a record does not have the expected shape ({type(exc).__name__}: {exc})",
+            path=str(store.path(name)),
+        ) from None
+
+
 def _check_layout(store: RunStore) -> None:
     """Reject a run directory whose records embed their observations.
 
@@ -141,10 +154,12 @@ def _check_layout(store: RunStore) -> None:
     checks the first record of each file before it writes anything.
     """
     for name in (rs.TRIPLETS, rs.TRAJECTORIES_RAW, rs.TRAJECTORIES_REFINED):
-        record = next(store.read_records(name), None)
-        if record is None:
-            continue
-        inline = "before" in record if name == rs.TRIPLETS else "observation" in record["steps"][0]
+        with _reading(store, name) as records:
+            record = next(records, None)
+            if record is None:
+                continue
+            inline = ("before" in record if name == rs.TRIPLETS
+                      else "observation" in record["steps"][0])
         if inline:
             raise SchemaError(
                 "records embed their observations; run directories written before "
@@ -159,7 +174,13 @@ def _check_layout(store: RunStore) -> None:
 
 def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
     _check_layout(store)
-    done = set(store.load_state()["explored_sites"])
+    state = store.load_state()
+    if state.get("seed", config.seed) != config.seed:
+        raise ConfigError(
+            f"run {store.root} was explored with seed {state['seed']}; "
+            f"it cannot resume with seed {config.seed}"
+        )
+    done = set(state["explored_sites"])
     todo = [site for site in config.sites if site.name not in done]
     # Open every site before anything is written, so a bad graph leaves no trace.
     factories = {site.name: make_session_factory(site, config) for site in todo}
@@ -168,8 +189,9 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
     # all-or-nothing per site, so records for unfinished sites are wiped.
     todo_names = {site.name for site in todo}
     for name in (rs.TASKS, rs.TRIPLETS):
-        records = list(store.read_records(name))
-        kept = [r for r in records if r.get("site") not in todo_names]
+        with _reading(store, name) as records:
+            records = list(records)
+            kept = [r for r in records if r.get("site") not in todo_names]
         if len(kept) != len(records):
             store.rewrite_records(name, kept)
 
@@ -209,6 +231,7 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
                 store.append_records(rs.TRIPLETS, triplets)
                 state = store.load_state()
                 state["explored_sites"].append(site.name)
+                state["seed"] = config.seed
                 store.save_state(state)
             return len(tasks), len(triplets)
 
@@ -226,17 +249,17 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
 
 def _tasks_by_site(store: RunStore) -> dict[str, list[Task]]:
     grouped: dict[str, list[Task]] = {}
-    for record in store.read_records(rs.TASKS):
-        task = task_from_dict(record)
-        grouped.setdefault(task.site, []).append(task)
+    with _reading(store, rs.TASKS) as records:
+        for record in records:
+            task = task_from_dict(record)
+            grouped.setdefault(task.site, []).append(task)
     return grouped
 
 
 def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
     _check_layout(store)
-    existing = {
-        record["task"]["id"] for record in store.read_records(rs.TRAJECTORIES_RAW)
-    }
+    with _reading(store, rs.TRAJECTORIES_RAW) as records:
+        existing = {record["task"]["id"] for record in records}
     sites = {site.name: site for site in config.sites}
     jobs: list[tuple[Task, Callable[[], Any]]] = []
     for name, tasks in _tasks_by_site(store).items():
@@ -268,10 +291,8 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
 # ======================================================================
 
 def _raw_trajectories(store: RunStore, observations: ObservationStore) -> list[Trajectory]:
-    return [
-        trajectory_from_dict(r, observations)
-        for r in store.read_records(rs.TRAJECTORIES_RAW)
-    ]
+    with _reading(store, rs.TRAJECTORIES_RAW) as records:
+        return [trajectory_from_dict(r, observations) for r in records]
 
 
 def _refined_trajectories(
@@ -279,16 +300,21 @@ def _refined_trajectories(
 ) -> tuple[list[Trajectory], list[dict[str, Any]]]:
     """The refined trajectories, and the judge's decision and score for each."""
     trajectories, decisions = [], []
-    for r in store.read_records(rs.TRAJECTORIES_REFINED):
-        trajectories.append(trajectory_from_dict(r, observations))
-        decisions.append({"site": r["task"]["site"], "decision": r["decision"], "score": r["score"]})
+    with _reading(store, rs.TRAJECTORIES_REFINED) as records:
+        for r in records:
+            trajectories.append(trajectory_from_dict(r, observations))
+            decisions.append(
+                {"site": r["task"]["site"], "decision": r["decision"], "score": r["score"]}
+            )
     return trajectories, decisions
 
 
 def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
     _check_layout(store)
-    done = {r["task"]["id"] for r in store.read_records(rs.TRAJECTORIES_REFINED)}
-    done |= {r["trajectory_id"] for r in store.read_records(rs.DROPS)}
+    with _reading(store, rs.TRAJECTORIES_REFINED) as records:
+        done = {r["task"]["id"] for r in records}
+    with _reading(store, rs.DROPS) as records:
+        done |= {r["trajectory_id"] for r in records}
     observations = store.observations()
     jobs = [t for t in _raw_trajectories(store, observations) if t.id not in done]
 
@@ -346,7 +372,9 @@ def run_export(config: RunConfig, store: RunStore, *, window: int | None = None)
         manifest = store.read_json(rs.MANIFEST, default={})
         manifest.update(
             {
-                "seed": config.seed,
+                # The seed explore sampled with; runs explored before it was
+                # recorded report the config's.
+                "seed": store.load_state().get("seed", config.seed),
                 "sites": [site.name for site in config.sites],
                 "dataset": result.manifest,
             }
@@ -422,10 +450,8 @@ def run_stats(
     _check_layout(store)
     observations = store.observations()
     refined, decisions = _refined_trajectories(store, observations)
-    decisions += [
-        {"site": r["site"], "decision": "drop", "score": r["score"]}
-        for r in store.read_records(rs.DROPS)
-    ]
+    with _reading(store, rs.DROPS) as records:
+        decisions += [{"site": r["site"], "decision": "drop", "score": r["score"]} for r in records]
     with _stage(config, store, "stats") as client:
         stats = corpus_stats(
             _raw_trajectories(store, observations), refined, decisions,

@@ -99,14 +99,16 @@ class RunStore:
                 self._open.pop(name).close()
 
     def read_records(self, name: str) -> Iterator[dict[str, Any]]:
-        """Yield every record; an undecodable line is a SchemaError, except a
-        torn last line, which `_lines` repairs."""
+        """Yield every record; a line that is not a JSON object is a
+        SchemaError, except a torn last line, which `_lines` repairs."""
         path = self.path(name)
         for number, line in _lines(path, self._lock_for(name)):
             try:
                 record = json.loads(line)
             except ValueError:
-                raise SchemaError(f"line {number} is not a JSON record", path=str(path)) from None
+                record = None
+            if not isinstance(record, dict):
+                raise SchemaError(f"line {number} is not a JSON record", path=str(path))
             yield record
 
     def rewrite_records(self, name: str, records: list[dict[str, Any]]) -> None:
@@ -148,11 +150,16 @@ class RunStore:
     # ------------------------------------------------------------------
 
     def load_state(self) -> dict[str, Any]:
+        """The resume bookkeeping: the sites explored and stages done, and the
+        seed explore used, once it has committed a site."""
         state = self.read_json(STATE, default={})
         for key in ("explored_sites", "stages"):
             names = state.setdefault(key, [])
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise SchemaError("must be a list of names", path=str(self.path(STATE)), field=key)
+        seed = state.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise SchemaError("must be an integer", path=str(self.path(STATE)), field="seed")
         return state
 
     def save_state(self, state: dict[str, Any]) -> None:

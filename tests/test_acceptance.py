@@ -37,7 +37,6 @@ from synthweaver.errors import (
 from synthweaver.explorer import sample_probes
 from synthweaver.model import Observation, Step, Task, TaskType, Terminal, Trajectory
 from synthweaver.oracle import TemplateName, extract_json, parse_reply, render
-from synthweaver.oracle.replies import ProposedInteraction
 from synthweaver.refiner import apply_edits
 from tests.conftest import SHOP_GRAPH, make_client, shop_config_dict, write_config
 
@@ -196,9 +195,9 @@ def test_02_stall_predicate_exhaustive():
 
 def test_03_categorized_sampling():
     with criterion(3, "categorized-sampling"):
-        def pool(n: int) -> list[ProposedInteraction]:
+        def pool(n: int) -> list[Action]:
             return [
-                ProposedInteraction(ActionKind.CLICK, i, "", f"Click element {i}")
+                make_action(ActionKind.CLICK, i, "", f"Click element {i}")
                 for i in range(n)
             ]
 

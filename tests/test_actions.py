@@ -1,6 +1,9 @@
 """Action grammar: parse/render round-trips and validation rules."""
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from synthweaver.actions import (
@@ -9,7 +12,6 @@ from synthweaver.actions import (
     make_action,
     parse_action,
     render_action,
-    validate_action,
 )
 from synthweaver.errors import InvalidAction, MalformedAction
 
@@ -56,6 +58,7 @@ def test_type_value_may_contain_open_bracket():
         "click []",
         "click [x]",
         "click [-1]",
+        "click [²]",  # a digit int() does not read
         "click [1] [2]",
         "type [1]",
         "type [] [text]",
@@ -108,7 +111,7 @@ def test_parse_rejects_non_string():
 )
 def test_invalid_combinations_rejected(kwargs):
     with pytest.raises(InvalidAction):
-        validate_action(Action(**kwargs))
+        Action(**kwargs)
 
 
 def test_press_value_may_be_empty():
@@ -135,3 +138,20 @@ def test_value_bracket_rejected_everywhere():
     for kind, eid in [(ActionKind.NONE, None), (ActionKind.STOP, None), (ActionKind.GOTO, None)]:
         with pytest.raises(InvalidAction):
             make_action(kind, eid, "has ] inside")
+
+
+def readme_wire_forms() -> list[str]:
+    """The forms in the README's "Action grammar" block, one per kind."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Action grammar\n"):]
+    block = section.split("```\n", 1)[1].split("\n```", 1)[0]
+    return [form for line in block.splitlines() for form in re.split(r"\s{2,}", line.strip())]
+
+
+def test_readme_action_grammar_block_matches_the_table():
+    forms = readme_wire_forms()
+    assert sorted(form.split()[0] for form in forms) == sorted(kind.value for kind in ActionKind)
+    # `scroll [up|down]` stands for both of its forms.
+    for form in forms:
+        for wire in ("scroll [up]", "scroll [down]") if form == "scroll [up|down]" else (form,):
+            assert render_action(parse_action(wire)) == wire

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from decimal import Decimal
 
 import pytest
@@ -53,6 +54,16 @@ def with_inline_observations(run, names) -> None:
         (run / name).write_text("".join(canonical_json(r) + "\n" for r in records))
     if len(names) == 3:
         (run / "observations.jsonl").unlink()
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A shop run taken through export, to copy into a test's runs dir."""
+    root = tmp_path_factory.mktemp("finished")
+    config = write_config(root)
+    for command in ("explore", "collect", "refine", "export"):
+        assert cli.main([command, "--config", str(config), "--run", "r"]) == cli.EXIT_OK
+    return root / "runs" / "r"
 
 
 class TestFullRun:
@@ -160,6 +171,31 @@ class TestResume:
         assert ledger["budget_usd"] == "5"
         # The stopped attempt's spend is kept, not forgotten.
         assert Decimal(ledger["total_cost_usd"]) > Decimal(spent) > 0
+
+
+    def test_manifest_records_the_seed_explore_used(self, capsys, tmp_path):
+        config = write_config(tmp_path)
+        for command, seed in (("explore", "7"), ("collect", "7"), ("refine", "7"),
+                              ("export", "99")):
+            code, _, err = run_cli(
+                capsys, command, "--config", str(config), "--run", "r", "--seed", seed
+            )
+            assert code == cli.EXIT_OK, err
+        manifest = json.loads((tmp_path / "runs" / "r" / "manifest.json").read_text())
+        assert manifest["seed"] == 7
+
+    def test_explore_cannot_resume_under_another_seed(self, capsys, tmp_path):
+        config = write_config(tmp_path)
+        code, _, _ = run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_OK
+        run = tmp_path / "runs" / "r"
+        before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+        code, _, err = run_cli(
+            capsys, "explore", "--config", str(config), "--run", "r", "--seed", "8"
+        )
+        assert code == cli.EXIT_USAGE
+        assert "explored with seed 7" in err
+        assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == before
 
 
 class TestWorkers:
@@ -337,6 +373,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("name,field,value,command", [
         ("state.json", "explored_sites", 5, "explore"),
         ("state.json", "stages", "explore", "collect"),
+        ("state.json", "seed", "7", "export"),
         ("ledger.json", "calls", "x", "collect"),
         ("ledger.json", "total_cost_usd", "lots", "collect"),
     ])
@@ -366,6 +403,70 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
         assert code == cli.EXIT_USAGE
         assert f"{document}: invalid JSON" in err
+
+    @pytest.mark.parametrize("category,value", [
+        ("Account Management", "x"),         # a click has no value slot
+        ("Search & Filters", "usb ] cable"),  # no value may hold ']'
+    ])
+    def test_probe_that_breaks_the_grammar_skips_the_page(
+        self, capsys, tmp_path, category, value
+    ):
+        script = json.loads(SHOP_MOCK.read_text())
+        script["rules"][0]["reply"]["Categorization"][category][0]["value"] = value
+        mock = tmp_path / "bad.mock.json"
+        mock.write_text(json.dumps(script))
+        config = write_config(tmp_path, oracle={"backend": "mock", "mock_script": str(mock)})
+        code, _, err = run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_OK, err
+        events = tmp_path / "runs" / "r" / "events.jsonl"
+        failed = [record["url"] for record in map(json.loads, events.read_text().splitlines())
+                  if record["kind"] == "explore.categorize_failed"]
+        assert failed == ["https://shop.example.com/"]
+
+    @pytest.mark.parametrize("case", [
+        "config is a directory", "mock is a directory", "graph is empty",
+        "config is not UTF-8",
+    ])
+    def test_input_file_that_cannot_be_read_is_usage_error(self, capsys, tmp_path, case):
+        config, flags, bad = write_config(tmp_path), [], tmp_path
+        if case == "config is a directory":
+            config = tmp_path
+        elif case == "mock is a directory":
+            flags = ["--mock", str(tmp_path)]
+        elif case == "graph is empty":
+            # An empty path resolves to the config file's directory.
+            raw = json.loads(config.read_text())
+            raw["sites"][0]["graph"] = ""
+            config.write_text(json.dumps(raw))
+        else:
+            config.write_bytes(b'{"seed": "\xff"}')
+            bad = config
+        code, _, err = run_cli(capsys, "explore", "--config", str(config), "--run", "r", *flags)
+        assert code == cli.EXIT_USAGE
+        assert f"error: {bad}: " in err
+
+    @pytest.mark.parametrize("name,command", [
+        ("trajectories_raw.jsonl", "refine"), ("trajectories_refined.jsonl", "export"),
+    ])
+    @pytest.mark.parametrize("defect", ["5", "{}", "fly [x]"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_misshapen_record_is_usage_error(
+        self, capsys, tmp_path, finished_run, name, command, defect, where
+    ):
+        run = tmp_path / "runs" / "r"
+        shutil.copytree(finished_run, run)
+        path = run / name
+        lines = path.read_text().splitlines(keepends=True)
+        if defect == "fly [x]":
+            record = json.loads(lines[0])
+            record["steps"][0]["action"] = defect
+            defect = canonical_json(record)
+        path.write_text("".join([defect + "\n", *lines] if where == "first"
+                                else [*lines, defect + "\n"]))
+        config = write_config(tmp_path)
+        code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert f"error: {path}: " in err
 
     def test_unmatched_mock_reply_is_runtime_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.mock.json"

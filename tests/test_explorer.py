@@ -19,8 +19,7 @@ from synthweaver.explorer import (
     sample_probes,
 )
 from synthweaver.model import Task, TaskType
-from synthweaver.oracle import ProposedInteraction
-from synthweaver.actions import ActionKind
+from synthweaver.actions import ActionKind, make_action
 from tests.conftest import SHOP_EXAMPLES, SHOP_INTRO, make_client, obs, shop_client
 
 
@@ -31,8 +30,7 @@ def shop_site() -> SiteSpec:
 
 class TestSampleProbes:
     def proposals(self, n: int):
-        return [ProposedInteraction(kind=ActionKind.CLICK, element_id=i, value="",
-                                    low_level_instruction=f"Click element {i}")
+        return [make_action(ActionKind.CLICK, i, low_level_instruction=f"Click element {i}")
                 for i in range(n)]
 
     def test_preserves_page_order(self):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from synthweaver import __version__
-from synthweaver.actions import ActionKind
+from synthweaver.actions import ActionKind, make_action
 from synthweaver.config import OracleSettings
 from synthweaver.errors import (
     BudgetExhausted,
@@ -225,6 +225,9 @@ class TestRefineTrajectoryReply:
             dict(decision="drop", order=[0], final_none_value="", drop_reason="r"),
             dict(decision="drop", order=[], final_none_value="", drop_reason="  "),
             dict(decision="drop", order=[], final_none_value="leftover", drop_reason="r"),
+            # The edit makes it the answer of a `none` step, which may not hold ']'.
+            dict(decision="refine", order=[0, 1], modify_end=True, final_none_value="a]b"),
+            dict(decision="refine", order=[0, 1], append_end=True, final_none_value="a]b"),
         ],
     )
     def test_violations(self, overrides):
@@ -325,11 +328,24 @@ class TestCategorizeReply:
         with pytest.raises(SchemaViolation):
             parse_reply(TemplateName.CATEGORIZE, payload, {"element_ids": [1, 2, 3]})
 
-    def test_proposed_interaction_to_action(self):
+    def test_probes_are_actions(self):
         reply = parse_reply(TemplateName.CATEGORIZE, categorize_payload(),
                             {"element_ids": [1, 2, 3]})
-        action = reply.categories["Forms"][0].to_action()
-        assert action.kind is ActionKind.TYPE and action.value == "abc"
+        assert reply.categories == {
+            "Navigation": (make_action(ActionKind.CLICK, 1),),
+            "Forms": (make_action(ActionKind.TYPE, 2, "abc"),),
+        }
+        assert reply.categories["Forms"][0].low_level_instruction == "Type abc"
+
+    @pytest.mark.parametrize("category,value", [
+        ("Navigation", "x"),     # a click has no value slot
+        ("Forms", "a]b"),        # no value may hold ']'
+    ])
+    def test_probe_that_breaks_the_grammar_is_rejected(self, category, value):
+        payload = categorize_payload()
+        payload["Categorization"][category][0]["value"] = value
+        with pytest.raises(SchemaViolation, match="invalid probe on element"):
+            parse_reply(TemplateName.CATEGORIZE, payload, {"element_ids": [1, 2, 3]})
 
 
 class TestProposeAndQuality:

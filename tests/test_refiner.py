@@ -179,6 +179,24 @@ class TestRefinerOutcomes:
         assert out.drop_reason == "unparseable judge reply"
         assert out.score is None
 
+    @pytest.mark.parametrize("edit", ["modify_end", "append_end"])
+    def test_final_answer_that_breaks_the_grammar_degrades_to_drop(self, shop_config, edit):
+        t = make_trajectory([click_action(1), stop_action("quit")],
+                            terminal=Terminal.STOPPED_BY_AGENT)
+        client = make_client({
+            "schema_version": 1,
+            "rules": [{"template": "refine_trajectory", "reply": {
+                "task": "the task", "score": 50, "decision": "refine",
+                "order": [0, 1] if edit == "modify_end" else [0],
+                "modify_end": edit == "modify_end", "append_end": edit == "append_end",
+                "final_none_value": "the [answer] is 42", "drop_reason": "",
+                "modification_reason": "repair the end"}}],
+        })
+        out = Refiner(client, shop_config).refine_trajectory(t)
+        assert out.decision == "drop"
+        assert out.drop_reason == "unparseable judge reply"
+        assert client.ledger.calls == 3  # the reply was asked again, twice
+
     def test_edit_contract_violation_degrades_to_drop(self, shop_config):
         # Judge keeps a trajectory that ends in a stop: structurally valid
         # reply, impossible edit.
