@@ -1,6 +1,6 @@
 """Live-browser environment over the W3C WebDriver REST protocol.
 
-Implements the same observe/execute/reset surface as the simulator, so the
+Implements the same observe/execute/close surface as the simulator, so the
 pipeline can drive a real site by pointing a config at a WebDriver endpoint
 (chromedriver, geckodriver, or a Selenium server).
 """
@@ -16,7 +16,7 @@ from typing import Any
 from .actions import Action, ActionKind, ELEMENT_KINDS
 from .config import BrowserSettings
 from .environment import TransitionOutcome
-from .errors import ConnectFailed, ElementNotFound, ProtocolError, SessionTerminal
+from .errors import ConnectFailed, ElementNotFound, ProtocolError
 from .http_json import NoReply, request_json
 from .model import Element, Observation, observation_fingerprint
 
@@ -97,7 +97,7 @@ def key_sequence(combination: str) -> list[str]:
 
 
 class BrowserSession:
-    """One WebDriver session implementing observe/execute/reset.
+    """One WebDriver session implementing observe/execute/close.
 
     Each page state is fetched once: observe() returns the same observation
     until an action or a navigation can have changed the page.
@@ -105,10 +105,8 @@ class BrowserSession:
 
     def __init__(self, settings: BrowserSettings, start_url: str) -> None:
         self.settings = settings
-        self.start_url = start_url
         self._base = settings.endpoint_url.rstrip("/")
         self._timeout = max(settings.nav_timeout_ms, 1000) / 1000.0
-        self._terminal = False
         self._observation: Observation | None = None
         payload = {
             "capabilities": {
@@ -199,14 +197,6 @@ class BrowserSession:
     # environment surface
     # ------------------------------------------------------------------
 
-    def reset(self) -> None:
-        self._terminal = False
-        self._navigate(self.start_url)
-
-    @property
-    def terminal(self) -> bool:
-        return self._terminal
-
     def observe(self) -> Observation:
         if self._observation is None:
             self._observation = self._fetch_observation()
@@ -253,8 +243,6 @@ class BrowserSession:
         return str(path)
 
     def execute(self, action: Action) -> TransitionOutcome:
-        if self._terminal:
-            raise SessionTerminal("session already terminated by none/stop")
         before = observation_fingerprint(self.observe())
         error = self._apply(action)
         after = observation_fingerprint(self.observe())
@@ -263,9 +251,6 @@ class BrowserSession:
     def _apply(self, action: Action) -> str | None:
         self._observation = None
         kind = action.kind
-        if kind in (ActionKind.NONE, ActionKind.STOP):
-            self._terminal = True
-            return None
         try:
             if kind in ELEMENT_KINDS:
                 handle = self._find_handle(action.element_id)

@@ -158,7 +158,7 @@ def _parse_site(index: int, raw: Any, base_dir: Path | None) -> SiteSpec:
     site = _section(raw, f"sites[{index}]", SiteSpec, base_dir)
     if not site.name:
         raise ConfigError(f"sites[{index}].name must be a non-empty string")
-    if site.graph is None and site.start_url is None:
+    if not (site.graph or site.start_url):
         raise ConfigError(f"site {site.name!r} needs either a graph path or a start_url")
     return site
 
@@ -195,12 +195,15 @@ def parse_config(raw: Any, *, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("site names must be unique")
     # An absent or null section takes its defaults.
     oracle, browser = ({} if raw.get(key) is None else raw[key] for key in ("oracle", "browser"))
-    return _section(
-        raw, "", RunConfig, base_dir,
-        sites=sites,
-        oracle=_parse_oracle(oracle, base_dir),
-        browser=_section(browser, "browser", BrowserSettings, base_dir),
-    )
+    oracle = _parse_oracle(oracle, base_dir)
+    browser = _section(browser, "browser", BrowserSettings, base_dir)
+    for site in sites:
+        # A site with a graph runs on the simulator, whatever its start_url.
+        if not site.graph and not browser.endpoint_url:
+            raise ConfigError(
+                f"site {site.name!r} uses start_url but browser.endpoint_url is unset"
+            )
+    return _section(raw, "", RunConfig, base_dir, sites=sites, oracle=oracle, browser=browser)
 
 
 def _overlaid(raw: Any, overrides: dict[str, Any]) -> Any:

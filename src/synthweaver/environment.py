@@ -1,12 +1,12 @@
 """Deterministic site-graph simulator behind the browser-environment interface.
 
 A site graph is a JSON file describing pages, their elements, and the
-transitions actions cause. Sessions expose reset/observe/execute; the same
-trio the live-browser adapter implements, so the pipeline never knows which
-backend it is driving.
+transitions actions cause. Sessions expose observe/execute/close, the same
+surface the live-browser adapter implements, so the pipeline never knows
+which backend it is driving.
 
 Both backends read a page state once: `observe()` returns one object until
-the next action or reset. An action changed the page when its views differ.
+the next action. An action changed the page when its views differ.
 The simulator goes further: its sessions share one memo per `SiteGraph`, so
 every session of a graph, on any thread, returns the same `Observation` for
 the same page state, and a `goto` looks its target up in a table built once
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from .actions import Action, ActionKind, ELEMENT_KINDS
-from .errors import ElementNotFound, SchemaError, SessionTerminal
+from .errors import ElementNotFound, SchemaError
 from .model import Element, Observation, observation_fingerprint, read_json_file
 
 SCHEMA_VERSION = 1
@@ -159,34 +159,22 @@ class SimulatorSession:
 
     The graph is trusted: load_site_graph checked it when it was built. An
     action on an element may name only an element of the current observation.
-    `observe()` keeps the session's observation until the next action or
-    `reset()`, and then asks the graph, which returns the object every
-    session of that graph gets for the same page state.
+    `observe()` keeps the session's observation until the next action, and
+    then asks the graph, which returns the object every session of that
+    graph gets for the same page state.
     """
 
     def __init__(self, graph: SiteGraph):
         self._graph = graph
-        self.reset()
-
-    def reset(self) -> None:
         self._observation: Observation | None = None
-        self._history: list[str] = [self._graph.start_page]
+        self._history: list[str] = [graph.start_page]
         self._position = 0
         self.state: dict[str, str] = {}
         self.scrolled = False
-        self._terminal = False
 
     @property
     def current_page(self) -> str:
         return self._history[self._position]
-
-    @property
-    def history_stack(self) -> tuple[str, ...]:
-        return tuple(self._history)
-
-    @property
-    def terminal(self) -> bool:
-        return self._terminal
 
     def observe(self) -> Observation:
         if self._observation is None:
@@ -194,8 +182,6 @@ class SimulatorSession:
         return self._observation
 
     def execute(self, action: Action) -> TransitionOutcome:
-        if self._terminal:
-            raise SessionTerminal("session already terminated by none/stop")
         before = self.observe()
         if action.kind in ELEMENT_KINDS and not before.has_element(action.element_id):
             raise ElementNotFound(
@@ -213,9 +199,6 @@ class SimulatorSession:
     def _apply(self, action: Action) -> str | None:
         self._observation = None
         kind = action.kind
-        if kind in (ActionKind.NONE, ActionKind.STOP):
-            self._terminal = True
-            return None
         if kind is ActionKind.GO_BACK:
             if self._position > 0:
                 self._position -= 1
@@ -232,8 +215,8 @@ class SimulatorSession:
                 return f"no route to {action.value}"
             self._navigate(page_id)
             return None
-        # Element actions, press and scroll: an explicit transition first,
-        # then scroll's built-in effect.
+        # Any other kind: an explicit transition first, then scroll's
+        # built-in effect.
         spec = self._find_transition(action)
         if spec is not None:
             return self._apply_effect(spec.effect, action)

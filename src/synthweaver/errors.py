@@ -33,10 +33,6 @@ class ElementNotFound(SynthweaverError):
     """An action referenced an element id absent from the current view."""
 
 
-class SessionTerminal(SynthweaverError):
-    """An action was executed after the session already terminated."""
-
-
 # browser adapter
 
 class ConnectFailed(SynthweaverError):

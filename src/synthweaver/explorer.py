@@ -18,7 +18,7 @@ import random
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from .actions import Action, ActionKind, make_action, render_action
 from .config import RunConfig, SiteSpec
@@ -175,7 +175,7 @@ def propose_task(
     return text, infer_task_type(text, proposal.analysis)
 
 
-def sample_probes(rng: random.Random, probes: list[Action], k: int) -> list[Action]:
+def sample_probes(rng: random.Random, probes: Sequence[Action], k: int) -> list[Action]:
     """Pick up to k probes uniformly at random, keeping page order."""
     take = min(k, len(probes))
     return [probes[i] for i in sorted(rng.sample(range(len(probes)), take))]
@@ -330,7 +330,6 @@ class Explorer:
         # str seeds derive from sha512, so this is stable across interpreters.
         master = random.Random(f"{cfg.seed}:{site.name}")
         pool = UrlPool()
-        probed: set[tuple[str, Action]] = set()
         start = session.observe()
         pool.add(start.url, 0)
         pages_visited = 0
@@ -366,11 +365,9 @@ class Explorer:
                 },
             )
             for category, candidates in reply.categories.items():
-                fresh = [probe for probe in candidates if (url, probe) not in probed]
-                for probe in sample_probes(page_rng, fresh, cfg.probes_per_category):
+                for probe in sample_probes(page_rng, candidates, cfg.probes_per_category):
                     if not proposals.room(cfg.max_tasks_per_site):
                         break
-                    probed.add((url, probe))
                     self._run_probe(site, session, url, depth, category, probe, pool, proposals)
         return pages_visited
 

@@ -75,15 +75,9 @@ def make_session_factory(site: SiteSpec, config: RunConfig) -> Callable[[], Any]
     if site.graph:
         graph = load_site_graph(site.graph)
         return lambda: SimulatorSession(graph)
-    if site.start_url:
-        from .browser import BrowserSession
+    from .browser import BrowserSession
 
-        if not config.browser.endpoint_url:
-            raise ConfigError(
-                f"site {site.name!r} uses start_url but browser.endpoint_url is unset"
-            )
-        return lambda: BrowserSession(config.browser, site.start_url)
-    raise ConfigError(f"site {site.name!r} has neither graph nor start_url")
+    return lambda: BrowserSession(config.browser, site.start_url)
 
 
 @contextmanager
@@ -137,13 +131,19 @@ def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClie
 @contextmanager
 def _reading(store: RunStore, name: str) -> Iterator[Iterator[dict[str, Any]]]:
     """Yield the records of `name`; one the block cannot read, say one that
-    lacks a key or holds a malformed action, is a SchemaError naming the file."""
+    lacks a key, holds a malformed action or fails a decoder's check, is a
+    SchemaError naming the file."""
+    path = str(store.path(name))
     try:
         yield store.read_records(name)
+    except SchemaError as exc:
+        if exc.path is not None:
+            raise
+        raise SchemaError(str(exc), path=path) from None
     except (LookupError, TypeError, ValueError, MalformedAction) as exc:
         raise SchemaError(
             f"a record does not have the expected shape ({type(exc).__name__}: {exc})",
-            path=str(store.path(name)),
+            path=path,
         ) from None
 
 

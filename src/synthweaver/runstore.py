@@ -112,14 +112,11 @@ class RunStore:
             yield record
 
     def rewrite_records(self, name: str, records: list[dict[str, Any]]) -> None:
-        """Atomically replace a record file (used when resume wipes partials)."""
+        """Atomically replace a record file (used when resume wipes partials).
+        A file kept open (`kept_open`) must not be rewritten."""
         payload = "".join(canonical_json(r) + "\n" for r in records)
         with self._lock_for(name):
             self._atomic_write(self.path(name), payload)
-            if name in self._open:
-                # The kept handle still points at the replaced file.
-                self._open.pop(name).close()
-                self._open[name] = open(self.path(name), "a", encoding="utf-8")
 
     def observations(self) -> "ObservationStore":
         """The stored observations as of now; build it once per stage."""

@@ -27,7 +27,6 @@ from synthweaver.errors import (
     ElementNotFound,
     InvalidAction,
     ProtocolError,
-    SessionTerminal,
 )
 from synthweaver.model import Task, TaskType
 from synthweaver.runstore import RunStore
@@ -356,23 +355,6 @@ class TestExecute:
         assert session.execute(parse_action("go_forward")).changed is True
         assert session.observe().url == "https://fake.test/cart"
 
-    def test_none_terminates_session(self, fake_endpoint):
-        fake, endpoint = fake_endpoint
-        session = make_session(endpoint)
-        outcome = session.execute(parse_action("none [done]"))
-        assert outcome.changed is False
-        assert session.terminal is True
-        with pytest.raises(SessionTerminal):
-            session.execute(parse_action("click [1]"))
-
-    def test_reset_clears_terminal(self, fake_endpoint):
-        fake, endpoint = fake_endpoint
-        session = make_session(endpoint)
-        session.execute(parse_action("stop [halt]"))
-        session.reset()
-        assert session.terminal is False
-        assert session.execute(parse_action("click [1]")).changed is True
-
     def test_missing_element_raises(self, fake_endpoint):
         fake, endpoint = fake_endpoint
         session = make_session(endpoint)
@@ -474,16 +456,6 @@ class TestObservationMemo:
         start = len(fake.log)
         assert session.observe().accessibility_tree.startswith('RootWebArea "Changed"')
         assert observe_scripts(fake.log[start:]) == 1
-
-    def test_reset_clears_the_memo(self, fake_endpoint):
-        fake, endpoint = fake_endpoint
-        session = make_session(endpoint)
-        session.observe()
-        fake.title = "Changed"
-        # A page that changes by itself is not re-read before the next action.
-        assert session.observe().accessibility_tree.startswith('RootWebArea "Fake"')
-        session.reset()
-        assert session.observe().accessibility_tree.startswith('RootWebArea "Changed"')
 
     def test_episode_reads_each_state_once(self, fake_endpoint, shop_config):
         fake, endpoint = fake_endpoint

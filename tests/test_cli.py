@@ -468,6 +468,26 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert f"error: {path}: " in err
 
+    def test_decoder_error_names_the_record_file(self, capsys, tmp_path, finished_run):
+        run = tmp_path / "runs" / "r"
+        shutil.copytree(finished_run, run)
+        config = write_config(tmp_path)
+        observations = run / "observations.jsonl"
+        observations.write_text("".join(observations.read_text().splitlines(True)[1:]))
+        code, _, err = run_cli(capsys, "stats", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith(f"error: {run / 'trajectories_refined.jsonl'}: observation_ref: ")
+
+        shutil.copytree(finished_run, run, dirs_exist_ok=True)
+        tasks = run / "tasks.jsonl"
+        first, *rest = tasks.read_text().splitlines(True)
+        record = json.loads(first)
+        del record["site"]
+        tasks.write_text("".join([canonical_json(record) + "\n", *rest]))
+        code, _, err = run_cli(capsys, "collect", "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith(f"error: {tasks}: task.site: ")
+
     def test_unmatched_mock_reply_is_runtime_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.mock.json"
         empty.write_text(json.dumps({"schema_version": 1, "rules": []}))

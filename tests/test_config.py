@@ -206,9 +206,24 @@ class TestParse:
 
     def test_site_needs_graph_or_start_url(self, tmp_path):
         raw = shop_config_dict()
-        raw["sites"][0] = {"name": "bare"}
-        with pytest.raises(ConfigError):
+        for site in ({"name": "bare"}, {"name": "bare", "start_url": ""}):
+            raw["sites"][0] = site
+            with pytest.raises(ConfigError, match="'bare' needs either a graph path or a start_url"):
+                parse_config(raw, base_dir=tmp_path)
+
+    def test_browser_site_needs_an_endpoint(self, tmp_path):
+        raw = shop_config_dict()
+        raw["sites"].append({"name": "wiki", "start_url": "https://wiki.example/"})
+        with pytest.raises(
+            ConfigError, match="site 'wiki' uses start_url but browser.endpoint_url is unset"
+        ):
             parse_config(raw, base_dir=tmp_path)
+        # A site with a graph runs on the simulator and needs no endpoint.
+        raw["sites"][-1]["graph"] = str(SHOP_GRAPH)
+        parse_config(raw, base_dir=tmp_path)
+        del raw["sites"][-1]["graph"]
+        raw["browser"] = {"endpoint_url": "http://localhost:9515"}
+        assert parse_config(raw, base_dir=tmp_path).sites[-1].start_url == "https://wiki.example/"
 
     def test_budget_parsed_as_decimal(self, tmp_path):
         raw = shop_config_dict()

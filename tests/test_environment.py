@@ -13,7 +13,7 @@ import pytest
 from synthweaver import cli
 from synthweaver.actions import ActionKind, make_action, parse_action
 from synthweaver.environment import SimulatorSession, load_site_graph
-from synthweaver.errors import ElementNotFound, SchemaError, SessionTerminal
+from synthweaver.errors import ElementNotFound, SchemaError
 from synthweaver.model import observation_fingerprint
 from tests.conftest import SHOP_GRAPH, write_config
 
@@ -292,9 +292,10 @@ class TestShopSession:
         s.execute(make_action(ActionKind.CLICK, 3))
         s.execute(make_action(ActionKind.GO_BACK, None))
         s.execute(make_action(ActionKind.CLICK, 4))  # new branch replaces forward entry
-        s.execute(make_action(ActionKind.GO_FORWARD, None))
+        assert not s.execute(make_action(ActionKind.GO_FORWARD, None)).changed
         assert s.observe().url.endswith("/health")
-        assert s.history_stack == ("home", "health")
+        s.execute(make_action(ActionKind.GO_BACK, None))
+        assert s.observe().url == "https://shop.example.com/"
 
     def test_back_at_root_is_noop(self, shop_session):
         out = shop_session.execute(make_action(ActionKind.GO_BACK, None))
@@ -306,24 +307,6 @@ class TestShopSession:
         out = shop_session.execute(make_action(ActionKind.CLICK, 21))
         assert not out.changed and out.error is None
 
-    def test_terminal_after_none(self, shop_session):
-        shop_session.execute(make_action(ActionKind.NONE, None, "answer"))
-        assert shop_session.terminal
-        with pytest.raises(SessionTerminal):
-            shop_session.execute(make_action(ActionKind.CLICK, 1))
-
-    def test_terminal_after_stop(self, shop_session):
-        shop_session.execute(make_action(ActionKind.STOP, None, "stuck"))
-        with pytest.raises(SessionTerminal):
-            shop_session.execute(make_action(ActionKind.SCROLL, None, "down"))
-
-    def test_reset_restores_start_state(self, shop_session):
-        shop_session.execute(make_action(ActionKind.TYPE, 1, "usb cable"))
-        shop_session.execute(make_action(ActionKind.CLICK, 2))
-        shop_session.reset()
-        o = shop_session.observe()
-        assert o.url == "https://shop.example.com/"
-        assert shop_session.state == {}
 
 
 # A typed value that neither the page's url nor its tree shows.
@@ -355,8 +338,7 @@ class TestObservationMemo:
         first = a.observe()
         assert b.observe() is first
         a.execute(parse_action("click [3]"))
-        a.reset()
-        assert a.observe() is first
+        assert SimulatorSession(shop_graph).observe() is first
         b.execute(parse_action("click [3]"))
         b.execute(parse_action("go_back"))
         assert b.observe() is first
@@ -484,10 +466,11 @@ class TestSharedMemo:
     def test_goto_takes_the_first_page_in_file_order(self, tmp_path, order, page):
         data = json.loads(json.dumps(DUPLICATE_URLS))
         data["pages"] = {name: data["pages"][name] for name in order}
-        s = SimulatorSession(load_site_graph(graph_file(tmp_path, data)))
+        graph = load_site_graph(graph_file(tmp_path, data))
+        s = SimulatorSession(graph)
         assert s.execute(parse_action("goto [https://dup.test/x]")).error is None
         assert s.current_page == "x"  # under the empty state only "x" matches
-        s.reset()
+        s = SimulatorSession(graph)
         s.execute(parse_action("type [1] [x]"))
         assert s.execute(parse_action("goto [https://dup.test/x]")).error is None
         assert s.current_page == page

@@ -90,6 +90,44 @@ def test_collect_threads_share_one_graph(tmp_path, monkeypatch):
     assert content_hash(store.root) == SHOP_CONTENT_HASH
 
 
+class StrictSession:
+    """A session that lets a stage reach only observe, execute and close."""
+
+    SURFACE = ("observe", "execute", "close")
+
+    def __init__(self, inner, used: set):
+        object.__setattr__(self, "_parts", (inner, used))
+
+    def __getattribute__(self, name):
+        if name not in StrictSession.SURFACE:
+            raise AssertionError(f"a stage reached session.{name}")
+        inner, used = object.__getattribute__(self, "_parts")
+        used.add(name)
+        return getattr(inner, name)
+
+    def __setattr__(self, name, value):
+        raise AssertionError(f"a stage set session.{name}")
+
+
+def test_stages_use_only_observe_execute_and_close(tmp_path, monkeypatch):
+    config = parse_config(shop_config_dict(runs_dir=str(tmp_path / "runs")), base_dir=tmp_path)
+    store = RunStore(tmp_path / "runs" / "r")
+    used: set = set()
+    make_session_factory = pipeline.make_session_factory
+
+    def strict_factory(site, config):
+        factory = make_session_factory(site, config)
+        return lambda: StrictSession(factory(), used)
+
+    monkeypatch.setattr(pipeline, "make_session_factory", strict_factory)
+    pipeline.run_explore(config, store)
+    pipeline.run_collect(config, store)
+    assert used == set(StrictSession.SURFACE)
+    for stage in (pipeline.run_refine, pipeline.run_export):
+        stage(config, store)
+    assert content_hash(store.root) == SHOP_CONTENT_HASH
+
+
 def test_failed_stage_keeps_ledger_and_resumes(tmp_path, monkeypatch):
     raw = shop_config_dict(runs_dir=str(tmp_path / "runs"))
     raw["oracle"]["backoff_base_s"] = 0

@@ -223,14 +223,6 @@ class TestStateAndEvents:
         assert len(opened) == 2 and opened[1].closed
         assert [r["i"] for r in store.read_records(runstore.EVENTS)] == [0, 1, 2, 3]
 
-    def test_rewrite_reopens_a_kept_file(self, tmp_path):
-        store = RunStore(tmp_path / "run")
-        with store.kept_open("things.jsonl"):
-            store.append_record("things.jsonl", {"i": 0})
-            store.rewrite_records("things.jsonl", [{"i": 1}])
-            store.append_record("things.jsonl", {"i": 2})
-        assert [r["i"] for r in store.read_records("things.jsonl")] == [1, 2]
-
     def test_only_events_have_timestamps(self, tmp_path):
         """Every other artifact must be byte-stable across reruns."""
         store = RunStore(tmp_path / "run")
