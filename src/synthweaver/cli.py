@@ -33,7 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to the run config JSON")
-        p.add_argument("--run", default=None, help="run id under runs_dir (default: timestamped)")
+        p.add_argument(
+            "--run", default=None, help="run id under runs_dir (explore's default: timestamped)"
+        )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", type=int, default=None, help="override worker count")
         p.add_argument(
@@ -76,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup(args: argparse.Namespace) -> tuple[RunConfig, RunStore]:
+def _setup(args: argparse.Namespace, *, existing: bool = True) -> tuple[RunConfig, RunStore]:
+    """The config and the run's store; unless `existing` is False, the run
+    directory must exist already, so a mistyped `--run` creates nothing."""
     overrides: dict[str, Any] = {"seed": args.seed, "workers": args.workers}
     if args.mock is not None:
         overrides["oracle"] = {"backend": "mock", "mock_script": str(Path(args.mock).resolve())}
@@ -84,12 +88,14 @@ def _setup(args: argparse.Namespace) -> tuple[RunConfig, RunStore]:
         args.config, {key: value for key, value in overrides.items() if value is not None}
     )
     run_id = args.run or time.strftime("run-%Y%m%d-%H%M%S")
-    store = RunStore(Path(config.runs_dir) / run_id)
-    return config, store
+    root = Path(config.runs_dir) / run_id
+    if existing and not root.is_dir():
+        raise ConfigError(f"run directory {root} does not exist; explore creates it")
+    return config, RunStore(root)
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    config, store = _setup(args)
+    config, store = _setup(args, existing=False)
     counts = run_explore(config, store)
     print(
         f"explored {counts['sites']} site(s): {counts['tasks']} tasks, "

@@ -355,6 +355,9 @@ def _parse_element(loc: str, raw: Any, ids: set[int]) -> Element:
     return element
 
 
+_SESSION_KINDS = frozenset((ActionKind.GOTO, ActionKind.GO_BACK, ActionKind.GO_FORWARD))
+
+
 def _parse_transition(
     loc: str, raw: Any, ids: set[int], page_ids: dict[str, Any]
 ) -> TransitionSpec:
@@ -365,6 +368,11 @@ def _parse_transition(
         kind = ActionKind(kind_raw)
     except ValueError:
         raise SchemaError(f"unknown action kind {kind_raw!r}", field=loc) from None
+    if kind in _SESSION_KINDS:
+        # `_apply` handles these before it looks at transitions.
+        raise SchemaError(
+            f"kind {kind_raw!r} never fires: the session navigates itself", field=loc
+        )
     element_id = raw.get("element_id")
     if element_id is not None and (type(element_id) is not int or element_id not in ids):
         raise SchemaError(f"element_id {element_id!r} is not an element of the page", field=loc)

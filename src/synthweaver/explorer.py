@@ -26,7 +26,6 @@ from .errors import ElementNotFound, EmptyPlan, SchemaViolation
 from .model import InteractionTriplet, Observation, Task, TaskType
 from .oracle import (
     CategorizationReply,
-    DiversityReply,
     OracleClient,
     TemplateName,
     UNINTERACTIVE_CATEGORY,
@@ -37,7 +36,6 @@ from .promptvars import (
     element_lines,
     page_context,
     task_examples_block,
-    task_list_block,
 )
 from .runstore import EventHook, noop_event
 
@@ -179,17 +177,6 @@ def sample_probes(rng: random.Random, probes: Sequence[Action], k: int) -> list[
     """Pick up to k probes uniformly at random, keeping page order."""
     take = min(k, len(probes))
     return [probes[i] for i in sorted(rng.sample(range(len(probes)), take))]
-
-
-def judge_task_diversity(
-    oracle: OracleClient, tasks: list[Task], *, site: str, sample_size: int
-) -> DiversityReply:
-    """Score task-set diversity over the first `sample_size` tasks."""
-    sample = [t.text for t in tasks[:sample_size]]
-    prompt = render(
-        TemplateName.JUDGE_DIVERSITY, {"task_list_block": task_list_block(sample)}
-    )
-    return oracle.call(prompt, site=site)
 
 
 class _Proposals:

@@ -222,27 +222,23 @@ class HttpTransport:
             payload = json.loads(raw)
             text = payload["choices"][0]["message"]["content"]
             usage_raw = payload.get("usage")
-            if usage_raw is None:
-                usage_raw = {}
-            usage = Usage(
-                prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
-                completion_tokens=int(usage_raw.get("completion_tokens", 0)),
-            )
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            usage = _usage({} if usage_raw is None else usage_raw, "usage", strict=False)
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError, SchemaError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
         return RawCompletion(text=text if isinstance(text, str) else "", usage=usage)
 
 
-def _usage(raw: Any, field: str) -> Usage:
-    """A mock script's token counts: an object of non-negative integers."""
-    if not isinstance(raw, dict) or not set(raw) <= {"prompt_tokens", "completion_tokens"}:
-        raise SchemaError(
-            "must be an object with only prompt_tokens and completion_tokens", field=field
-        )
-    for key, value in raw.items():
+def _usage(raw: Any, field: str, *, strict: bool = True) -> Usage:
+    """Token counts, of a mock script or an HTTP reply: each a non-negative
+    integer, 0 when absent. Other keys are an error only when `strict`."""
+    keys = ("prompt_tokens", "completion_tokens")
+    if not isinstance(raw, dict) or strict and not set(raw) <= set(keys):
+        raise SchemaError("must be an object of prompt_tokens and completion_tokens", field=field)
+    counts = {key: raw.get(key, 0) for key in keys}
+    for key, value in counts.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise SchemaError(f"{key} must be a non-negative integer", field=field)
-    return Usage(**raw)
+    return Usage(**counts)
 
 
 _REPLY_KEYS = ("reply", "raw", "replies", "raws")

@@ -24,10 +24,10 @@ from . import runstore as rs
 from .actions import render_action
 from .collector import Collector
 from .config import RunConfig, SiteSpec
-from .dataset import corpus_stats, export_dataset, ExportResult
+from .dataset import _mean, corpus_stats, export_dataset, ExportResult
 from .environment import SimulatorSession, load_site_graph
 from .errors import ConfigError, MalformedAction, SchemaError, SchemaViolation
-from .explorer import Explorer, judge_task_diversity
+from .explorer import Explorer
 from .model import (
     Task,
     Trajectory,
@@ -45,7 +45,8 @@ from .oracle import (
     TemplateName,
     render,
 )
-from .refiner import Refiner, summarize_trajectory
+from .promptvars import task_list_block
+from .refiner import Refiner, judge_trajectory
 from .runstore import ObservationStore, RunStore
 
 
@@ -385,56 +386,38 @@ def run_export(config: RunConfig, store: RunStore, *, window: int | None = None)
 
 
 def _judge_diversity(client: OracleClient, config: RunConfig, store: RunStore) -> dict[str, Any]:
+    """Each site's diversity over its first tasks; None if no reply validates."""
     tasks_by_site = _tasks_by_site(store)
     names = sorted(tasks_by_site)
 
-    def judge(name: str) -> dict[str, Any]:
-        tasks = tasks_by_site[name]
-        reply = judge_task_diversity(
-            client, tasks, site=name, sample_size=config.diversity_sample_size
+    def judge(name: str) -> dict[str, Any] | None:
+        sample = [t.text for t in tasks_by_site[name][: config.diversity_sample_size]]
+        prompt = render(
+            TemplateName.JUDGE_DIVERSITY, {"task_list_block": task_list_block(sample)}
         )
-        return {
-            "score": reply.score,
-            "subscores": dict(reply.subscores),
-            "n_sampled": min(len(tasks), config.diversity_sample_size),
-        }
+        try:
+            reply = client.call(prompt, site=name)
+        except SchemaViolation:
+            return None
+        return {"score": reply.score, "subscores": dict(reply.subscores), "n_sampled": len(sample)}
 
     return dict(zip(names, client.map(judge, names)))
 
 
-def _judge_quality(
-    client: OracleClient, config: RunConfig, refined: list[Trajectory]
-) -> dict[str, Any]:
-    def judge(trajectory: Trajectory) -> int | None:
-        prompt = render(
-            TemplateName.JUDGE_QUALITY,
-            {
-                "trajectory": summarize_trajectory(trajectory),
-                "high_level_task": trajectory.task.text,
-            },
-        )
-        try:
-            return client.call(prompt, site=trajectory.site).score
-        except SchemaViolation:
-            return None
-
-    scores_by_site: dict[str, list[int]] = {}
-    for trajectory, score in zip(refined, client.map(judge, refined)):
-        if score is not None:
-            scores_by_site.setdefault(trajectory.site, []).append(score)
+def _judge_quality(client: OracleClient, refined: list[Trajectory]) -> dict[str, Any]:
+    """Mean quality, overall and by site, of trajectories whose reply validates."""
+    replies = client.map(
+        lambda t: judge_trajectory(client, TemplateName.JUDGE_QUALITY, t), refined
+    )
+    scores_by_site: dict[str, list[float]] = {}
+    for trajectory, reply in zip(refined, replies):
+        if reply is not None:
+            scores_by_site.setdefault(trajectory.site, []).append(reply.score)
     all_scores = [s for scores in scores_by_site.values() for s in scores]
     return {
-        "overall": {
-            "mean_score": round(sum(all_scores) / len(all_scores), 2)
-            if all_scores
-            else 0.0,
-            "n_judged": len(all_scores),
-        },
+        "overall": {"mean_score": _mean(all_scores), "n_judged": len(all_scores)},
         "by_site": {
-            site: {
-                "mean_score": round(sum(scores) / len(scores), 2),
-                "n_judged": len(scores),
-            }
+            site: {"mean_score": _mean(scores), "n_judged": len(scores)}
             for site, scores in sorted(scores_by_site.items())
         },
     }
@@ -460,7 +443,7 @@ def run_stats(
         if with_diversity:
             stats["diversity"] = _judge_diversity(client, config, store)
         if judge_quality:
-            stats["quality"] = _judge_quality(client, config, refined)
+            stats["quality"] = _judge_quality(client, refined)
         stats["oracle"] = client.ledger.snapshot()
         store.write_json(rs.STATS, stats)
     return stats

@@ -3,11 +3,13 @@
 A judge oracle reads a step-indexed summary of each finished trajectory and
 returns an edit program. Applying the edits either yields a cleaned
 trajectory that ends in a final `none` answer, or a drop record.
+`judge_trajectory` also asks `stats`' quality judge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any
 
 from .actions import ActionKind, make_action, render_action
 from .config import RunConfig
@@ -35,6 +37,28 @@ def summarize_trajectory(trajectory: Trajectory) -> str:
         lines.append(f"State {step.index}: {summary}")
         lines.append(f"Action {step.index}: {wire}")
     return "\n".join(lines)
+
+
+def judge_trajectory(
+    oracle: OracleClient,
+    template: TemplateName,
+    trajectory: Trajectory,
+    context: dict[str, Any] | None = None,
+) -> Any:
+    """The judge's validated reply about one whole trajectory, or None when
+    no reply validates."""
+    prompt = render(
+        template,
+        {
+            "trajectory": summarize_trajectory(trajectory),
+            # Extra variable: lets scripted mocks address one trajectory.
+            "high_level_task": trajectory.task.text,
+        },
+    )
+    try:
+        return oracle.call(prompt, site=trajectory.site, context=context)
+    except SchemaViolation:
+        return None
 
 
 def apply_edits(
@@ -120,24 +144,13 @@ class Refiner:
 
     def refine_trajectory(self, trajectory: Trajectory) -> RefineOutcome:
         """Judge one trajectory; judge failures degrade to drops, never raise."""
-        prompt = render(
+        parsed: RefineTrajectoryReply | None = judge_trajectory(
+            self.oracle,
             TemplateName.REFINE_TRAJECTORY,
-            {
-                "trajectory": summarize_trajectory(trajectory),
-                # Extra variable: lets scripted mocks address one trajectory.
-                "high_level_task": trajectory.task.text,
-            },
+            trajectory,
+            {"k": len(trajectory.steps), "expected_task": trajectory.task.text},
         )
-        try:
-            parsed: RefineTrajectoryReply = self.oracle.call(
-                prompt,
-                site=trajectory.site,
-                context={
-                    "k": len(trajectory.steps),
-                    "expected_task": trajectory.task.text,
-                },
-            )
-        except SchemaViolation:
+        if parsed is None:
             return self._drop(trajectory, None, "unparseable judge reply")
         if parsed.decision is RefineDecision.DROP:
             return self._drop(trajectory, parsed.score, parsed.drop_reason)

@@ -561,6 +561,23 @@ class TestExitCodes:
             after = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
             assert after == before, command
 
+    @pytest.mark.parametrize("command", ["collect", "refine", "export", "stats"])
+    @pytest.mark.parametrize("run", [["--run", "typo"], []], ids=["mistyped", "absent"])
+    def test_run_that_does_not_exist_is_usage_error(self, capsys, tmp_path, command, run):
+        config = write_config(tmp_path)
+        code, out, err = run_cli(capsys, command, "--config", str(config), *run)
+        assert code == cli.EXIT_USAGE
+        assert f"error: run directory {tmp_path / 'runs'}/" in err
+        assert "does not exist" in err and out == ""
+        assert not (tmp_path / "runs").exists()
+
+    def test_config_is_checked_before_the_run(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "collect", "--config", str(tmp_path / "nope.json"), "--run", "typo"
+        )
+        assert code == cli.EXIT_USAGE
+        assert "nope.json" in err and "run directory" not in err
+
     def test_bad_workers_is_usage_error(self, capsys, tmp_path):
         config = write_config(tmp_path)
         code, _, err = run_cli(

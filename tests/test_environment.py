@@ -143,6 +143,11 @@ GRAPH_DEFECTS = {
     "transition_not_object": ("pages.a.transitions.0", "click", T0),
     "kind_unknown": ("pages.a.transitions.0.kind", "fly", T0),
     "kind_not_string": ("pages.a.transitions.0.kind", ["click"], T0),
+    "kind_goto": ("pages.a.transitions.0.kind", "goto", T0 + "kind 'goto' never fires"),
+    "kind_go_back": ("pages.a.transitions.0.kind", "go_back", T0 + "kind 'go_back' never fires"),
+    "kind_go_forward": (
+        "pages.a.transitions.0.kind", "go_forward", T0 + "kind 'go_forward' never fires"
+    ),
     "element_id_not_on_page": ("pages.a.transitions.0.element_id", 3, T0 + "element_id 3"),
     "element_id_not_int": ("pages.a.transitions.0.element_id", "1", T0 + "element_id '1'"),
     "requires_state_not_object": ("pages.a.transitions.0.requires_state", ["q"], T0),

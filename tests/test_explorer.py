@@ -14,11 +14,10 @@ from synthweaver.explorer import (
     UrlPool,
     categorize_page,
     infer_task_type,
-    judge_task_diversity,
     propose_task,
     sample_probes,
 )
-from synthweaver.model import Task, TaskType
+from synthweaver.model import TaskType
 from synthweaver.actions import ActionKind, make_action
 from tests.conftest import SHOP_EXAMPLES, SHOP_INTRO, make_client, obs, shop_client
 
@@ -145,15 +144,6 @@ class TestProposeTask:
         text, task_type = propose_task(client, shop_site(), "Click the deals link")
         assert text == "Find the best deal"
         assert task_type is TaskType.INFORMATION_SEEKING
-
-
-class TestJudgeDiversity:
-    def test_sample_size_limits_prompt(self):
-        tasks = [Task(id=f"t-{i}", text=f"task {i}", category="c",
-                      task_type=TaskType.INFORMATION_SEEKING) for i in range(10)]
-        reply = judge_task_diversity(shop_client("stats"), tasks, site="shop", sample_size=4)
-        assert reply.score == 85
-        assert sum(reply.subscores.values()) == 85
 
 
 class TestExploreShop:

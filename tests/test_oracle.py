@@ -561,11 +561,27 @@ class TestHttpTransport:
         {"prompt_tokens": None, "completion_tokens": 4},
         {"prompt_tokens": 3, "completion_tokens": "many"},
         ["not", "an", "object"],
+        # Each count passes the rule of mock scripts: a non-negative integer.
+        {"prompt_tokens": -100000, "completion_tokens": 4},
+        {"prompt_tokens": 3, "completion_tokens": -1},
+        {"prompt_tokens": 3.0, "completion_tokens": 4},
+        {"prompt_tokens": 3, "completion_tokens": True},
+        {"prompt_tokens": "3", "completion_tokens": 4},
+        "3 tokens",
     ])
     def test_malformed_usage_is_a_transport_error(self, posted, usage):
         posted.reply = (200, reply_payload(usage=usage))
         with pytest.raises(TransportError, match="malformed completion payload"):
             http_transport(posted).complete(prompt())
+
+    @pytest.mark.parametrize("usage,counted", [
+        ({"prompt_tokens": 3, "completion_tokens": 4, "total_tokens": 7}, Usage(3, 4)),
+        ({"completion_tokens": 4}, Usage(0, 4)),
+        ({}, Usage(0, 0)),
+    ])
+    def test_absent_counts_are_zero_and_other_keys_ignored(self, posted, usage, counted):
+        posted.reply = (200, reply_payload(usage=usage))
+        assert http_transport(posted).complete(prompt()).usage == counted
 
 
 # ======================================================================
