@@ -263,9 +263,6 @@ def task_to_dict(task: Task) -> dict[str, Any]:
 
 
 def task_from_dict(d: dict[str, Any]) -> Task:
-    if "site" not in d:
-        # Older trajectory files kept the site beside the task, not in it.
-        raise SchemaError(f"task {d.get('id')!r} has no site", field="task.site")
     return Task(
         id=d["id"],
         text=d["text"],
@@ -297,7 +294,6 @@ def step_from_dict(d: dict[str, Any], observations: Mapping[str, Observation]) -
     try:
         observation = observations[d["observation_ref"]]
     except KeyError:
-        # Older run directories kept each step's observation inline.
         raise SchemaError(
             f"step {d.get('index')} refers to no stored observation", field="observation_ref"
         ) from None
@@ -327,8 +323,6 @@ def trajectory_to_dict(t: Trajectory) -> dict[str, Any]:
 def trajectory_from_dict(
     d: dict[str, Any], observations: Mapping[str, Observation]
 ) -> Trajectory:
-    # Files written before the ledger became the only cost account also
-    # carry a per-trajectory "cost_usd"; it is ignored.
     return Trajectory(
         task=task_from_dict(d["task"]),
         steps=tuple(step_from_dict(s, observations) for s in d["steps"]),

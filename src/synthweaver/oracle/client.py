@@ -138,12 +138,8 @@ class CostLedger:
 
     @classmethod
     def from_snapshot(cls, data: dict[str, Any]) -> "CostLedger":
-        if "by_site_stage" not in data:
-            # Snapshots written before per-(site, stage) accounting.
-            raise SchemaError(
-                "ledger snapshot has no by_site_stage; start a fresh run",
-                field="by_site_stage",
-            )
+        """The ledger a snapshot holds: each amount a finite decimal and each
+        count an integer, none below 0."""
 
         def read(name: str, convert: Callable[[Any], Any], default: Any) -> Any:
             value = data.get(name, default)
@@ -152,22 +148,37 @@ class CostLedger:
             except (AttributeError, TypeError, ValueError, ArithmeticError):
                 raise SchemaError(f"malformed value {value!r}", field=name) from None
 
-        ledger = cls(budget_usd=read("budget_usd", _optional_decimal, None))
-        ledger.total_cost = read("total_cost_usd", Decimal, "0")
-        ledger.total_prompt_tokens = read("prompt_tokens", int, 0)
-        ledger.total_completion_tokens = read("completion_tokens", int, 0)
-        ledger.calls = read("calls", int, 0)
+        ledger = cls(budget_usd=read("budget_usd", _optional_amount, None))
+        ledger.total_cost = read("total_cost_usd", _amount, "0")
+        ledger.total_prompt_tokens = read("prompt_tokens", _count, 0)
+        ledger.total_completion_tokens = read("completion_tokens", _count, 0)
+        ledger.calls = read("calls", _count, 0)
         ledger.by_site_stage = read("by_site_stage", _costs_by_site_stage, None)
         return ledger
 
 
-def _optional_decimal(value: Any) -> Decimal | None:
-    return None if value is None else Decimal(value)
+def _amount(value: Any) -> Decimal:
+    # As in the config, str() of a JSON value other than a string or a number
+    # is no decimal.
+    amount = Decimal(str(value))
+    if not amount.is_finite() or amount < 0:
+        raise ValueError(value)
+    return amount
+
+
+def _optional_amount(value: Any) -> Decimal | None:
+    return None if value is None else _amount(value)
+
+
+def _count(value: Any) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(value)
+    return value
 
 
 def _costs_by_site_stage(nested: dict[str, dict[str, str]]) -> dict[tuple[str, str], Decimal]:
     return {
-        (site, stage): Decimal(cost)
+        (site, stage): _amount(cost)
         for site, stages in nested.items()
         for stage, cost in stages.items()
     }

@@ -148,33 +148,11 @@ def _reading(store: RunStore, name: str) -> Iterator[Iterator[dict[str, Any]]]:
         ) from None
 
 
-def _check_layout(store: RunStore) -> None:
-    """Reject a run directory whose records embed their observations.
-
-    Such a directory predates the run-level observations file. Each stage
-    checks the first record of each file before it writes anything.
-    """
-    for name in (rs.TRIPLETS, rs.TRAJECTORIES_RAW, rs.TRAJECTORIES_REFINED):
-        with _reading(store, name) as records:
-            record = next(records, None)
-            if record is None:
-                continue
-            inline = ("before" in record if name == rs.TRIPLETS
-                      else "observation" in record["steps"][0])
-        if inline:
-            raise SchemaError(
-                "records embed their observations; run directories written before "
-                f"{rs.OBSERVATIONS} was added are not supported",
-                path=str(store.path(name)),
-            )
-
-
 # ======================================================================
 # explore
 # ======================================================================
 
 def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
-    _check_layout(store)
     state = store.load_state()
     if state.get("seed", config.seed) != config.seed:
         raise ConfigError(
@@ -258,9 +236,12 @@ def _tasks_by_site(store: RunStore) -> dict[str, list[Task]]:
 
 
 def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
-    _check_layout(store)
+    store.load_state()  # refuses a run of another format
+    # A task is done once collected, or once its reply never validated.
     with _reading(store, rs.TRAJECTORIES_RAW) as records:
-        existing = {record["task"]["id"] for record in records}
+        done = {record["task"]["id"] for record in records}
+    with _reading(store, rs.COLLECT_FAILURES) as records:
+        done |= {record["task_id"] for record in records}
     sites = {site.name: site for site in config.sites}
     jobs: list[tuple[Task, Callable[[], Any]]] = []
     for name, tasks in _tasks_by_site(store).items():
@@ -269,7 +250,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
             store.event("collect.unknown_site", {"site": name, "n_tasks": len(tasks)})
             continue
         factory = make_session_factory(site, config)
-        jobs += [(task, factory) for task in tasks if task.id not in existing]
+        jobs += [(task, factory) for task in tasks if task.id not in done]
     observations = store.observations()
 
     with _stage(config, store, "collect") as client:
@@ -281,6 +262,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
                 observations.add(step.observation for step in result.steps)
                 store.append_record(rs.TRAJECTORIES_RAW, trajectory_to_dict(result))
                 return 1
+            store.append_record(rs.COLLECT_FAILURES, result)
             return 0
 
         collected = sum(client.map(collect_one, jobs))
@@ -311,7 +293,7 @@ def _refined_trajectories(
 
 
 def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
-    _check_layout(store)
+    store.load_state()  # refuses a run of another format
     with _reading(store, rs.TRAJECTORIES_REFINED) as records:
         done = {r["task"]["id"] for r in records}
     with _reading(store, rs.DROPS) as records:
@@ -361,7 +343,7 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
 # ======================================================================
 
 def run_export(config: RunConfig, store: RunStore, *, window: int | None = None) -> ExportResult:
-    _check_layout(store)
+    state = store.load_state()
     # Export calls no oracle: its events count against an empty ledger.
     with _stage_events(store, "export", CostLedger()):
         refined, _ = _refined_trajectories(store, store.observations())
@@ -373,9 +355,9 @@ def run_export(config: RunConfig, store: RunStore, *, window: int | None = None)
         manifest = store.read_json(rs.MANIFEST, default={})
         manifest.update(
             {
-                # The seed explore sampled with; runs explored before it was
-                # recorded report the config's.
-                "seed": store.load_state().get("seed", config.seed),
+                # The seed explore sampled with; the config's if explore has
+                # committed no site.
+                "seed": state.get("seed", config.seed),
                 "sites": [site.name for site in config.sites],
                 "dataset": result.manifest,
             }
@@ -398,20 +380,27 @@ def _judge_diversity(client: OracleClient, config: RunConfig, store: RunStore) -
         try:
             reply = client.call(prompt, site=name)
         except SchemaViolation:
+            store.event("stats.judge_failed", {"site": name, "judge": "diversity"})
             return None
         return {"score": reply.score, "subscores": dict(reply.subscores), "n_sampled": len(sample)}
 
     return dict(zip(names, client.map(judge, names)))
 
 
-def _judge_quality(client: OracleClient, refined: list[Trajectory]) -> dict[str, Any]:
+def _judge_quality(
+    client: OracleClient, refined: list[Trajectory], on_event: rs.EventHook
+) -> dict[str, Any]:
     """Mean quality, overall and by site, of trajectories whose reply validates."""
     replies = client.map(
         lambda t: judge_trajectory(client, TemplateName.JUDGE_QUALITY, t), refined
     )
     scores_by_site: dict[str, list[float]] = {}
     for trajectory, reply in zip(refined, replies):
-        if reply is not None:
+        if reply is None:
+            on_event("stats.judge_failed", {
+                "site": trajectory.site, "judge": "quality", "trajectory_id": trajectory.id,
+            })
+        else:
             scores_by_site.setdefault(trajectory.site, []).append(reply.score)
     all_scores = [s for scores in scores_by_site.values() for s in scores]
     return {
@@ -430,7 +419,7 @@ def run_stats(
     judge_quality: bool = False,
     with_diversity: bool = True,
 ) -> dict[str, Any]:
-    _check_layout(store)
+    store.load_state()  # refuses a run of another format
     observations = store.observations()
     refined, decisions = _refined_trajectories(store, observations)
     with _reading(store, rs.DROPS) as records:
@@ -443,7 +432,7 @@ def run_stats(
         if with_diversity:
             stats["diversity"] = _judge_diversity(client, config, store)
         if judge_quality:
-            stats["quality"] = _judge_quality(client, refined)
+            stats["quality"] = _judge_quality(client, refined, store.event)
         stats["oracle"] = client.ledger.snapshot()
         store.write_json(rs.STATS, stats)
     return stats

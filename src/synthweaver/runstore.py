@@ -4,6 +4,8 @@ One run directory holds JSONL record files per stage, a state file for
 resume bookkeeping, an events log (the only file allowed wall-clock
 timestamps), and the cost ledger snapshot. A stage keeps the events log
 open while it runs (`kept_open`), and every line is flushed as it is written.
+The state file carries the run format's `schema_version`, which every stage
+checks, through `load_state`, before it writes anything.
 
 Observations are stored once per run, in `observations.jsonl`, one line per
 distinct observation in the form the dataset export writes (see
@@ -26,10 +28,14 @@ from typing import IO, Any, Callable, Iterable, Iterator
 from .errors import SchemaError
 from .model import Observation, canonical_json, read_json_file
 
+# The format of a run directory; a change to what one holds bumps it.
+SCHEMA_VERSION = 1
+
 OBSERVATIONS = "observations.jsonl"
 TASKS = "tasks.jsonl"
 TRIPLETS = "triplets.jsonl"
 TRAJECTORIES_RAW = "trajectories_raw.jsonl"
+COLLECT_FAILURES = "collect_failures.jsonl"
 TRAJECTORIES_REFINED = "trajectories_refined.jsonl"
 DROPS = "drops.jsonl"
 EVENTS = "events.jsonl"
@@ -148,15 +154,26 @@ class RunStore:
 
     def load_state(self) -> dict[str, Any]:
         """The resume bookkeeping: the sites explored and stages done, and the
-        seed explore used, once it has committed a site."""
-        state = self.read_json(STATE, default={})
+        seed explore used, once it has committed a site. A run without a
+        state file starts fresh; one stamped with another format, or none, is
+        a SchemaError."""
+        path = str(self.path(STATE))
+        state = self.read_json(STATE, default={"schema_version": SCHEMA_VERSION})
+        version = state.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            found = repr(version) if "schema_version" in state else "absent"
+            raise SchemaError(
+                f"{found}, but this version reads run format {SCHEMA_VERSION} only; "
+                "start a fresh run",
+                path=path, field="schema_version",
+            )
         for key in ("explored_sites", "stages"):
             names = state.setdefault(key, [])
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                raise SchemaError("must be a list of names", path=str(self.path(STATE)), field=key)
+                raise SchemaError("must be a list of names", path=path, field=key)
         seed = state.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SchemaError("must be an integer", path=str(self.path(STATE)), field="seed")
+            raise SchemaError("must be an integer", path=path, field="seed")
         return state
 
     def save_state(self, state: dict[str, Any]) -> None:

@@ -35,14 +35,25 @@ def with_rule(script: dict, **fields) -> dict:
     return {**script, "rules": [rule, *script["rules"][1:]]}
 
 
-def with_inline_observations(run, names) -> None:
-    """Give the named record files the layout from before observations.jsonl:
-    every step and triplet carries its observation instead of its ref."""
+def restamp(run, stamp) -> None:
+    """Set the run's format stamp to `stamp`; None takes it out."""
+    state = json.loads((run / "state.json").read_text())
+    del state["schema_version"]
+    if stamp is not None:
+        state["schema_version"] = stamp
+    (run / "state.json").write_text(canonical_json(state) + "\n")
+
+
+def with_inline_observations(run) -> None:
+    """Give the run the layout from before observations.jsonl: every step and
+    triplet carries its observation instead of its ref. Its state has no
+    format stamp, as in a directory of that time."""
+    restamp(run, None)
     bodies = {}
     for line in (run / "observations.jsonl").read_text().splitlines():
         record = json.loads(line)
         bodies[record["ref"]] = record["observation"]
-    for name in names:
+    for name in ("triplets.jsonl", "trajectories_raw.jsonl", "trajectories_refined.jsonl"):
         records = [json.loads(line) for line in (run / name).read_text().splitlines()]
         for record in records:
             if name == "triplets.jsonl":
@@ -52,8 +63,7 @@ def with_inline_observations(run, names) -> None:
                 for step in record["steps"]:
                     step["observation"] = bodies[step.pop("observation_ref")]
         (run / name).write_text("".join(canonical_json(r) + "\n" for r in records))
-    if len(names) == 3:
-        (run / "observations.jsonl").unlink()
+    (run / "observations.jsonl").unlink()
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +129,29 @@ class TestFullRun:
 
 
 class TestResume:
+    def test_collect_does_not_retry_a_task_whose_reply_never_validates(self, capsys, tmp_path):
+        config = write_config(tmp_path)
+        run_cli(capsys, "explore", "--config", str(config), "--run", "r")
+        run = tmp_path / "runs" / "r"
+        first = json.loads((run / "tasks.jsonl").read_text().splitlines()[0])
+        never = {"template": "next_action", "raw": "no json",
+                 "when": {"high_level_task": first["text"]}}
+        script = json.loads(SHOP_MOCK.read_text())
+        mock = tmp_path / "never.mock.json"
+        mock.write_text(json.dumps({**script, "rules": [never, *script["rules"]]}))
+        calls = []
+        for _ in range(3):
+            code, out, err = run_cli(
+                capsys, "collect", "--config", str(config), "--run", "r", "--mock", str(mock))
+            assert code == cli.EXIT_OK, err
+            calls.append(json.loads((run / "ledger.json").read_text())["calls"])
+        # Each run once paid again for the task: 165, 168 and 171 calls.
+        assert calls == [165, 165, 165]
+        assert "collected 0/0 trajectories" in out
+        (failure,) = map(json.loads, (run / "collect_failures.jsonl").read_text().splitlines())
+        assert failure["site"] == "shop" and failure["task_id"] == first["id"]
+        assert "no JSON object found" in failure["error"]
+
     def test_explore_skips_finished_sites(self, capsys, tmp_path):
         config = write_config(tmp_path)
         run_cli(capsys, "explore", "--config", str(config), "--run", "r1")
@@ -376,18 +409,37 @@ class TestExitCodes:
         ("state.json", "seed", "7", "export"),
         ("ledger.json", "calls", "x", "collect"),
         ("ledger.json", "total_cost_usd", "lots", "collect"),
+        ("ledger.json", "total_cost_usd", "NaN", "collect"),
+        ("ledger.json", "total_cost_usd", "sNaN", "collect"),
+        ("ledger.json", "total_cost_usd", "Infinity", "collect"),
+        ("ledger.json", "total_cost_usd", "-1", "collect"),
+        ("ledger.json", "budget_usd", "NaN", "collect"),
+        ("ledger.json", "by_site_stage", {"shop": {"explore": "NaN"}}, "collect"),
+        ("ledger.json", "by_site_stage", {"shop": {"explore": "-1"}}, "collect"),
+        ("ledger.json", "calls", True, "collect"),
+        ("ledger.json", "calls", 3.7, "collect"),
+        ("ledger.json", "calls", -4, "collect"),
+        ("ledger.json", "prompt_tokens", -4, "collect"),
+        ("ledger.json", "completion_tokens", True, "collect"),
     ])
     def test_run_document_field_of_wrong_type_is_usage_error(
         self, capsys, tmp_path, name, field, value, command
     ):
-        config = write_config(tmp_path)
+        # With a budget, a NaN spend once passed the load and failed the
+        # budget check with a traceback, after `stage.start` was written.
+        config = write_config(
+            tmp_path, oracle={"backend": "mock", "mock_script": str(SHOP_MOCK), "budget_usd": "5"}
+        )
         code, _, _ = run_cli(capsys, "explore", "--config", str(config), "--run", "r")
         assert code == cli.EXIT_OK
-        document = tmp_path / "runs" / "r" / name
+        run = tmp_path / "runs" / "r"
+        document = run / name
         document.write_text(json.dumps({**json.loads(document.read_text()), field: value}))
+        before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
         code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
         assert code == cli.EXIT_USAGE
         assert f"{document}: {field}: " in err
+        assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == before
 
     @pytest.mark.parametrize("name", ["ledger.json", "state.json"])
     @pytest.mark.parametrize("command", ["collect", "stats"])
@@ -486,7 +538,8 @@ class TestExitCodes:
         tasks.write_text("".join([canonical_json(record) + "\n", *rest]))
         code, _, err = run_cli(capsys, "collect", "--config", str(config), "--run", "r")
         assert code == cli.EXIT_USAGE
-        assert err.startswith(f"error: {tasks}: task.site: ")
+        assert err == (f"error: {tasks}: a record does not have the expected shape "
+                       "(KeyError: 'site')\n")
 
     def test_unmatched_mock_reply_is_runtime_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.mock.json"
@@ -540,26 +593,24 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "by_site_stage" in err
 
-    @pytest.mark.parametrize("inline", [
-        ("triplets.jsonl", "trajectories_raw.jsonl", "trajectories_refined.jsonl"),
-        ("trajectories_raw.jsonl",),
-        ("trajectories_refined.jsonl",),
-    ])
-    def test_run_with_inline_observations_is_rejected(self, capsys, tmp_path, inline):
-        # Run directories written before observations.jsonl kept each step's
-        # and triplet's observation inline.
-        config = write_config(tmp_path)
-        run_all_stages(capsys, config, "r")
+    @pytest.mark.parametrize("command", ["explore", "collect", "refine", "export", "stats"])
+    @pytest.mark.parametrize("found", ["absent", "2", "inline_observations"])
+    def test_run_of_another_format_is_rejected(
+        self, capsys, tmp_path, finished_run, command, found
+    ):
         run = tmp_path / "runs" / "r"
-        with_inline_observations(run, inline)
+        shutil.copytree(finished_run, run)
+        if found == "inline_observations":
+            with_inline_observations(run)
+        else:
+            restamp(run, None if found == "absent" else int(found))
         before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
-        for command in ("explore", "collect", "refine", "export", "stats"):
-            code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
-            assert code == cli.EXIT_USAGE, command
-            assert f"{inline[0]}: records embed their observations" in err
-            assert "Traceback" not in err
-            after = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
-            assert after == before, command
+        config = write_config(tmp_path)
+        code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        shown = "absent" if found == "inline_observations" else found
+        assert err.startswith(f"error: {run / 'state.json'}: schema_version: {shown}, ")
+        assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == before
 
     @pytest.mark.parametrize("command", ["collect", "refine", "export", "stats"])
     @pytest.mark.parametrize("run", [["--run", "typo"], []], ids=["mistyped", "absent"])

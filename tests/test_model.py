@@ -8,7 +8,6 @@ from dataclasses import replace
 import pytest
 
 from synthweaver.actions import ActionKind, make_action
-from synthweaver.errors import SchemaError
 from synthweaver.model import (
     ConflictTrigger,
     Element,
@@ -125,7 +124,7 @@ class TestSerialization:
         assert data["site"] == "shop"
         assert task_from_dict(data).site == "shop"
         del data["site"]
-        with pytest.raises(SchemaError, match="has no site"):
+        with pytest.raises(KeyError, match="site"):
             task_from_dict(data)
 
     def test_step_round_trip_preserves_low_level_instruction(self):

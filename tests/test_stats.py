@@ -53,6 +53,13 @@ def refined_shop_run(tmp_path, mock: dict | None = None):
     return config, tmp_path / "runs" / "r"
 
 
+def judge_failures(run) -> list[dict]:
+    """The `stats.judge_failed` events, without their kind and timestamp."""
+    events = map(json.loads, (run / "events.jsonl").read_text().splitlines())
+    return [{k: v for k, v in e.items() if k not in ("kind", "ts")}
+            for e in events if e["kind"] == "stats.judge_failed"]
+
+
 def shop_script(*first_rules: dict) -> dict:
     script = json.loads(SHOP_MOCK.read_text())
     return {**script, "rules": [*first_rules, *script["rules"]]}
@@ -82,6 +89,7 @@ class TestJudgeDiversity:
         assert stats["diversity"] == {"shop": None}
         # One ask and two re-asks, all paid for and all in the report.
         assert stats["oracle"]["calls"] == calls + 3
+        assert judge_failures(run) == [{"site": "shop", "judge": "diversity"}]
 
 
 def test_quality_reply_that_never_validates_is_not_judged(tmp_path, capsys):
@@ -95,6 +103,10 @@ def test_quality_reply_that_never_validates_is_not_judged(tmp_path, capsys):
         "overall": {"mean_score": 80.0, "n_judged": 13},
         "by_site": {"shop": {"mean_score": 80.0, "n_judged": 13}},
     }
+    refined = map(json.loads, (run / "trajectories_refined.jsonl").read_text().splitlines())
+    (cable,) = [r["task"]["id"] for r in refined
+                if r["task"]["text"].startswith("Find the price of the cheapest USB cable")]
+    assert judge_failures(run) == [{"site": "shop", "judge": "quality", "trajectory_id": cable}]
 
 
 def test_judge_prompts_keep_their_bytes(tmp_path, sent):
