@@ -22,7 +22,6 @@ from .model import (
     RefinementEvent,
     Step,
     Task,
-    TaskType,
     Terminal,
     TrainingExample,
     Trajectory,
@@ -40,7 +39,6 @@ __all__ = [
     "RefinementEvent",
     "Step",
     "Task",
-    "TaskType",
     "Terminal",
     "TrainingExample",
     "Trajectory",

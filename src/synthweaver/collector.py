@@ -199,7 +199,6 @@ class Collector:
             noop_threshold=cfg.stall_noop_threshold,
             repeat_threshold=cfg.loop_repeat_threshold,
         )
-        refine_count = 0
         # The next step's speculative reply, asked on the observation it reads.
         pending: Future[NextActionReply] | None = None
 
@@ -236,7 +235,7 @@ class Collector:
                     "stalled": stalled,
                 },
             )
-            if refine_count < cfg.max_refines_per_task:
+            if len(task.lineage) < cfg.max_refines_per_task:
                 obs_after = session.observe()
                 speculative = None
                 charged: list[Decimal] = []
@@ -254,7 +253,6 @@ class Collector:
                     self._discard(speculative, charged, task, step.index)
                     trigger = classify_trigger(stalled, check.analysis)
                     task = task.refined(step.index, check.high_level_task, trigger)
-                    refine_count += 1
                     stall.reset()
                     self.on_event(
                         "collect.refined",
@@ -270,12 +268,7 @@ class Collector:
                     pending = speculative
 
         terminal = classify_terminal(tuple(steps), cfg.step_budget)
-        return Trajectory(
-            task=task,
-            steps=tuple(steps),
-            terminal=terminal,
-            refine_count=refine_count,
-        )
+        return Trajectory(task=task, steps=tuple(steps), terminal=terminal)
 
     def _discard(
         self,

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .actions import render_action
-from .errors import EmptyTrajectory
 from .model import (
     Observation,
     Terminal,
@@ -28,8 +27,6 @@ DATASET_SCHEMA_VERSION = 1
 
 
 def split_examples(trajectory: Trajectory, window: int = DEFAULT_WINDOW) -> list[TrainingExample]:
-    if not trajectory.steps:
-        raise EmptyTrajectory(f"trajectory {trajectory.id} has no steps")
     if window < 0:
         raise ValueError("window must not be negative")
     task_text = trajectory.task.text
@@ -215,7 +212,7 @@ def _site_stats(
         "n_trajectories_refined": len(refined),
         "terminal_pct": {k: _pct(v, n_raw) for k, v in terminal_counts.items()},
         "decision_pct": {k: _pct(v, n_raw) for k, v in decision_counts.items()},
-        "mean_refines": _mean([float(t.refine_count) for t in raw]),
+        "mean_refines": _mean([float(len(t.task.lineage)) for t in raw]),
         "mean_steps": _mean([float(len(t.steps)) for t in refined]),
         "mean_judge_score": _mean(scores),
         "collection_cost_usd": str(collect_cost),

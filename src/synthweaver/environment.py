@@ -23,7 +23,9 @@ from typing import Any
 
 from .actions import Action, ActionKind, ELEMENT_KINDS
 from .errors import ElementNotFound, SchemaError
-from .model import Element, Observation, observation_fingerprint, read_json_file
+from .model import (
+    Element, Observation, check_schema_version, observation_fingerprint, read_json_file,
+)
 
 SCHEMA_VERSION = 1
 
@@ -275,9 +277,7 @@ def load_site_graph(path: str | Path) -> SiteGraph:
 
 
 def _parse_graph(raw: dict[str, Any]) -> SiteGraph:
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {version!r}", field="schema_version")
+    check_schema_version(raw, SCHEMA_VERSION)
     pages_raw = raw.get("pages")
     if not isinstance(pages_raw, dict) or not pages_raw:
         raise SchemaError("must be a non-empty object", field="pages")

@@ -79,10 +79,6 @@ class EmptyPlan(SynthweaverError):
     """The categorization oracle produced no interactive categories."""
 
 
-class EmptyTrajectory(SynthweaverError):
-    """A trajectory with zero steps cannot be split into examples."""
-
-
 class EditContractViolation(SynthweaverError):
     """An edited trajectory would not end in a valid terminal None."""
 

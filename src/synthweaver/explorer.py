@@ -23,7 +23,7 @@ from typing import Any, Sequence
 from .actions import Action, ActionKind, make_action, render_action
 from .config import RunConfig, SiteSpec
 from .errors import ElementNotFound, EmptyPlan, SchemaViolation
-from .model import InteractionTriplet, Observation, Task, TaskType
+from .model import InteractionTriplet, Observation, Task
 from .oracle import (
     CategorizationReply,
     OracleClient,
@@ -105,60 +105,11 @@ def categorize_page(
     return parsed
 
 
-_TYPE_PHRASES = (
-    ("information seeking", TaskType.INFORMATION_SEEKING),
-    ("information-seeking", TaskType.INFORMATION_SEEKING),
-    ("site navigation", TaskType.SITE_NAVIGATION),
-    ("content modification", TaskType.CONTENT_MODIFICATION),
-)
-
-_NAVIGATION_VERBS = frozenset(
-    {"go", "navigate", "open", "visit", "return", "switch", "browse"}
-)
-_MODIFICATION_VERBS = frozenset(
-    {
-        "add",
-        "apply",
-        "change",
-        "create",
-        "delete",
-        "fill",
-        "log",
-        "post",
-        "register",
-        "remove",
-        "set",
-        "sign",
-        "sort",
-        "submit",
-        "subscribe",
-        "update",
-        "upload",
-        "write",
-    }
-)
-
-
-def infer_task_type(instruction: str, analysis: str) -> TaskType:
-    """Classify a proposal: explicit phrase first, leading verb second."""
-    haystack = f"{instruction} {analysis}".lower()
-    for phrase, task_type in _TYPE_PHRASES:
-        if phrase in haystack:
-            return task_type
-    words = instruction.lower().split()
-    first = words[0] if words else ""
-    if first in _NAVIGATION_VERBS:
-        return TaskType.SITE_NAVIGATION
-    if first in _MODIFICATION_VERBS:
-        return TaskType.CONTENT_MODIFICATION
-    return TaskType.INFORMATION_SEEKING
-
-
 def propose_task(
     oracle: OracleClient,
     site: SiteSpec,
     action_description: str,
-) -> tuple[str, TaskType]:
+) -> str:
     prompt = render(
         TemplateName.PROPOSE_TASK,
         {
@@ -169,8 +120,7 @@ def propose_task(
         },
     )
     proposal = oracle.call(prompt, site=site.name)
-    text = " ".join(proposal.high_level_instruction.split())
-    return text, infer_task_type(text, proposal.analysis)
+    return " ".join(proposal.high_level_instruction.split())
 
 
 def sample_probes(rng: random.Random, probes: Sequence[Action], k: int) -> list[Action]:
@@ -246,7 +196,7 @@ class _Proposals:
         site = self.site.name
         task_id: str | None = None
         try:
-            text, task_type = future.result()
+            text = future.result()
         except SchemaViolation as exc:
             self.on_event(
                 "explore.propose_failed", {"site": site, "url": url, "error": str(exc)}
@@ -255,15 +205,8 @@ class _Proposals:
         if text and text not in self._seen_texts:
             self._seen_texts.add(text)
             task_id = f"t-{site}-{len(self.tasks) + 1:04d}"
-            self.tasks.append(
-                Task(id=task_id, text=text, category=category, task_type=task_type,
-                     site=site)
-            )
-            self.on_event(
-                "explore.task",
-                {"site": site, "task_id": task_id, "text": text,
-                 "task_type": task_type.value},
-            )
+            self.tasks.append(Task(id=task_id, text=text, category=category, site=site))
+            self.on_event("explore.task", {"site": site, "task_id": task_id, "text": text})
         self.triplets.append(
             TripletRecord(
                 id=f"x-{site}-{len(self.triplets) + 1:04d}",

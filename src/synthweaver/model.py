@@ -21,12 +21,6 @@ from .actions import Action, ActionKind, parse_action, render_action
 from .errors import SchemaError
 
 
-class TaskType(str, Enum):
-    INFORMATION_SEEKING = "information_seeking"
-    SITE_NAVIGATION = "site_navigation"
-    CONTENT_MODIFICATION = "content_modification"
-
-
 class Terminal(str, Enum):
     COMPLETED_NONE = "completed_none"
     STOPPED_BY_AGENT = "stopped_by_agent"
@@ -132,7 +126,6 @@ class Task:
     id: str
     text: str
     category: str
-    task_type: TaskType
     site: str = ""
     lineage: tuple[RefinementEvent, ...] = ()
 
@@ -159,15 +152,17 @@ class Step:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A finished episode; `task` holds the final text and full lineage."""
+    """A finished episode of at least one step; `task` holds the final text
+    and full lineage, one event per in-flight refine."""
 
     task: Task
     steps: tuple[Step, ...]
     terminal: Terminal
-    refine_count: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
+        if not self.steps:
+            raise ValueError(f"trajectory {self.task.id} has no steps")
 
     @property
     def id(self) -> str:
@@ -249,7 +244,6 @@ def task_to_dict(task: Task) -> dict[str, Any]:
         "id": task.id,
         "text": task.text,
         "category": task.category,
-        "task_type": task.task_type.value,
         "site": task.site,
         "lineage": [
             {
@@ -267,7 +261,6 @@ def task_from_dict(d: dict[str, Any]) -> Task:
         id=d["id"],
         text=d["text"],
         category=d["category"],
-        task_type=TaskType(d["task_type"]),
         site=d["site"],
         lineage=tuple(
             RefinementEvent(ev["step_index"], ev["prior_text"], ev["trigger_reason"])
@@ -316,7 +309,6 @@ def trajectory_to_dict(t: Trajectory) -> dict[str, Any]:
         "task": task_to_dict(t.task),
         "steps": [step_to_dict(s) for s in t.steps],
         "terminal": t.terminal.value,
-        "refine_count": t.refine_count,
     }
 
 
@@ -327,7 +319,6 @@ def trajectory_from_dict(
         task=task_from_dict(d["task"]),
         steps=tuple(step_from_dict(s, observations) for s in d["steps"]),
         terminal=Terminal(d["terminal"]),
-        refine_count=d["refine_count"],
     )
 
 
@@ -353,3 +344,17 @@ def read_json_file(path: str | Path) -> dict[str, Any]:
             f"top level must be an object, got {type(data).__name__}", path=str(path)
         )
     return data
+
+
+def check_schema_version(
+    document: Mapping[str, Any], expected: int, path: str | None = None
+) -> None:
+    """Refuse an input document whose `schema_version` is not the JSON
+    integer `expected`: `true` and `1.0` equal 1 in Python, but are not it."""
+    version = document.get("schema_version")
+    if type(version) is not int or version != expected:
+        found = repr(version) if "schema_version" in document else "absent"
+        raise SchemaError(
+            f"{found}, but this version reads format {expected} only",
+            path=path, field="schema_version",
+        )

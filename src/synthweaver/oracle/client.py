@@ -27,7 +27,7 @@ from ..errors import (
     TransportError,
 )
 from ..http_json import NoReply, request_json
-from ..model import read_json_file
+from ..model import check_schema_version, read_json_file
 from .replies import parse_reply
 from .templates import RenderedPrompt
 
@@ -290,8 +290,7 @@ class MockScript:
     """
 
     def __init__(self, data: dict[str, Any]) -> None:
-        if data.get("schema_version") != 1:
-            raise SchemaError("mock script schema_version must be 1")
+        check_schema_version(data, 1)
         self.default_usage = _usage(data.get("default_usage", {}), "default_usage")
         self.rules: list[dict[str, Any]] = data.get("rules", [])
         if not isinstance(self.rules, list):

@@ -112,8 +112,7 @@ def _stage_events(store: RunStore, name: str, ledger: CostLedger) -> Iterator[No
 
 @contextmanager
 def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClient]:
-    """Yield the oracle client of one stage; mark the stage done when the
-    body returns.
+    """Yield the oracle client of one stage.
 
     On the way out, also when the body raises, the client is closed: this is
     the one place that waits for overlapped calls still in flight. Then the
@@ -126,7 +125,6 @@ def _stage(config: RunConfig, store: RunStore, name: str) -> Iterator[OracleClie
         finally:
             client.close()
             store.write_json(rs.LEDGER, ledger.snapshot())
-        store.mark_stage(name)
 
 
 @contextmanager
@@ -344,9 +342,9 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
 
 def run_export(config: RunConfig, store: RunStore, *, window: int | None = None) -> ExportResult:
     state = store.load_state()
+    refined, _ = _refined_trajectories(store, store.observations())
     # Export calls no oracle: its events count against an empty ledger.
     with _stage_events(store, "export", CostLedger()):
-        refined, _ = _refined_trajectories(store, store.observations())
         result = export_dataset(
             refined,
             store.dataset_dir(),
@@ -363,7 +361,6 @@ def run_export(config: RunConfig, store: RunStore, *, window: int | None = None)
             }
         )
         store.write_json(rs.MANIFEST, manifest)
-        store.mark_stage("export")
     return result
 
 
@@ -422,17 +419,14 @@ def run_stats(
     store.load_state()  # refuses a run of another format
     observations = store.observations()
     refined, decisions = _refined_trajectories(store, observations)
+    raw = _raw_trajectories(store, observations)
     with _reading(store, rs.DROPS) as records:
         decisions += [{"site": r["site"], "decision": "drop", "score": r["score"]} for r in records]
     with _stage(config, store, "stats") as client:
-        stats = corpus_stats(
-            _raw_trajectories(store, observations), refined, decisions,
-            client.ledger.stage_cost_by_site("collect"),
-        )
+        stats = corpus_stats(raw, refined, decisions, client.ledger.stage_cost_by_site("collect"))
         if with_diversity:
             stats["diversity"] = _judge_diversity(client, config, store)
         if judge_quality:
             stats["quality"] = _judge_quality(client, refined, store.event)
-        stats["oracle"] = client.ledger.snapshot()
         store.write_json(rs.STATS, stats)
     return stats

@@ -113,12 +113,7 @@ def apply_edits(
         step if step.index == i else replace(step, index=i)
         for i, step in enumerate(retained)
     )
-    return Trajectory(
-        task=trajectory.task,
-        steps=reindexed,
-        terminal=Terminal.COMPLETED_NONE,
-        refine_count=trajectory.refine_count,
-    )
+    return Trajectory(task=trajectory.task, steps=reindexed, terminal=Terminal.COMPLETED_NONE)
 
 
 @dataclass(frozen=True)

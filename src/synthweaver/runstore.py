@@ -26,10 +26,10 @@ from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator
 
 from .errors import SchemaError
-from .model import Observation, canonical_json, read_json_file
+from .model import Observation, canonical_json, check_schema_version, read_json_file
 
 # The format of a run directory; a change to what one holds bumps it.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 OBSERVATIONS = "observations.jsonl"
 TASKS = "tasks.jsonl"
@@ -153,24 +153,15 @@ class RunStore:
     # ------------------------------------------------------------------
 
     def load_state(self) -> dict[str, Any]:
-        """The resume bookkeeping: the sites explored and stages done, and the
-        seed explore used, once it has committed a site. A run without a
-        state file starts fresh; one stamped with another format, or none, is
-        a SchemaError."""
+        """The resume bookkeeping: the sites explored, and the seed explore
+        used once it has committed a site. A run without a state file starts
+        fresh; one stamped with another format, or none, is a SchemaError."""
         path = str(self.path(STATE))
         state = self.read_json(STATE, default={"schema_version": SCHEMA_VERSION})
-        version = state.get("schema_version")
-        if type(version) is not int or version != SCHEMA_VERSION:
-            found = repr(version) if "schema_version" in state else "absent"
-            raise SchemaError(
-                f"{found}, but this version reads run format {SCHEMA_VERSION} only; "
-                "start a fresh run",
-                path=path, field="schema_version",
-            )
-        for key in ("explored_sites", "stages"):
-            names = state.setdefault(key, [])
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                raise SchemaError("must be a list of names", path=path, field=key)
+        check_schema_version(state, SCHEMA_VERSION, path)
+        names = state.setdefault("explored_sites", [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise SchemaError("must be a list of names", path=path, field="explored_sites")
         seed = state.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise SchemaError("must be an integer", path=path, field="seed")
@@ -178,12 +169,6 @@ class RunStore:
 
     def save_state(self, state: dict[str, Any]) -> None:
         self.write_json(STATE, state)
-
-    def mark_stage(self, stage: str) -> None:
-        state = self.load_state()
-        if stage not in state["stages"]:
-            state["stages"].append(stage)
-        self.save_state(state)
 
     def event(self, kind: str, data: dict[str, Any]) -> None:
         record = {"ts": round(time.time(), 3), "kind": kind, **data}

@@ -35,7 +35,7 @@ from synthweaver.errors import (
     SchemaViolation,
 )
 from synthweaver.explorer import sample_probes
-from synthweaver.model import Observation, Step, Task, TaskType, Terminal, Trajectory
+from synthweaver.model import Observation, Step, Task, Terminal, Trajectory
 from synthweaver.oracle import TemplateName, extract_json, parse_reply, render
 from synthweaver.refiner import apply_edits
 from tests.conftest import SHOP_GRAPH, make_client, shop_config_dict, write_config
@@ -102,12 +102,8 @@ def _trajectory(steps: list[Step], terminal: Terminal, tag: str = "acc") -> Traj
         id=f"t-{tag}-0001",
         text="Answer the question",
         category="catalog",
-        task_type=TaskType.INFORMATION_SEEKING,
     )
-    return Trajectory(
-        task=task, steps=tuple(steps), terminal=terminal,
-        refine_count=1,
-    )
+    return Trajectory(task=task, steps=tuple(steps), terminal=terminal)
 
 
 def _completed_trajectory(rng: random.Random, k: int) -> Trajectory:
@@ -322,7 +318,6 @@ def test_05_edit_application_fidelity():
             assert last.kind is ActionKind.NONE and last.value
             assert [s.index for s in out.steps] == list(range(len(out.steps)))
             assert out.task is trajectory.task
-            assert out.refine_count == trajectory.refine_count
 
             if mode == "plain":
                 assert len(out.steps) == len(order)
@@ -429,7 +424,6 @@ def test_07_budget_semantics(tmp_path):
             id="t-shop-9001",
             text="Find a page that does not exist",
             category="catalog",
-            task_type=TaskType.INFORMATION_SEEKING,
             site="shop",
         )
         session = SimulatorSession(load_site_graph(SHOP_GRAPH))

@@ -11,13 +11,14 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from synthweaver import pipeline
+from synthweaver import cli, pipeline
 from synthweaver.actions import Action, ActionKind, parse_action
 from synthweaver.browser import BrowserSession, key_sequence
 from synthweaver.collector import Collector
@@ -28,7 +29,7 @@ from synthweaver.errors import (
     InvalidAction,
     ProtocolError,
 )
-from synthweaver.model import Task, TaskType
+from synthweaver.model import Task
 from synthweaver.runstore import RunStore
 from tests.conftest import make_client
 
@@ -36,9 +37,20 @@ PNG = b"\x89PNG-not-really-but-bytes"
 
 
 class FakeBrowser:
-    """Mutable page state behind the fake endpoint."""
+    """Mutable page state behind the fake endpoint; each new session starts
+    on a fresh page, as a new browser profile does."""
 
     def __init__(self) -> None:
+        self.new_page()
+        self.log: list[tuple[str, str, object]] = []
+        self.stale_ids: set[int] = set()
+        self.fail_click = False
+        self.fail_rect = False
+        self.fail_url = False
+        # When set, every request from the fail_from-th logged one on gets a 500.
+        self.fail_from: int | None = None
+
+    def new_page(self) -> None:
         self.url = "about:blank"
         self.title = "Fake"
         self.elements = [
@@ -50,11 +62,9 @@ class FakeBrowser:
         self.history: list[str] = []
         self.forward: list[str] = []
         self.scrolled = False
-        self.log: list[tuple[str, str, object]] = []
-        self.stale_ids: set[int] = set()
-        self.fail_click = False
-        self.fail_rect = False
-        self.fail_url = False
+
+    def down(self) -> bool:
+        return self.fail_from is not None and len(self.log) >= self.fail_from
 
     def find(self, element_id: int) -> dict | None:
         for e in self.elements:
@@ -84,11 +94,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def _down(self) -> None:
+        self._reply(500, {"error": "unknown error", "message": "endpoint down"})
+
     def do_POST(self) -> None:  # noqa: N802 (protocol casing)
         body = self._body()
         fake = self.fake
         fake.log.append(("POST", self.path, body))
-        if self.path == "/session":
+        if fake.down():
+            self._down()
+        elif self.path == "/session":
+            fake.new_page()
             self._reply(200, {"sessionId": "fake-sess", "capabilities": {}})
         elif self.path.endswith("/window/rect"):
             if fake.fail_rect:
@@ -133,14 +149,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802
         self.fake.log.append(("GET", self.path, None))
-        if self.path.endswith("/screenshot"):
+        if self.fake.down():
+            self._down()
+        elif self.path.endswith("/screenshot"):
             self._reply(200, base64.b64encode(PNG).decode())
         else:
             self._reply(404, {"error": "unknown command", "message": self.path})
 
     def do_DELETE(self) -> None:  # noqa: N802
         self.fake.log.append(("DELETE", self.path, None))
-        self._reply(200, None)
+        if self.fake.down():
+            self._down()
+        else:
+            self._reply(200, None)
 
     def _execute(self, body: dict) -> None:
         script = body.get("script", "")
@@ -474,8 +495,7 @@ class TestObservationMemo:
             ],
         }
         collector = Collector(make_client(script), shop_config)
-        task = Task(id="t-fake-0001", text="Use the page", category="c",
-                    task_type=TaskType.INFORMATION_SEEKING, site="fake")
+        task = Task(id="t-fake-0001", text="Use the page", category="c", site="fake")
         trajectory = collector.collect_trajectory(task, make_session(endpoint))
         executed = len(trajectory.steps) - 1
         assert executed == 4
@@ -554,6 +574,72 @@ class TestSessionsClosed:
         assert pipeline.run_collect(config, store) == {"tasks": 2, "trajectories": 1}
         assert sessions() == (3, 3)
         assert fake.log[-1][:2] == ("DELETE", "/session/fake-sess")
+
+
+class TestFaultSweep:
+    """The endpoint goes down from its k-th request on. The stage it stops
+    exits 1; once the endpoint is back, the resumed run reaches the dataset
+    of a run that was never interrupted."""
+
+    STAGES = ("explore", "collect", "refine", "export")
+    KEEP = {
+        "template": "refine_trajectory",
+        "reply": {"task": "{{high_level_task}}", "score": 90, "decision": "keep",
+                  "order": [0, 1], "modify_end": False, "append_end": False,
+                  "final_none_value": "done", "drop_reason": "", "modification_reason": ""},
+    }
+
+    def test_resumed_run_reaches_the_uninterrupted_hash(self, fake_endpoint, tmp_path, capsys):
+        fake, endpoint = fake_endpoint
+        script = tmp_path / "fake.mock.json"
+        script.write_text(json.dumps(
+            {**TestSessionsClosed.SCRIPT,
+             "rules": [*TestSessionsClosed.SCRIPT["rules"], self.KEEP]}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 7,
+            "runs_dir": str(tmp_path / "runs"),
+            "oracle": {"backend": "mock", "mock_script": str(script), "backoff_base_s": 0},
+            "browser": {"endpoint_url": endpoint},
+            "sites": [{"name": "fake", "start_url": "https://fake.test/home"}],
+        }))
+        run = tmp_path / "runs" / "r"
+
+        def stage(command: str) -> tuple[int, str]:
+            code = cli.main([command, "--config", str(config), "--run", "r"])
+            return code, capsys.readouterr().err
+
+        def content_hash() -> str:
+            return json.loads((run / "manifest.json").read_text())["dataset"]["content_hash"]
+
+        sent = {}
+        for command in self.STAGES:
+            start = len(fake.log)
+            assert stage(command)[0] == cli.EXIT_OK
+            sent[command] = len(fake.log) - start
+        expected = content_hash()
+        explore, collect = sent["explore"], sent["collect"]
+        # The last two requests of collect read its last task's first page
+        # and close its session.
+        sweep = sorted({1, explore // 2, explore + 1, explore + collect // 2,
+                        explore + collect - 1})
+        assert len(sweep) == 5
+
+        for k in sweep:
+            shutil.rmtree(run)
+            fake.log.clear()
+            fake.fail_from = k
+            for command in self.STAGES:
+                code, err = stage(command)
+                if code != cli.EXIT_OK:
+                    break
+            assert command == ("explore" if k <= explore else "collect"), k
+            assert code == cli.EXIT_RUNTIME, (k, err)
+            assert " -> 500 unknown error" in err, (k, err)  # a ProtocolError
+            fake.fail_from = None
+            for command in self.STAGES:
+                assert stage(command)[0] == cli.EXIT_OK, k
+            assert content_hash() == expected, k
 
 
 class TestKeySequence:

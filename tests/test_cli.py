@@ -112,15 +112,16 @@ class TestFullRun:
         assert (run / "dataset" / "manifest.json").exists()
 
         state = json.loads((run / "state.json").read_text())
-        assert state["stages"] == ["explore", "collect", "refine", "export", "stats"]
-        assert state["explored_sites"] == ["shop"]
+        assert state == {"schema_version": 2, "explored_sites": ["shop"], "seed": 7}
+        events = map(json.loads, (run / "events.jsonl").read_text().splitlines())
+        finished = [e["stage"] for e in events if e["kind"] == "stage.end" and e["outcome"] == "ok"]
+        assert finished == ["explore", "collect", "refine", "export", "stats"]
 
         stats = json.loads((run / "stats.json").read_text())
         assert stats["overall"]["terminal_pct"]["completed_none"] == 80.0
         assert stats["overall"]["decision_pct"]["keep"] == 66.7
         assert stats["overall"]["mean_refines"] == 0.2
         assert stats["diversity"]["shop"]["score"] == 85
-        assert stats["oracle"]["calls"] > 0
 
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["seed"] == 7
@@ -375,9 +376,14 @@ class TestExitCodes:
         (lambda script: with_rule(script, reply=None), "rules[0]: needs exactly one of"),
         (lambda script: with_rule(script, fingerprint="ab"), "rules[0]: unknown keys: fingerprint"),
         (lambda script: with_rule(script, whne={"url": "*"}), "rules[0]: unknown keys: whne"),
+        (lambda script: {**script, "schema_version": True}, "schema_version: True, "),
+        (lambda script: {**script, "schema_version": 1.0}, "schema_version: 1.0, "),
+        (lambda script: {**script, "schema_version": "1"}, "schema_version: '1', "),
+        (lambda script: {**script, "schema_version": None}, "schema_version: None, "),
     ], ids=["top_level_list", "default_usage_key", "rule_usage_key", "when_list",
             "when_pattern_int", "scope_int", "template_missing", "replies_empty", "raws_string",
-            "two_replies", "no_reply", "rule_key_fingerprint", "rule_key_misspelt"])
+            "two_replies", "no_reply", "rule_key_fingerprint", "rule_key_misspelt",
+            "version_true", "version_float", "version_string", "version_null"])
     def test_malformed_mock_script_is_usage_error(self, capsys, tmp_path, defect, where):
         bad = tmp_path / "bad.mock.json"
         bad.write_text(json.dumps(defect(json.loads(SHOP_MOCK.read_text()))))
@@ -405,7 +411,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name,field,value,command", [
         ("state.json", "explored_sites", 5, "explore"),
-        ("state.json", "stages", "explore", "collect"),
         ("state.json", "seed", "7", "export"),
         ("ledger.json", "calls", "x", "collect"),
         ("ledger.json", "total_cost_usd", "lots", "collect"),
@@ -520,6 +525,27 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert f"error: {path}: " in err
 
+    @pytest.mark.parametrize("name,command", [
+        ("trajectories_raw.jsonl", "refine"), ("trajectories_raw.jsonl", "stats"),
+        ("trajectories_refined.jsonl", "export"), ("trajectories_refined.jsonl", "stats"),
+    ])
+    def test_trajectory_without_steps_is_usage_error(
+        self, capsys, tmp_path, finished_run, name, command
+    ):
+        run = tmp_path / "runs" / "r"
+        shutil.copytree(finished_run, run)
+        path = run / name
+        first, *rest = path.read_text().splitlines(True)
+        record = {**json.loads(first), "steps": []}
+        path.write_text("".join([canonical_json(record) + "\n", *rest]))
+        before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+        config = write_config(tmp_path)
+        code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert err == (f"error: {path}: a record does not have the expected shape "
+                       f"(ValueError: trajectory {record['task']['id']} has no steps)\n")
+        assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == before
+
     def test_decoder_error_names_the_record_file(self, capsys, tmp_path, finished_run):
         run = tmp_path / "runs" / "r"
         shutil.copytree(finished_run, run)
@@ -594,7 +620,7 @@ class TestExitCodes:
         assert "by_site_stage" in err
 
     @pytest.mark.parametrize("command", ["explore", "collect", "refine", "export", "stats"])
-    @pytest.mark.parametrize("found", ["absent", "2", "inline_observations"])
+    @pytest.mark.parametrize("found", ["absent", "1", "3", "inline_observations"])
     def test_run_of_another_format_is_rejected(
         self, capsys, tmp_path, finished_run, command, found
     ):

@@ -14,13 +14,12 @@ from synthweaver.collector import (
     normalize_url,
 )
 from synthweaver.environment import SimulatorSession
-from synthweaver.model import ConflictTrigger, Task, TaskType, Terminal
+from synthweaver.model import ConflictTrigger, Task, Terminal
 from tests.conftest import make_client, shop_client
 
 
 def make_task(text: str, task_id: str = "t-shop-0000") -> Task:
-    return Task(id=task_id, text=text, category="c", task_type=TaskType.INFORMATION_SEEKING,
-                site="shop")
+    return Task(id=task_id, text=text, category="c", site="shop")
 
 
 class TestNormalizeUrl:
@@ -136,7 +135,7 @@ class TestCollectShop:
         t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert t.terminal is Terminal.COMPLETED_NONE
         assert len(t.steps) == 3
-        assert t.refine_count == 0
+        assert t.task.lineage == ()
         assert collector.oracle.ledger.stage_cost_by_site("collect")["shop"] > Decimal("0")
         assert [s.index for s in t.steps] == [0, 1, 2]
         assert t.steps[-1].action.value.endswith("$3.99")
@@ -162,7 +161,6 @@ class TestCollectShop:
             "Sort the 'vitamin supplements' search results by price to find the cheapest product available"
         )
         t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
-        assert t.refine_count == 1
         assert t.terminal is Terminal.COMPLETED_NONE
         assert len(t.task.lineage) == 1
         assert t.task.lineage[0].trigger_reason == "stall"
@@ -178,14 +176,14 @@ class TestCollectShop:
         collector = shop_collector(shop_config)
         task = make_task("Arrange the Health & Household products from least to most expensive")
         t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
-        assert t.refine_count == 1
+        assert len(t.task.lineage) == 1
         assert t.task.lineage[0].trigger_reason == "exists_ui"
 
     def test_missing_args_refinement(self, shop_config, shop_graph):
         collector = shop_collector(shop_config)
         task = make_task("Update your MegaShop account password to a new secure value")
         t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
-        assert t.refine_count == 1
+        assert len(t.task.lineage) == 1
         assert t.task.lineage[0].trigger_reason == "missing_args"
         assert t.steps[-1].action.value == "Signed in as demo"
 
@@ -281,8 +279,7 @@ class TestRefineCap:
         client = make_client(script)
         collector = Collector(client, config)
         t = collector.collect_trajectory(make_task("v0"), SimulatorSession(shop_graph))
-        assert t.refine_count == config.max_refines_per_task == 4
-        assert len(t.task.lineage) == 4
+        assert len(t.task.lineage) == config.max_refines_per_task == 4
         assert t.terminal is Terminal.BUDGET_EXCEEDED
         # four nested rewrites then the checker is never consulted again
         assert t.task.text.count("rewrite of") == 4

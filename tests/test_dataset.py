@@ -16,21 +16,17 @@ from synthweaver.dataset import (
     observation_ref,
     split_examples,
 )
-from synthweaver.errors import EmptyTrajectory
-from synthweaver.model import Task, TaskType, Terminal, Trajectory
+from synthweaver.model import ConflictTrigger, Task, Terminal, Trajectory
 from tests.conftest import click_action, none_action, obs, step, stop_action
 
 
-def make_trajectory(n_steps: int, text="the task", task_id="t-s-0001",
-                    refine_count=0, site="shop") -> Trajectory:
+def make_trajectory(n_steps: int, text="the task", task_id="t-s-0001", site="shop") -> Trajectory:
     actions = [click_action(i + 1) for i in range(n_steps - 1)] + [none_action("ans")]
     steps = tuple(
         step(i, a, task=text, url=f"https://s.test/p{i}") for i, a in enumerate(actions)
     )
-    task = Task(id=task_id, text=text, category="c",
-                task_type=TaskType.INFORMATION_SEEKING, site=site)
-    return Trajectory(task=task, steps=steps, terminal=Terminal.COMPLETED_NONE,
-                      refine_count=refine_count)
+    task = Task(id=task_id, text=text, category="c", site=site)
+    return Trajectory(task=task, steps=steps, terminal=Terminal.COMPLETED_NONE)
 
 
 class TestSplitExamples:
@@ -62,12 +58,9 @@ class TestSplitExamples:
         assert {e.task_text for e in split_examples(t)} == {"refined final text"}
 
     def test_empty_trajectory_raises(self):
-        task = Task(id="t", text="x", category="c",
-                    task_type=TaskType.INFORMATION_SEEKING)
-        empty = Trajectory(task=task, steps=(), terminal=Terminal.COMPLETED_NONE,
-                           refine_count=0)
-        with pytest.raises(EmptyTrajectory):
-            split_examples(empty)
+        task = Task(id="t", text="x", category="c")
+        with pytest.raises(ValueError, match="trajectory t has no steps"):
+            Trajectory(task=task, steps=(), terminal=Terminal.COMPLETED_NONE)
 
     def test_negative_window_raises(self):
         with pytest.raises(ValueError):
@@ -169,13 +162,14 @@ class TestCorpusStats:
             raw.append(make_trajectory(3, task_id=f"t-shop-{i:04d}"))
         for i in range(5, 8):
             t = make_trajectory(2, task_id=f"t-shop-{i:04d}")
-            t = Trajectory(task=t.task, steps=t.steps[:-1] + (step(1, stop_action()),),
-                           terminal=Terminal.STOPPED_BY_AGENT, refine_count=1)
+            task = t.task.refined(0, "the refined task", ConflictTrigger.STALL)
+            t = Trajectory(task=task, steps=t.steps[:-1] + (step(1, stop_action()),),
+                           terminal=Terminal.STOPPED_BY_AGENT)
             raw.append(t)
         for i in range(8, 10):
             t = make_trajectory(4, task_id=f"t-shop-{i:04d}")
             t = Trajectory(task=t.task, steps=t.steps[:-1] + (step(3, click_action(9)),),
-                           terminal=Terminal.BUDGET_EXCEEDED, refine_count=0)
+                           terminal=Terminal.BUDGET_EXCEEDED)
             raw.append(t)
         refined = raw[:6]
         decisions = (

@@ -115,6 +115,10 @@ T0 = "pages.a.transitions[0]: "
 # value put there or DELETE, what the message names after the file).
 GRAPH_DEFECTS = {
     "schema_version": ("schema_version", 2, "schema_version: "),
+    "schema_version_true": ("schema_version", True, "schema_version: True, "),
+    "schema_version_float": ("schema_version", 1.0, "schema_version: 1.0, "),
+    "schema_version_string": ("schema_version", "1", "schema_version: '1', "),
+    "schema_version_null": ("schema_version", None, "schema_version: None, "),
     "pages_not_object": ("pages", [], "pages: "),
     "pages_empty": ("pages", {}, "pages: "),
     "start_page_unknown": ("start_page", "nowhere", "start_page: "),

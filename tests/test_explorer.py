@@ -13,11 +13,9 @@ from synthweaver.explorer import (
     Explorer,
     UrlPool,
     categorize_page,
-    infer_task_type,
     propose_task,
     sample_probes,
 )
-from synthweaver.model import TaskType
 from synthweaver.actions import ActionKind, make_action
 from tests.conftest import SHOP_EXAMPLES, SHOP_INTRO, make_client, obs, shop_client
 
@@ -62,33 +60,6 @@ class TestSampleProbes:
         # Each of 5 elements should be picked in about 2/5 of trials.
         for element_id in range(5):
             assert 0.32 <= counts[element_id] / trials <= 0.48
-
-
-class TestInferTaskType:
-    @pytest.mark.parametrize(
-        "instruction,analysis,expected",
-        [
-            ("Do the thing", "This is information seeking over lists", TaskType.INFORMATION_SEEKING),
-            ("Do the thing", "classic site navigation here", TaskType.SITE_NAVIGATION),
-            ("Do the thing", "a content modification flow", TaskType.CONTENT_MODIFICATION),
-            ("Go to the settings page", "", TaskType.SITE_NAVIGATION),
-            ("Navigate back home", "", TaskType.SITE_NAVIGATION),
-            ("Browse the catalog", "", TaskType.SITE_NAVIGATION),
-            ("Add a product to the cart", "", TaskType.CONTENT_MODIFICATION),
-            ("Sign in to the portal", "", TaskType.CONTENT_MODIFICATION),
-            ("Update the shipping address", "", TaskType.CONTENT_MODIFICATION),
-            ("Submit the feedback form", "", TaskType.CONTENT_MODIFICATION),
-            ("Find the cheapest laptop", "", TaskType.INFORMATION_SEEKING),
-            ("What is the return window?", "", TaskType.INFORMATION_SEEKING),
-            ("", "", TaskType.INFORMATION_SEEKING),
-        ],
-    )
-    def test_table(self, instruction, analysis, expected):
-        assert infer_task_type(instruction, analysis) is expected
-
-    def test_phrase_beats_verb(self):
-        got = infer_task_type("Add a banner", "this is information seeking")
-        assert got is TaskType.INFORMATION_SEEKING
 
 
 class TestUrlPool:
@@ -141,9 +112,7 @@ class TestProposeTask:
                        "reply": {"Sub-Instruction": "s", "Analysis": "a",
                                  "High-Level-Instruction": "  Find   the\n best deal  "}}],
         })
-        text, task_type = propose_task(client, shop_site(), "Click the deals link")
-        assert text == "Find the best deal"
-        assert task_type is TaskType.INFORMATION_SEEKING
+        assert propose_task(client, shop_site(), "Click the deals link") == "Find the best deal"
 
 
 class TestExploreShop:

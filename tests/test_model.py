@@ -13,7 +13,6 @@ from synthweaver.model import (
     Element,
     Observation,
     Task,
-    TaskType,
     Terminal,
     Trajectory,
     canonical_json,
@@ -32,7 +31,7 @@ from tests.conftest import click_action, none_action, obs, step, stop_action
 
 
 def make_task(text: str = "do the thing") -> Task:
-    return Task(id="t-x-0001", text=text, category="Misc", task_type=TaskType.INFORMATION_SEEKING)
+    return Task(id="t-x-0001", text=text, category="Misc")
 
 
 class TestClassifyTerminal:
@@ -136,8 +135,7 @@ class TestSerialization:
 
     def test_trajectory_round_trip(self):
         steps = (step(0, click_action()), step(1, none_action("ok")))
-        t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE,
-                       refine_count=1)
+        t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE)
         back = trajectory_from_dict(trajectory_to_dict(t), observations_of(t))
         assert back == t
 
@@ -145,8 +143,7 @@ class TestSerialization:
         # Trajectory files once carried a per-episode cost; the ledger is
         # now the only cost account, so the key is written no more and ignored.
         steps = (step(0, click_action()), step(1, none_action("ok")))
-        t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE,
-                       refine_count=1)
+        t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE)
         record = trajectory_to_dict(t)
         assert "cost_usd" not in record
         assert trajectory_from_dict({**record, "cost_usd": "0.0125"}, observations_of(t)) == t
@@ -159,8 +156,7 @@ class TestSerialization:
             n = rng.randint(1, 6)
             steps = tuple(step(i, rng.choice(kinds)()) for i in range(n - 1))
             steps += (step(n - 1, none_action(f"ans-{rng.randint(0, 99)}")),)
-            t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE,
-                           refine_count=rng.randint(0, 4))
+            t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE)
             assert trajectory_from_dict(trajectory_to_dict(t), observations_of(t)) == t
 
 

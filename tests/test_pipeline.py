@@ -2,6 +2,7 @@
 worker-count invariance of the overlapped oracle calls."""
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import sys
@@ -26,6 +27,20 @@ from tests.conftest import SHOP_MOCK, shop_config_dict, write_config
 SHOP_CONTENT_HASH = "64a87fa3c64e81dafada73ad79dbbe7bafc7e2b4cb6220bf5d0e9ce945f590f6"
 SHOP_LEDGER = {"calls": 183, "tokens": 155_550, "total_cost_usd": "0.475800"}
 SHOP_COLLECT_USD = "0.369200"
+# SHA-256 of the files of that run, at one worker, whose bytes run formats 1
+# and 2 share; for `stats.json`, format 1's file without its `oracle` key,
+# which copied `ledger.json`.
+SHOP_DIGESTS = {
+    "ledger.json": "66c6f9db5004ca7729009e81ec07d15d50d25357266a5895b6a90709b93c643e",
+    "stats.json": "aa79ff76be38579d1ff38876732707f165cb3b3b0274a110db8fb297c1cfde4c",
+    "triplets.jsonl": "e66036709d9d3307f98676d1660f5b7ac1b4607c5da42e5df482068c9c138964",
+    "observations.jsonl": "a765d91b5b8c870ad1faaa4938e30a53037e02f28438ddb6902e3a41e338a13e",
+    "drops.jsonl": "ee41f3f0c8f813465bc6d51c27d126eceb7b145ac1aa72ab6edf711b923eb224",
+    "dataset/dataset.jsonl": "02aaa0a8a602bdc2818b4aa188184278f87dfe5cf0dc4971623d3fc0c0252122",
+    "dataset/observations.jsonl":
+        "9c565fb5bcad66f613b5f8380e043b3bbdd96b5279d982bded7fe0cd7a72e4d8",
+    "dataset/manifest.json": "a8bd756b12d84b5353f3515055619659bea7ca4f3944a2ea21c03c11fa8c60d4",
+}
 
 
 def ledger_totals(run) -> dict:
@@ -49,6 +64,12 @@ def stage_events(store):
     return [r for r in store.read_records("events.jsonl") if r["kind"].startswith("stage.")]
 
 
+def finished_stages(store):
+    """The stages that finished: each a `stage.end` event with outcome ok."""
+    return [r["stage"] for r in stage_events(store)
+            if r["kind"] == "stage.end" and r["outcome"] == "ok"]
+
+
 @pytest.mark.parametrize("workers", ["1", "4"])
 def test_shop_output_is_pinned(tmp_path, capsys, workers):
     config = write_config(tmp_path)
@@ -60,6 +81,22 @@ def test_shop_output_is_pinned(tmp_path, capsys, workers):
     assert ledger_totals(run) == SHOP_LEDGER
     stats = json.loads((run / "stats.json").read_text())
     assert stats["overall"]["collection_cost_usd"] == collect_spend(run) == SHOP_COLLECT_USD
+
+
+def test_shop_run_stores_each_fact_once(tmp_path, capsys):
+    config = write_config(tmp_path)
+    for command in ("explore", "collect", "refine", "export", "stats"):
+        assert cli.main([command, "--config", str(config), "--run", "r"]) == cli.EXIT_OK
+    run = tmp_path / "runs" / "r"
+    for path in run.rglob("*"):
+        if path.is_file():
+            text = path.read_text()
+            for key in ('"task_type"', '"refine_count"', '"stages"'):
+                assert key not in text, (path.name, key)
+    assert "oracle" not in json.loads((run / "stats.json").read_text())
+    digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+               for name in SHOP_DIGESTS}
+    assert digests == SHOP_DIGESTS
 
 
 def test_collect_threads_share_one_graph(tmp_path, monkeypatch):
@@ -151,7 +188,7 @@ def test_failed_stage_keeps_ledger_and_resumes(tmp_path, monkeypatch):
     with pytest.raises(TransportError):
         pipeline.run_collect(config, store)
     assert ledger_totals(store.root)["calls"] == len(served) == 25 + 40
-    assert "collect" not in store.load_state()["stages"]
+    assert "collect" not in finished_stages(store)
     end = stage_events(store)[-1]
     assert (end["kind"], end["stage"], end["outcome"], end["oracle_calls"]) == (
         "stage.end", "collect", "error", 40)
@@ -423,7 +460,7 @@ def test_failed_proposal_raises_once_in_flight_calls_are_paid(tmp_path, monkeypa
     assert served.peak > 1
     time.sleep(0.1)
     assert len(served.served) == at_raise  # nothing served after the raise
-    assert "explore" not in store.load_state()["stages"]
+    assert "explore" not in finished_stages(store)
 
     Served(monkeypatch, (), http=True)
     for stage in (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine,
@@ -724,7 +761,7 @@ def test_failed_check_raises_once_the_speculative_call_is_paid(tmp_path, monkeyp
     assert ledger_totals(store.root)["calls"] == at_raise
     time.sleep(0.1)
     assert len(served.served) == at_raise  # nothing served after the raise
-    assert "collect" not in store.load_state()["stages"]
+    assert "collect" not in finished_stages(store)
 
     Served(monkeypatch, COLLECT, http=True)
     for stage in STAGES[1:]:

@@ -6,7 +6,7 @@ import pytest
 from synthweaver.actions import ActionKind, make_action
 from synthweaver.environment import SimulatorSession
 from synthweaver.errors import EditContractViolation
-from synthweaver.model import Task, TaskType, Terminal, Trajectory
+from synthweaver.model import Task, Terminal, Trajectory
 from synthweaver.oracle.replies import RefineDecision, RefineTrajectoryReply
 from synthweaver.refiner import Refiner, apply_edits, summarize_trajectory
 from tests.conftest import (
@@ -15,15 +15,12 @@ from tests.conftest import (
 
 
 def make_task(text: str = "the task") -> Task:
-    return Task(id="t-s-0001", text=text, category="c",
-                task_type=TaskType.INFORMATION_SEEKING, site="shop")
+    return Task(id="t-s-0001", text=text, category="c", site="shop")
 
 
-def make_trajectory(actions, terminal=Terminal.COMPLETED_NONE, text="the task",
-                    refine_count=1) -> Trajectory:
+def make_trajectory(actions, terminal=Terminal.COMPLETED_NONE, text="the task") -> Trajectory:
     steps = tuple(step(i, a, task=text, summary=f"summary {i}") for i, a in enumerate(actions))
-    return Trajectory(task=make_task(text), steps=steps, terminal=terminal,
-                      refine_count=refine_count)
+    return Trajectory(task=make_task(text), steps=steps, terminal=terminal)
 
 
 def reply(**overrides) -> RefineTrajectoryReply:
@@ -49,7 +46,7 @@ class TestSummarize:
     def test_falls_back_to_url_without_summary(self):
         t = Trajectory(task=make_task(),
                        steps=(step(0, none_action("x"), url="https://a.test/p"),),
-                       terminal=Terminal.COMPLETED_NONE, refine_count=0)
+                       terminal=Terminal.COMPLETED_NONE)
         assert "State 0: https://a.test/p" in summarize_trajectory(t)
 
 
@@ -79,7 +76,7 @@ class TestApplyEdits:
         assert [s.action for s in out.steps] == [click_action(1), click_action(3),
                                                  none_action("ans")]
         assert out.terminal is Terminal.COMPLETED_NONE
-        assert out.refine_count == t.refine_count
+        assert out.task == t.task
 
     def test_modify_end_replaces_terminal_action(self):
         t = make_trajectory([click_action(1), stop_action("quit")],
@@ -126,8 +123,7 @@ def collect_shop(shop_config, shop_graph, text):
     from synthweaver.collector import Collector
     client = shop_client()
     collector = Collector(client, shop_config)
-    task = Task(id="t-shop-0001", text=text, category="c",
-                task_type=TaskType.INFORMATION_SEEKING, site="shop")
+    task = Task(id="t-shop-0001", text=text, category="c", site="shop")
     trajectory = collector.collect_trajectory(task, SimulatorSession(shop_graph))
     return Refiner(client, shop_config), trajectory
 

@@ -179,21 +179,14 @@ class TestJson:
 class TestStateAndEvents:
     def test_default_state(self, tmp_path):
         store = RunStore(tmp_path / "run")
-        assert store.load_state() == {"schema_version": 1, "explored_sites": [], "stages": []}
+        assert store.load_state() == {"schema_version": 2, "explored_sites": []}
 
-    @pytest.mark.parametrize("stamp", [True, 1.0, "1", None])
+    @pytest.mark.parametrize("stamp", [True, 1.0, "1", None, 2.0, "2"])
     def test_state_stamped_with_another_format_is_refused(self, tmp_path, stamp):
         store = RunStore(tmp_path / "run")
         store.write_json(runstore.STATE, {"schema_version": stamp})
         with pytest.raises(SchemaError, match=f"schema_version: {stamp!r}, "):
             store.load_state()
-
-    def test_mark_stage_is_idempotent(self, tmp_path):
-        store = RunStore(tmp_path / "run")
-        store.mark_stage("explore")
-        store.mark_stage("collect")
-        store.mark_stage("explore")
-        assert store.load_state()["stages"] == ["explore", "collect"]
 
     def test_save_state_round_trip(self, tmp_path):
         store = RunStore(tmp_path / "run")

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from synthweaver import cli, pipeline
-from synthweaver.model import Task, TaskType, task_to_dict
+from synthweaver.model import Task, task_to_dict
 from synthweaver.oracle import MockTransport
 from synthweaver.runstore import RunStore
 from tests.conftest import SHOP_MOCK, shop_client, write_config
@@ -69,8 +69,7 @@ class TestJudgeDiversity:
     def test_sample_size_limits_prompt(self, tmp_path, shop_config, sent):
         store = RunStore(tmp_path / "runs" / "r")
         store.append_records("tasks.jsonl", [
-            task_to_dict(Task(id=f"t-{i}", text=f"task {i}", category="c",
-                              task_type=TaskType.INFORMATION_SEEKING, site="shop"))
+            task_to_dict(Task(id=f"t-{i}", text=f"task {i}", category="c", site="shop"))
             for i in range(10)
         ])
         config = replace(shop_config, diversity_sample_size=4)
@@ -88,7 +87,7 @@ class TestJudgeDiversity:
         stats = json.loads((run / "stats.json").read_text())
         assert stats["diversity"] == {"shop": None}
         # One ask and two re-asks, all paid for and all in the report.
-        assert stats["oracle"]["calls"] == calls + 3
+        assert json.loads((run / "ledger.json").read_text())["calls"] == calls + 3
         assert judge_failures(run) == [{"site": "shop", "judge": "diversity"}]
 
 
