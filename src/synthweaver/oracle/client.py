@@ -387,9 +387,11 @@ class OracleClient:
     started on demand: `map` runs the stage's jobs on the calling thread and
     up to `workers` - 1 of them, and `submit` overlaps calls on the rest when
     the transport waits on the network (`overlaps`), and runs them inline on
-    the in-process `MockTransport`, which has nothing to wait for. So a stage
-    has at most 2 x `workers` calls in flight on an HTTP oracle, and at most
-    `workers` on the mock.
+    the in-process `MockTransport`, which has nothing to wait for. Jobs that
+    never wait on `submit` (refine's trajectories) leave those threads idle,
+    so with more than one worker on an overlapping client they take the
+    whole pool. So a stage has at most 2 x `workers` calls in flight on an
+    HTTP oracle, and at most `workers` on the mock.
     """
 
     def __init__(
@@ -414,12 +416,19 @@ class OracleClient:
         self.overlaps = not isinstance(transport, MockTransport)
         self.workers = workers
         self._pool = ThreadPoolExecutor(max_workers=2 * workers - 1)
+        self._pool_taken = False
 
-    def map(self, fn: Callable[[T], U], jobs: Sequence[T]) -> list[U]:
+    def map(
+        self, fn: Callable[[T], U], jobs: Sequence[T], *, submits: bool = True
+    ) -> list[U]:
         """fn over jobs, in job order. Jobs run on the calling thread and up to
-        `workers` - 1 pool threads, each taking the next job. Once a job has
-        raised, or the caller is interrupted, no job starts; the others finish
-        their current job, then the first job in order that raised re-raises."""
+        `workers` - 1 pool threads, each taking the next job. Jobs that never
+        call `submit` (`submits=False`) take all 2 x `workers` - 1 when the
+        client overlaps and has more than one worker; `submit` refuses work
+        until they are done, as its future would wait behind them. One worker
+        runs every job in order. Once a job has raised, or the caller is
+        interrupted, no job starts; the others finish their current job, then
+        the first job in order that raised re-raises."""
         results: list[Any] = [None] * len(jobs)
         errors: dict[int, BaseException] = {}
         todo = deque(range(len(jobs)))  # its pops and clears are atomic
@@ -436,12 +445,16 @@ class OracleClient:
                     errors[i] = exc
                     todo.clear()
 
-        helpers = [self._pool.submit(work) for _ in range(min(self.workers, len(jobs)) - 1)]
+        wide = not submits and self.overlaps and self.workers > 1
+        width = 2 * self.workers if wide else self.workers
+        self._pool_taken = wide
+        helpers = [self._pool.submit(work) for _ in range(min(width, len(jobs)) - 1)]
         try:
             work()
         finally:
             todo.clear()  # the caller is done or interrupted
             wait(helpers)
+            self._pool_taken = False
         if errors:
             raise errors[min(errors)]
         return results
@@ -449,6 +462,8 @@ class OracleClient:
     def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
         """Run fn(*args) on the pool, or inline when the client does not
         overlap; its result or exception is read from the future."""
+        if self._pool_taken:
+            raise RuntimeError("submit from a map whose jobs were declared not to submit")
         if self.overlaps:
             return self._pool.submit(fn, *args)
         future: Future = Future()

@@ -7,9 +7,10 @@ trajectories, judge calls); one worker runs these one after another, so
 record order is byte-reproducible. A stage has one thread pool, owned by its
 `OracleClient`: `OracleClient.map` runs the units, and on an HTTP oracle
 explore's task proposals and collect's speculative next actions overlap on
-the threads the units leave free, and are committed as if asked in turn. So
-any stage has at most 2 x `workers` oracle calls in flight on an HTTP
-oracle, and at most `workers` on the mock backend.
+the threads the units leave free, and are committed as if asked in turn,
+while refine's trajectories, which submit nothing, take every thread when
+there is more than one worker. So any stage has at most 2 x `workers` oracle
+calls in flight on an HTTP oracle, and at most `workers` on the mock backend.
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
                 )
             return outcome.decision
 
-        decisions = client.map(refine_one, jobs)
+        decisions = client.map(refine_one, jobs, submits=False)
     return {
         "trajectories": len(jobs),
         "kept": decisions.count("keep"),

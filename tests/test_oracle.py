@@ -711,6 +711,26 @@ class TestOracleClient:
         client.call(quality_prompt())
         assert client.ledger.total_cost == Decimal("0.030")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_map_that_takes_the_pool_refuses_submit(self, workers):
+        # With more than one worker, jobs declared not to submit take every
+        # pool thread, so a submit from one of them would wait behind them
+        # forever; it fails instead. One worker leaves the pool free.
+        client = OracleClient(FlakyTransport(0, []), CostLedger(), OracleSettings(),
+                              stage="refine", workers=workers)
+        try:
+            def job(n):
+                return client.submit(lambda: n).result()
+
+            if workers == 1:
+                assert client.map(job, range(4), submits=False) == [0, 1, 2, 3]
+            else:
+                with pytest.raises(RuntimeError, match="declared not to submit"):
+                    client.map(job, range(4), submits=False)
+            assert client.map(job, range(4)) == [0, 1, 2, 3]
+        finally:
+            client.close()
+
 
 # ======================================================================
 # CostLedger

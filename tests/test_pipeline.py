@@ -651,6 +651,7 @@ def test_every_stage_writes_timed_start_and_end_events(tmp_path):
 # task, and each discards one speculative next action, paid for all the same.
 SHOP_HTTP_LEDGER = {"calls": 186, "tokens": 158_100, "total_cost_usd": "0.483600"}
 COLLECT = ("next_action", "refine_task")
+JUDGES = ("refine_trajectory", "judge_diversity", "judge_quality")
 STAGES = (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine,
           pipeline.run_export, pipeline.run_stats)
 
@@ -706,8 +707,8 @@ def test_each_episode_overlaps_at_most_one_call(tmp_path, monkeypatch, workers):
 def test_a_stage_runs_at_most_two_threads_per_worker(tmp_path, monkeypatch, workers):
     # The stage's one pool has 2 x workers - 1 threads; the caller runs jobs
     # too. A sampler thread counts the threads besides its own and the
-    # caller's while four sites are explored and collected.
-    served = Served(monkeypatch, ("categorize", "propose_task") + COLLECT,
+    # caller's while four sites go through explore, collect, refine and stats.
+    served = Served(monkeypatch, ("categorize", "propose_task") + COLLECT + JUDGES,
                     delay=lambda n: 0.002, http=True)
     config, store = shop_store(tmp_path, "r", http=True, workers=workers)
     config = replace(config, sites=tuple(
@@ -725,6 +726,8 @@ def test_a_stage_runs_at_most_two_threads_per_worker(tmp_path, monkeypatch, work
     try:
         pipeline.run_explore(config, store)
         pipeline.run_collect(config, store)
+        pipeline.run_refine(config, store)
+        pipeline.run_stats(config, store, judge_quality=True)
     finally:
         done.set()
         sampler.join()
@@ -889,6 +892,79 @@ def test_explore_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
         pipeline.run_explore(config, store)
     assert overshoot(totals, budget) <= 2 * workers
     assert ledger_totals(store.root)["calls"] == len(totals)
+
+
+# ----------------------------------------------------------------------
+# refine on a network oracle: its jobs submit nothing, so they take the pool
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("http", [False, True], ids=["mock", "http"])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_refine_fills_two_calls_per_worker_on_http(tmp_path, monkeypatch, workers, http):
+    # With more than one worker on an HTTP oracle, refine judges on the whole
+    # pool and the calling thread; one worker, and the mock, judge one
+    # trajectory per worker. Stats' judges keep to one call per worker.
+    Served(monkeypatch, (), http=http)
+    config, store = shop_store(tmp_path, "r", http=http, workers=workers)
+    pipeline.run_explore(config, store)
+    pipeline.run_collect(config, store)
+    peaks = {}
+    for template, stage in (
+            ("refine_trajectory", pipeline.run_refine),
+            ("judge_quality", lambda c, s: pipeline.run_stats(c, s, judge_quality=True))):
+        served = Served(monkeypatch, template, delay=lambda n: 0.01, http=http)
+        stage(config, store)
+        peaks[template] = served.peak
+    if http and workers > 1:
+        assert workers < peaks["refine_trajectory"] <= 2 * workers
+    else:
+        assert peaks["refine_trajectory"] <= workers
+    assert peaks["judge_quality"] <= workers
+
+
+def test_refine_width_changes_no_record(tmp_path, monkeypatch):
+    # Within each pair, the first judgment sleeps longer, so two or more in
+    # flight finish out of job order; refine appends them as they finish.
+    # One worker judges in order, so its files keep the mock's bytes.
+    config, mock = shop_store(tmp_path, "mock")
+    for stage in STAGES:
+        stage(config, mock)
+    Served(monkeypatch, "refine_trajectory", delay=lambda n: 0.002 * (2 - n % 2), http=True)
+    stats = set()
+    for workers in (1, 4):
+        config, http = shop_store(tmp_path, f"http{workers}", http=True, workers=workers)
+        for stage in STAGES:
+            stage(config, http)
+        for name in ("trajectories_refined.jsonl", "drops.jsonl"):
+            data = [(run.root / name).read_bytes() for run in (http, mock)]
+            if workers > 1:
+                data = [sorted(d.splitlines()) for d in data]
+            assert data[0] == data[1], (workers, name)
+        assert content_hash(http.root) == SHOP_CONTENT_HASH
+        assert ledger_totals(http.root) == SHOP_HTTP_LEDGER
+        stats.add((http.root / "stats.json").read_bytes())
+    assert len(stats) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_refine_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
+    # A refine judgment costs $0.0026, so the cap is crossed by the second
+    # one charged while up to 2 x workers are in flight (one worker judges in
+    # turn, so then the crossing call is the last one charged);
+    # no queued trajectory is judged after that.
+    Served(monkeypatch, "refine_trajectory", delay=lambda n: 0.005, http=True)
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers)
+    pipeline.run_explore(config, store)
+    pipeline.run_collect(config, store)
+    before = ledger_totals(store.root)
+    budget = Decimal(before["total_cost_usd"]) + Decimal("0.004")
+    config, store = shop_store(tmp_path, "r", http=True, workers=workers,
+                               oracle={"budget_usd": str(budget)})
+    totals = charged_totals(monkeypatch)
+    with pytest.raises(BudgetExhausted):
+        pipeline.run_refine(config, store)
+    assert overshoot(totals, budget) <= (2 * workers if workers > 1 else 0)
+    assert ledger_totals(store.root)["calls"] == before["calls"] + len(totals)
 
 
 # ----------------------------------------------------------------------
