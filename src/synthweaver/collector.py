@@ -5,24 +5,19 @@ For each task the agent oracle picks one action per step until it answers
 executed step a checker oracle may rewrite the task to match what the site
 actually supports; a mechanical stall detector feeds that check.
 
-On an HTTP oracle, the next action is asked for speculatively, on the oracle
-client's pool, while that check runs: the checker rarely rewrites the task,
-so its reply is almost always the one a sequential episode would get. When
-the check rewrites the task or fails, the speculative reply is discarded (it
-was still paid for), and a rewritten task asks for its next action again.
+An episode has one oracle call in flight at a time; the stage overlaps
+episodes instead (see `pipeline.run_collect`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
 from typing import Any, Callable
 
 from .actions import Action, ActionKind, ELEMENT_KINDS, render_action
 from .config import RunConfig
 from .environment import TransitionOutcome
-from .errors import ElementNotFound, OracleError, SchemaViolation
+from .errors import ElementNotFound, SchemaViolation
 from .model import (
     ConflictTrigger,
     Observation,
@@ -98,12 +93,7 @@ def classify_trigger(stalled: bool, analysis: str) -> ConflictTrigger:
 
 class Collector:
     """Collects trajectories; safe to share across worker threads because all
-    mutable episode state is local to collect_trajectory.
-
-    When the oracle client overlaps calls (an HTTP oracle), each episode
-    overlaps its task check with a speculative next action, so it has up to
-    two oracle calls in flight; on the mock it has one.
-    """
+    mutable episode state is local to collect_trajectory."""
 
     def __init__(
         self,
@@ -138,16 +128,11 @@ class Collector:
         )
 
     def next_action(
-        self,
-        task: Task,
-        obs: Observation,
-        history: tuple[Step, ...],
-        charged: list[Decimal] | None = None,
+        self, task: Task, obs: Observation, history: tuple[Step, ...]
     ) -> NextActionReply:
-        """Pick the next action; one corrective re-ask on a bad element ref.
-        The cost of every attempt is appended to `charged` when given."""
+        """Pick the next action; one corrective re-ask on a bad element ref."""
         prompt = self._next_action_prompt(task, obs, history)
-        reply: NextActionReply = self.oracle.call(prompt, site=task.site, charged=charged)
+        reply: NextActionReply = self.oracle.call(prompt, site=task.site)
         action = reply.action
         if action.kind in ELEMENT_KINDS and not obs.has_element(action.element_id):
             correction = replace(prompt, text=(
@@ -155,7 +140,7 @@ class Collector:
                 f"[{action.element_id}], which is not on the current page. Choose "
                 "again using only the element ids listed above."
             ))
-            reply = self.oracle.call(correction, site=task.site, charged=charged)
+            reply = self.oracle.call(correction, site=task.site)
         return reply
 
     # ------------------------------------------------------------------
@@ -199,16 +184,10 @@ class Collector:
             noop_threshold=cfg.stall_noop_threshold,
             repeat_threshold=cfg.loop_repeat_threshold,
         )
-        # The next step's speculative reply, asked on the observation it reads.
-        pending: Future[NextActionReply] | None = None
 
         while len(steps) < cfg.step_budget:
-            window = tuple(steps[-cfg.context_window :])
             obs = session.observe()
-            if pending is None:
-                reply = self.next_action(task, obs, window)
-            else:
-                reply, pending = pending.result(), None
+            reply = self.next_action(task, obs, tuple(steps[-cfg.context_window :]))
             action = reply.action
             step = Step(
                 index=len(steps),
@@ -237,20 +216,8 @@ class Collector:
             )
             if len(task.lineage) < cfg.max_refines_per_task:
                 obs_after = session.observe()
-                speculative = None
-                charged: list[Decimal] = []
-                if self.oracle.overlaps and len(steps) < cfg.step_budget:
-                    speculative = self.oracle.submit(
-                        self.next_action, task, obs_after,
-                        tuple(steps[-cfg.context_window :]), charged,
-                    )
-                try:
-                    check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
-                except OracleError:
-                    self._discard(speculative, charged, task, step.index)
-                    raise
+                check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
                 if check.need_to_refine:
-                    self._discard(speculative, charged, task, step.index)
                     trigger = classify_trigger(stalled, check.analysis)
                     task = task.refined(step.index, check.high_level_task, trigger)
                     stall.reset()
@@ -264,38 +231,9 @@ class Collector:
                             "text": task.text,
                         },
                     )
-                elif speculative is not None:
-                    pending = speculative
 
         terminal = classify_terminal(tuple(steps), cfg.step_budget)
         return Trajectory(task=task, steps=tuple(steps), terminal=terminal)
-
-    def _discard(
-        self,
-        speculative: Future[NextActionReply] | None,
-        charged: list[Decimal],
-        task: Task,
-        step_index: int,
-    ) -> None:
-        """Wait for the speculative reply, if any, of a check that failed or
-        rewrote the task, and drop it or its exception: a rewritten task asks
-        again, which raises again if the oracle is really at fault."""
-        if speculative is None:
-            return
-        try:
-            speculative.result()
-        except OracleError:
-            pass
-        self.on_event(
-            "collect.speculation_discarded",
-            {
-                "site": task.site,
-                "task_id": task.id,
-                "step_index": step_index,
-                "oracle_calls": len(charged),
-                "cost_usd": str(sum(charged, Decimal("0"))),
-            },
-        )
 
     def _execute(self, session: Any, action: Action) -> TransitionOutcome:
         try:

@@ -31,6 +31,7 @@ from .oracle import (
     UNINTERACTIVE_CATEGORY,
     render,
 )
+from .oracle.client import run_now
 from .promptvars import (
     describe_interaction,
     element_lines,
@@ -137,9 +138,10 @@ class _Proposals:
     joins one FIFO, and commit (the text dedupe, the task and triplet ids,
     the events) takes finished proposals from its head, so the records are
     those of an inline run. Submitting never waits: proposals take the pool
-    threads the site crawls leave free (see `OracleClient`). A proposal that
-    failed other than by a bad reply stops the crawl at the next `room` or
-    `submit`.
+    threads the site crawls leave free (see `OracleClient`), and while the
+    crawl waits for the head of the FIFO it sends queued proposals itself. A
+    proposal that failed other than by a bad reply stops the crawl at the
+    next `room`, `submit` or `drain` step.
     """
 
     def __init__(self, oracle: OracleClient, site: SiteSpec, on_event: EventHook) -> None:
@@ -171,17 +173,34 @@ class _Proposals:
             self._commit(*self._pending.popleft())
 
     def drain(self) -> None:
+        """Commit every pending proposal. While the head one is not done,
+        this thread runs the newest one no pool thread has started."""
         while self._pending:
-            self._commit(*self._pending.popleft())
+            self._raise_failed()
+            if self._pending[0][3].done() or not self._run_queued():
+                self._commit(*self._pending.popleft())
+
+    def _run_queued(self) -> bool:
+        """Take the newest proposal still queued on the pool and run it here,
+        leaving its finished future in its FIFO slot; False if none is."""
+        for slot in reversed(range(len(self._pending))):
+            url, category, triplet, future = self._pending[slot]
+            if future.cancel():
+                description = describe_interaction(triplet.action, triplet.before)
+                done = run_now(propose_task, self.oracle, self.site, description)
+                self._pending[slot] = (url, category, triplet, done)
+                return True
+        return False
 
     def _raise_failed(self) -> None:
         """Once a pending proposal has failed other than by a bad reply,
-        commit up to it, which re-raises, so no further call is sent."""
-        if any(
-            future.done() and not isinstance(future.exception(), (type(None), SchemaViolation))
-            for *_, future in self._pending
-        ):
-            self.drain()
+        re-raise its error, so no further call is sent: a failed site keeps
+        no record."""
+        for *_, future in self._pending:
+            if future.done():
+                error = future.exception()
+                if error is not None and not isinstance(error, SchemaViolation):
+                    raise error
 
     def cancel(self) -> None:
         """Drop every pending proposal; those not yet started never run."""

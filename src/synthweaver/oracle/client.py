@@ -33,6 +33,7 @@ from .templates import RenderedPrompt
 
 T = TypeVar("T")
 U = TypeVar("U")
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -373,6 +374,17 @@ class MockTransport:
 # client
 # ======================================================================
 
+def run_now(fn: Callable[..., Any], *args: Any) -> Future:
+    """Run fn(*args) on this thread; a finished future holds its result or
+    exception."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 class OracleClient:
     """One call = transport with retry, JSON extraction, schema validation.
 
@@ -384,14 +396,14 @@ class OracleClient:
     reached the budget. Retries, re-asks and prices come from `settings`.
 
     The client owns the stage's one pool, of 2 x `workers` - 1 threads
-    started on demand: `map` runs the stage's jobs on the calling thread and
-    up to `workers` - 1 of them, and `submit` overlaps calls on the rest when
-    the transport waits on the network (`overlaps`), and runs them inline on
-    the in-process `MockTransport`, which has nothing to wait for. Jobs that
-    never wait on `submit` (refine's trajectories) leave those threads idle,
-    so with more than one worker on an overlapping client they take the
-    whole pool. So a stage has at most 2 x `workers` calls in flight on an
-    HTTP oracle, and at most `workers` on the mock.
+    started on demand. `map` runs the stage's jobs on the calling thread and
+    pool threads. On an HTTP oracle (`overlaps`), jobs that never call
+    `submit` take the whole pool, 2 x `workers` at once; explore's site
+    crawls, which `submit` their task proposals, take `workers` and leave the
+    rest to those proposals. The in-process `MockTransport` has nothing to
+    wait for: there `map` runs `workers` jobs and `submit` runs inline. So a
+    stage has at most 2 x `workers` calls in flight on an HTTP oracle, and
+    at most `workers` on the mock.
     """
 
     def __init__(
@@ -419,19 +431,47 @@ class OracleClient:
         self._pool_taken = False
 
     def map(
-        self, fn: Callable[[T], U], jobs: Sequence[T], *, submits: bool = True
-    ) -> list[U]:
-        """fn over jobs, in job order. Jobs run on the calling thread and up to
-        `workers` - 1 pool threads, each taking the next job. Jobs that never
-        call `submit` (`submits=False`) take all 2 x `workers` - 1 when the
-        client overlaps and has more than one worker; `submit` refuses work
-        until they are done, as its future would wait behind them. One worker
-        runs every job in order. Once a job has raised, or the caller is
-        interrupted, no job starts; the others finish their current job, then
-        the first job in order that raised re-raises."""
+        self,
+        fn: Callable[[T], U],
+        jobs: Sequence[T],
+        *,
+        submits: bool = False,
+        commit: Callable[[U], V] | None = None,
+    ) -> list[Any]:
+        """fn over jobs, in job order; each thread takes the next job. When
+        the client overlaps, jobs run on the calling thread and the whole
+        pool, and `submit` refuses work until they are done, as its future
+        would wait behind them; jobs that call `submit` (`submits=True`) run
+        on the calling thread and `workers` - 1 pool threads, and leave the
+        rest to what they submit. Otherwise `workers` jobs run at once.
+
+        `commit`, when given, runs under one lock on each job's result in job
+        order, once that job and every earlier one have finished, and what
+        it returns replaces the result; it stops at the first job that
+        raised. So what it writes has the same order at any width.
+
+        Once a job or a commit has raised, or the caller is interrupted, no
+        job starts; the others finish their current job, then the first job
+        in order that raised re-raises."""
         results: list[Any] = [None] * len(jobs)
         errors: dict[int, BaseException] = {}
         todo = deque(range(len(jobs)))  # its pops and clears are atomic
+        finished = [False] * len(jobs)
+        committed = 0  # jobs whose result has gone through `commit`
+        lock = threading.Lock()
+
+        def settle(i: int) -> None:
+            nonlocal committed
+            with lock:
+                finished[i] = True
+                while committed < len(jobs) and finished[committed] and committed not in errors:
+                    try:
+                        results[committed] = commit(results[committed])
+                    except BaseException as exc:
+                        errors[committed] = exc
+                        todo.clear()
+                        return
+                    committed += 1
 
         def work() -> None:
             while True:
@@ -444,8 +484,10 @@ class OracleClient:
                 except BaseException as exc:
                     errors[i] = exc
                     todo.clear()
+                if commit is not None:
+                    settle(i)
 
-        wide = not submits and self.overlaps and self.workers > 1
+        wide = not submits and self.overlaps
         width = 2 * self.workers if wide else self.workers
         self._pool_taken = wide
         helpers = [self._pool.submit(work) for _ in range(min(width, len(jobs)) - 1)]
@@ -466,12 +508,7 @@ class OracleClient:
             raise RuntimeError("submit from a map whose jobs were declared not to submit")
         if self.overlaps:
             return self._pool.submit(fn, *args)
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+        return run_now(fn, *args)
 
     def close(self) -> None:
         """Cancel submitted work not yet started and wait for the running
@@ -496,11 +533,9 @@ class OracleClient:
         *,
         site: str = "",
         context: dict[str, Any] | None = None,
-        charged: list[Decimal] | None = None,
     ) -> Any:
         """Return the validated reply; every attempt is charged to the ledger
-        under (site, this client's stage), and its cost is also appended to
-        `charged` when one is given."""
+        under (site, this client's stage)."""
         current = prompt
         last_violation: SchemaViolation | None = None
         attempts = 1 + self.settings.reparse_attempts
@@ -509,8 +544,6 @@ class OracleClient:
             completion = self._complete_with_retry(current)
             cost = self.pricing.cost(completion.usage)
             self.ledger.add(completion.usage, cost, site=site, stage=self.stage)
-            if charged is not None:
-                charged.append(cost)
             try:
                 payload = extract_json(completion.text)
                 return parse_reply(prompt.template, payload, context)

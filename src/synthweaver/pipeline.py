@@ -3,19 +3,19 @@
 Each function runs one pipeline stage over a run directory and leaves the
 store in a resumable state, and writes `stage.start`/`stage.end` events.
 Worker counts above one parallelize across independent units (sites, tasks,
-trajectories, judge calls); one worker runs these one after another, so
-record order is byte-reproducible. A stage has one thread pool, owned by its
-`OracleClient`: `OracleClient.map` runs the units, and on an HTTP oracle
-explore's task proposals and collect's speculative next actions overlap on
-the threads the units leave free, and are committed as if asked in turn,
-while refine's trajectories, which submit nothing, take every thread when
-there is more than one worker. So any stage has at most 2 x `workers` oracle
-calls in flight on an HTTP oracle, and at most `workers` on the mock backend.
+trajectories, judge calls). A stage has one thread pool, owned by its
+`OracleClient`: `OracleClient.map` runs the units. On an HTTP oracle,
+explore's task proposals overlap its site crawls on the threads the crawls
+leave free and are committed as if asked in turn, while every other stage's
+units, which submit nothing, take every thread. So any stage has at most
+2 x `workers` oracle calls in flight on an HTTP oracle, and at most `workers`
+on the mock backend. Explore, collect and refine write their records through
+the map's ordered commit, so record files have the same bytes at any worker
+count and on either backend.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from decimal import Decimal
@@ -28,7 +28,7 @@ from .config import RunConfig, SiteSpec
 from .dataset import _mean, corpus_stats, export_dataset, ExportResult
 from .environment import SimulatorSession, load_site_graph
 from .errors import ConfigError, MalformedAction, SchemaError, SchemaViolation
-from .explorer import Explorer
+from .explorer import ExplorationResult, Explorer
 from .model import (
     Task,
     Trajectory,
@@ -47,7 +47,7 @@ from .oracle import (
     render,
 )
 from .promptvars import task_list_block
-from .refiner import Refiner, judge_trajectory
+from .refiner import RefineOutcome, Refiner, judge_trajectory
 from .runstore import ObservationStore, RunStore
 
 
@@ -173,20 +173,19 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
         if len(kept) != len(records):
             store.rewrite_records(name, kept)
 
-    # Each site is committed as soon as it finishes; the lock keeps its
-    # records contiguous and its state update whole.
-    commit = threading.Lock()
     observations = store.observations()
 
     with _stage(config, store, "explore") as client:
         explorer = Explorer(client, config, on_event=store.event)
 
-        def explore_one(site: SiteSpec) -> tuple[int, int]:
+        def explore_one(site: SiteSpec) -> ExplorationResult:
             session = factories[site.name]()
             try:
-                result = explorer.explore_site(site, session)
+                return explorer.explore_site(site, session)
             finally:
                 session.close()
+
+        def commit(result: ExplorationResult) -> tuple[int, int]:
             tasks = [task_to_dict(t) for t in result.tasks]
             triplets = [
                 {
@@ -204,16 +203,15 @@ def run_explore(config: RunConfig, store: RunStore) -> dict[str, int]:
                 obs for record in result.triplets
                 for obs in (record.triplet.before, record.triplet.after)
             )
-            with commit:
-                store.append_records(rs.TASKS, tasks)
-                store.append_records(rs.TRIPLETS, triplets)
-                state = store.load_state()
-                state["explored_sites"].append(site.name)
-                state["seed"] = config.seed
-                store.save_state(state)
+            store.append_records(rs.TASKS, tasks)
+            store.append_records(rs.TRIPLETS, triplets)
+            state = store.load_state()
+            state["explored_sites"].append(result.site)
+            state["seed"] = config.seed
+            store.save_state(state)
             return len(tasks), len(triplets)
 
-        counts = client.map(explore_one, todo)
+        counts = client.map(explore_one, todo, submits=True, commit=commit)
     return {
         "sites": len(counts),
         "tasks": sum(n for n, _ in counts),
@@ -255,8 +253,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
     with _stage(config, store, "collect") as client:
         collector = Collector(client, config, on_event=store.event)
 
-        def collect_one(job: tuple[Task, Callable[[], Any]]) -> int:
-            result = collector.collect_one(*job)
+        def commit(result: Trajectory | dict[str, Any]) -> int:
             if isinstance(result, Trajectory):
                 observations.add(step.observation for step in result.steps)
                 store.append_record(rs.TRAJECTORIES_RAW, trajectory_to_dict(result))
@@ -264,7 +261,7 @@ def run_collect(config: RunConfig, store: RunStore) -> dict[str, int]:
             store.append_record(rs.COLLECT_FAILURES, result)
             return 0
 
-        collected = sum(client.map(collect_one, jobs))
+        collected = sum(client.map(lambda job: collector.collect_one(*job), jobs, commit=commit))
     return {"tasks": len(jobs), "trajectories": collected}
 
 
@@ -303,8 +300,7 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
     with _stage(config, store, "refine") as client:
         refiner = Refiner(client, config, on_event=store.event)
 
-        def refine_one(trajectory: Trajectory) -> str:
-            outcome = refiner.refine_trajectory(trajectory)
+        def commit(outcome: RefineOutcome) -> str:
             if outcome.refined is not None:
                 # Its steps keep observations of the raw trajectory, all stored.
                 store.append_record(
@@ -319,7 +315,7 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
                 store.append_record(
                     rs.DROPS,
                     {
-                        "site": trajectory.site,
+                        "site": outcome.site,
                         "trajectory_id": outcome.trajectory_id,
                         "decision": "drop",
                         "score": outcome.score,
@@ -328,7 +324,7 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
                 )
             return outcome.decision
 
-        decisions = client.map(refine_one, jobs, submits=False)
+        decisions = client.map(refiner.refine_trajectory, jobs, commit=commit)
     return {
         "trajectories": len(jobs),
         "kept": decisions.count("keep"),

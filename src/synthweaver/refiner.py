@@ -118,6 +118,7 @@ def apply_edits(
 
 @dataclass(frozen=True)
 class RefineOutcome:
+    site: str
     trajectory_id: str
     decision: str
     score: int | None
@@ -164,6 +165,7 @@ class Refiner:
             },
         )
         return RefineOutcome(
+            site=trajectory.site,
             trajectory_id=trajectory.id,
             decision=parsed.decision.value,
             score=parsed.score,
@@ -179,6 +181,7 @@ class Refiner:
             {"site": trajectory.site, "trajectory_id": trajectory.id, "reason": reason},
         )
         return RefineOutcome(
+            site=trajectory.site,
             trajectory_id=trajectory.id,
             decision="drop",
             score=score,

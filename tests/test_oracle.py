@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
@@ -713,23 +714,69 @@ class TestOracleClient:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_map_that_takes_the_pool_refuses_submit(self, workers):
-        # With more than one worker, jobs declared not to submit take every
+        # On a client that overlaps, jobs not declared to submit take every
         # pool thread, so a submit from one of them would wait behind them
-        # forever; it fails instead. One worker leaves the pool free.
+        # forever; it fails instead.
         client = OracleClient(FlakyTransport(0, []), CostLedger(), OracleSettings(),
                               stage="refine", workers=workers)
         try:
             def job(n):
                 return client.submit(lambda: n).result()
 
-            if workers == 1:
-                assert client.map(job, range(4), submits=False) == [0, 1, 2, 3]
-            else:
-                with pytest.raises(RuntimeError, match="declared not to submit"):
-                    client.map(job, range(4), submits=False)
-            assert client.map(job, range(4)) == [0, 1, 2, 3]
+            with pytest.raises(RuntimeError, match="declared not to submit"):
+                client.map(job, range(4))
+            assert client.map(job, range(4), submits=True) == [0, 1, 2, 3]
         finally:
             client.close()
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_map_commits_in_job_order(self, workers):
+        # Later jobs finish first; each result is committed once every
+        # earlier job has finished, and what commit returns is the result.
+        client = OracleClient(FlakyTransport(0, []), CostLedger(), OracleSettings(),
+                              stage="collect", workers=workers)
+        finished, committed = [], []
+
+        def job(n):
+            time.sleep(0.002 * (8 - n))
+            finished.append(n)
+            return n
+
+        def commit(n):
+            assert n in finished
+            committed.append(n)
+            return -n
+
+        try:
+            assert client.map(job, range(8), commit=commit) == [-n for n in range(8)]
+        finally:
+            client.close()
+        assert committed == list(range(8))
+        if workers > 1:
+            assert finished != committed
+
+    @pytest.mark.parametrize("failing", ["job", "commit"])
+    def test_map_commits_nothing_from_the_first_job_that_raised(self, failing):
+        client = OracleClient(FlakyTransport(0, []), CostLedger(), OracleSettings(),
+                              stage="collect", workers=2)
+        committed = []
+
+        def job(n):
+            if failing == "job" and n == 2:
+                raise TransportError("endpoint down")
+            return n
+
+        def commit(n):
+            if failing == "commit" and n == 2:
+                raise OSError("disk full")
+            committed.append(n)
+
+        try:
+            with pytest.raises(TransportError if failing == "job" else OSError):
+                client.map(job, range(6), commit=commit)
+        finally:
+            client.close()
+        assert committed == [0, 1]
 
 
 # ======================================================================

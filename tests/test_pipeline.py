@@ -329,7 +329,7 @@ def test_parallel_explore_commits_every_site_whole(tmp_path, monkeypatch):
         sites = [r["site"] for r in store.read_records("tasks.jsonl")]
         assert len(sites) == counts["tasks"] == 8 * 15
         runs = [site for i, site in enumerate(sites) if i == 0 or sites[i - 1] != site]
-        assert sorted(runs) == names  # each site's tasks form one block
+        assert runs == names  # each site's tasks form one block, in site order
 
 
 MOCK_COMPLETE = MockTransport.complete
@@ -339,9 +339,9 @@ class Served:
     """Serves the shop mock's replies, recording every completion served.
 
     With `http`, it stands in for `pipeline.HttpTransport`, so the stages run
-    as on a network endpoint (explore overlaps its proposals and collect
-    speculates); otherwise it wraps `MockTransport`. Every call sleeps
-    `latency` seconds, except calls of `template` (one name or a tuple):
+    as on a network endpoint (explore overlaps its proposals, and the other
+    stages run 2 x `workers` jobs at once); otherwise it wraps
+    `MockTransport`. Every call sleeps `latency` seconds, except calls of `template` (one name or a tuple):
     those are numbered in the order they are sent, and call n sleeps
     `delay(n)` seconds instead. From call `fail_at` on, that call's prompt
     sleeps `delay(fail_at)` and raises a TransportError on every attempt.
@@ -429,7 +429,6 @@ def explore_at(tmp_path, monkeypatch, workers, **overrides):
 def test_explore_records_follow_probe_order_at_any_worker_count(tmp_path, monkeypatch):
     one, inline = explore_at(tmp_path, monkeypatch, 1)
     four, pooled = explore_at(tmp_path, monkeypatch, 4)
-    assert one.finished == sorted(one.finished)
     assert four.finished != sorted(four.finished)  # replies did arrive out of order
     assert four.peak > 1
     for name in ("tasks.jsonl", "triplets.jsonl"):
@@ -644,58 +643,78 @@ def test_every_stage_writes_timed_start_and_end_events(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# collect on a network oracle: the speculative next action
+# collect on a network oracle: 2 x workers episodes, committed in task order
 # ----------------------------------------------------------------------
 
-# The shop fixture on a network oracle: 3 of its 64 task checks rewrite the
-# task, and each discards one speculative next action, paid for all the same.
-SHOP_HTTP_LEDGER = {"calls": 186, "tokens": 158_100, "total_cost_usd": "0.483600"}
 COLLECT = ("next_action", "refine_task")
 JUDGES = ("refine_trajectory", "judge_diversity", "judge_quality")
 STAGES = (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine,
           pipeline.run_export, pipeline.run_stats)
+RECORDS = ("trajectories_raw.jsonl", "collect_failures.jsonl",
+           "trajectories_refined.jsonl", "drops.jsonl")
 
 
-def discarded(store):
-    return [r for r in store.read_records("events.jsonl")
-            if r["kind"] == "collect.speculation_discarded"]
-
-
-def record_bytes(run, workers) -> dict:
-    """The record and dataset files. More than one worker appends trajectories
-    and drops as tasks finish, so then their lines are compared sorted."""
-    files = {name: (run / name).read_bytes() for name in ("tasks.jsonl", "triplets.jsonl")}
-    for name in ("trajectories_raw.jsonl", "trajectories_refined.jsonl", "drops.jsonl"):
-        data = (run / name).read_bytes()
-        files[name] = data if workers == 1 else sorted(data.splitlines())
+def record_bytes(run) -> dict:
+    """The record and dataset files, which keep their bytes at any worker count."""
+    files = {name: (run / name).read_bytes() if (run / name).exists() else None
+             for name in ("tasks.jsonl", "triplets.jsonl", *RECORDS)}
     files.update({str(path.relative_to(run)): path.read_bytes()
                   for path in sorted((run / "dataset").rglob("*")) if path.is_file()})
     return files
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_speculative_collect_keeps_the_mock_bytes(tmp_path, monkeypatch, workers):
+@pytest.fixture(scope="module")
+def one_worker_bytes(tmp_path_factory):
+    """The record files of the shop run on the mock at one worker."""
+    tmp_path = tmp_path_factory.mktemp("one_worker")
+    config, store = shop_store(tmp_path, "mock")
+    for stage in STAGES:
+        stage(config, store)
+    return record_bytes(store.root)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_speculative_collect_keeps_the_mock_bytes(tmp_path, monkeypatch, workers,
+                                                  one_worker_bytes):
+    # Each episode asks in turn, so a network oracle sends the mock's calls;
+    # later tasks finish first, and the records still follow task order.
     config, mock = shop_store(tmp_path, "mock", workers=workers)
     for stage in STAGES:
         stage(config, mock)
-    Served(monkeypatch, COLLECT, http=True)
+    Served(monkeypatch, COLLECT, delay=lambda n: 0.002 * (3 - n % 3), http=True)
     config, http = shop_store(tmp_path, "http", http=True, workers=workers)
     for stage in STAGES:
         stage(config, http)
     assert content_hash(http.root) == SHOP_CONTENT_HASH
-    assert ledger_totals(http.root) == SHOP_HTTP_LEDGER
-    # A discarded reply only advanced the old task text's mock cursor.
-    assert record_bytes(http.root, workers) == record_bytes(mock.root, workers)
-    events = discarded(http)
-    assert len(events) == 3
-    assert {e["oracle_calls"] for e in events} == {1}
-    wasted = sum(Decimal(e["cost_usd"]) for e in events)
-    assert Decimal(collect_spend(http.root)) - Decimal(SHOP_COLLECT_USD) == wasted
-    assert not discarded(mock)
+    assert ledger_totals(http.root) == SHOP_LEDGER
+    assert record_bytes(http.root) == record_bytes(mock.root) == one_worker_bytes
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_each_episode_overlaps_at_most_one_call(tmp_path, monkeypatch, workers):
+def test_collect_failures_keep_task_order(tmp_path, monkeypatch, workers):
+    # Three tasks never get a valid reply, and the others finish out of order.
+    config, mock = shop_store(tmp_path, "mock")
+    pipeline.run_explore(config, mock)
+    doomed = {r["text"] for r in list(mock.read_records("tasks.jsonl"))[1::5]}
+    reply_for = MockScript.reply_for
+
+    def junk_for_doomed(script, prompt):
+        if prompt.variables.get("high_level_task") in doomed:
+            return RawCompletion("no JSON here", Usage(100, 20))
+        return reply_for(script, prompt)
+
+    monkeypatch.setattr(MockScript, "reply_for", junk_for_doomed)
+    pipeline.run_collect(config, mock)
+    Served(monkeypatch, COLLECT, delay=lambda n: 0.002 * (3 - n % 3), http=True)
+    config, http = shop_store(tmp_path, "http", http=True, workers=workers)
+    pipeline.run_explore(config, http)
+    assert pipeline.run_collect(config, http) == {"tasks": 15, "trajectories": 12}
+    for name in ("trajectories_raw.jsonl", "collect_failures.jsonl"):
+        assert (http.root / name).read_bytes() == (mock.root / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_collect_fills_two_calls_per_worker(tmp_path, monkeypatch, workers):
     served = Served(monkeypatch, COLLECT, delay=lambda n: 0.01, http=True)
     config, store = shop_store(tmp_path, "r", http=True, workers=workers)
     pipeline.run_explore(config, store)
@@ -737,24 +756,9 @@ def test_a_stage_runs_at_most_two_threads_per_worker(tmp_path, monkeypatch, work
         assert served.peak > workers
 
 
-@pytest.mark.parametrize("overrides", [{"max_refines_per_task": 0}, {"step_budget": 1}])
-def test_no_speculation_without_a_check_to_overlap(tmp_path, monkeypatch, overrides):
-    served, stores = {}, {}
-    for http in (False, True):
-        served[http] = Served(monkeypatch, COLLECT, http=http)
-        config, stores[http] = shop_store(tmp_path, f"http{http}", http=http, **overrides)
-        pipeline.run_explore(config, stores[http])
-        pipeline.run_collect(config, stores[http])
-    assert len(served[True].served) == len(served[False].served)
-    assert served[True].served_of_template() == served[False].served_of_template()
-    assert not discarded(stores[True])
-    raw = "trajectories_raw.jsonl"
-    assert (stores[True].root / raw).read_bytes() == (stores[False].root / raw).read_bytes()
-
-
-def test_failed_check_raises_once_the_speculative_call_is_paid(tmp_path, monkeypatch):
+def test_failed_check_raises_once_in_flight_calls_are_paid(tmp_path, monkeypatch):
     # The tenth task check fails at once; every other call takes 50 ms, so
-    # the speculative next action sent with it is still in flight.
+    # the other episodes' calls are still in flight.
     served = Served(monkeypatch, "refine_task", fail_at=10, latency=0.05, http=True)
     config, store = shop_store(tmp_path, "r", http=True)
     pipeline.run_explore(config, store)
@@ -770,75 +774,6 @@ def test_failed_check_raises_once_the_speculative_call_is_paid(tmp_path, monkeyp
     for stage in STAGES[1:]:
         stage(config, store)
     assert content_hash(store.root) == SHOP_CONTENT_HASH
-
-
-def test_failed_check_reports_its_speculative_call(tmp_path, monkeypatch):
-    # The first task's checks never reply with JSON, so the task fails on its
-    # first check; the next action sent with that check is discarded too.
-    config, mock = shop_store(tmp_path, "mock")
-    pipeline.run_explore(config, mock)
-    first = next(mock.read_records("tasks.jsonl"))
-    reply_for = MockScript.reply_for
-
-    def junk_checks(script, prompt):
-        if prompt.variables.get("current_high_level_task") == first["text"]:
-            return RawCompletion("no JSON here", Usage(100, 20))
-        return reply_for(script, prompt)
-
-    monkeypatch.setattr(MockScript, "reply_for", junk_checks)
-    pipeline.run_collect(config, mock)
-    Served(monkeypatch, COLLECT, http=True)
-    config, http = shop_store(tmp_path, "http", http=True)
-    pipeline.run_explore(config, http)
-    pipeline.run_collect(config, http)
-    failed = [r["task_id"] for r in http.read_records("events.jsonl")
-              if r["kind"] == "collect.failed"]
-    assert failed == [first["id"]]
-    events = discarded(http)
-    assert first["id"] in {e["task_id"] for e in events}
-    wasted = ledger_totals(http.root)["calls"] - ledger_totals(mock.root)["calls"]
-    assert sum(e["oracle_calls"] for e in events) == wasted > 0
-
-
-def test_invalid_discarded_reply_does_not_fail_the_task(tmp_path, monkeypatch):
-    reply_for = MockScript.reply_for
-    lock = threading.Lock()
-    asked: dict[str, int] = {}
-    limit: dict[str, int] = {}
-
-    def counting(script, prompt):
-        # Past `limit` next-action calls for a task text, the reply is junk.
-        if prompt.template.value == "next_action":
-            text = prompt.variables["high_level_task"]
-            with lock:
-                asked[text] = asked.get(text, 0) + 1
-                junk = asked[text] > limit.get(text, asked[text])
-            if junk:
-                return RawCompletion("no JSON here", Usage(100, 20))
-        return reply_for(script, prompt)
-
-    monkeypatch.setattr(MockScript, "reply_for", counting)
-    config, mock = shop_store(tmp_path, "mock")
-    pipeline.run_explore(config, mock)
-    pipeline.run_collect(config, mock)
-    rewritten = next(
-        r for r in mock.read_records("trajectories_raw.jsonl") if r["task"]["lineage"]
-    )
-    prior = rewritten["task"]["lineage"][0]["prior_text"]
-    # A sequential episode asks `asked[prior]` times for the old text; the
-    # speculative call sent with the check that rewrites it is one more.
-    limit[prior] = asked[prior]
-    asked.clear()
-
-    Served(monkeypatch, COLLECT, http=True)
-    config, http = shop_store(tmp_path, "http", http=True)
-    pipeline.run_explore(config, http)
-    assert pipeline.run_collect(config, http) == {"tasks": 15, "trajectories": 15}
-    assert asked[prior] == limit[prior] + 1 + config.oracle.reparse_attempts
-    events = [e for e in discarded(http) if e["task_id"] == rewritten["task"]["id"]]
-    assert [e["oracle_calls"] for e in events] == [1 + config.oracle.reparse_attempts]
-    raw = "trajectories_raw.jsonl"
-    assert (http.root / raw).read_bytes() == (mock.root / raw).read_bytes()
 
 
 def charged_totals(monkeypatch) -> list:
@@ -863,7 +798,9 @@ def overshoot(totals, budget) -> int:
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_speculative_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
+def test_collect_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
+    # Up to 2 x workers episodes have a call in flight when the cap is
+    # crossed; none sends another, and no queued task starts.
     Served(monkeypatch, COLLECT, delay=lambda n: 0.005, http=True)
     config, store = shop_store(tmp_path, "r", http=True, workers=workers)
     pipeline.run_explore(config, store)
@@ -895,15 +832,15 @@ def test_explore_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
 
 
 # ----------------------------------------------------------------------
-# refine on a network oracle: its jobs submit nothing, so they take the pool
+# refine and stats on a network oracle: their jobs submit nothing, so they
+# take the pool
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("http", [False, True], ids=["mock", "http"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_refine_fills_two_calls_per_worker_on_http(tmp_path, monkeypatch, workers, http):
-    # With more than one worker on an HTTP oracle, refine judges on the whole
-    # pool and the calling thread; one worker, and the mock, judge one
-    # trajectory per worker. Stats' judges keep to one call per worker.
+    # On an HTTP oracle, refine and the stats judges judge on the whole pool
+    # and the calling thread; on the mock, one trajectory per worker.
     Served(monkeypatch, (), http=http)
     config, store = shop_store(tmp_path, "r", http=http, workers=workers)
     pipeline.run_explore(config, store)
@@ -915,17 +852,17 @@ def test_refine_fills_two_calls_per_worker_on_http(tmp_path, monkeypatch, worker
         served = Served(monkeypatch, template, delay=lambda n: 0.01, http=http)
         stage(config, store)
         peaks[template] = served.peak
-    if http and workers > 1:
-        assert workers < peaks["refine_trajectory"] <= 2 * workers
-    else:
-        assert peaks["refine_trajectory"] <= workers
-    assert peaks["judge_quality"] <= workers
+    for peak in peaks.values():
+        if http:
+            assert workers < peak <= 2 * workers
+        else:
+            assert peak <= workers
 
 
 def test_refine_width_changes_no_record(tmp_path, monkeypatch):
-    # Within each pair, the first judgment sleeps longer, so two or more in
-    # flight finish out of job order; refine appends them as they finish.
-    # One worker judges in order, so its files keep the mock's bytes.
+    # Within each pair, the first judgment sleeps longer, so judgments in
+    # flight finish out of job order; refine commits them in job order, so
+    # its files keep the mock's bytes.
     config, mock = shop_store(tmp_path, "mock")
     for stage in STAGES:
         stage(config, mock)
@@ -936,12 +873,10 @@ def test_refine_width_changes_no_record(tmp_path, monkeypatch):
         for stage in STAGES:
             stage(config, http)
         for name in ("trajectories_refined.jsonl", "drops.jsonl"):
-            data = [(run.root / name).read_bytes() for run in (http, mock)]
-            if workers > 1:
-                data = [sorted(d.splitlines()) for d in data]
-            assert data[0] == data[1], (workers, name)
+            assert (http.root / name).read_bytes() == (mock.root / name).read_bytes(), (
+                workers, name)
         assert content_hash(http.root) == SHOP_CONTENT_HASH
-        assert ledger_totals(http.root) == SHOP_HTTP_LEDGER
+        assert ledger_totals(http.root) == SHOP_LEDGER
         stats.add((http.root / "stats.json").read_bytes())
     assert len(stats) == 1
 
@@ -949,9 +884,8 @@ def test_refine_width_changes_no_record(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_refine_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
     # A refine judgment costs $0.0026, so the cap is crossed by the second
-    # one charged while up to 2 x workers are in flight (one worker judges in
-    # turn, so then the crossing call is the last one charged);
-    # no queued trajectory is judged after that.
+    # one charged while up to 2 x workers are in flight; no queued
+    # trajectory is judged after that.
     Served(monkeypatch, "refine_trajectory", delay=lambda n: 0.005, http=True)
     config, store = shop_store(tmp_path, "r", http=True, workers=workers)
     pipeline.run_explore(config, store)
@@ -963,7 +897,7 @@ def test_refine_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
     totals = charged_totals(monkeypatch)
     with pytest.raises(BudgetExhausted):
         pipeline.run_refine(config, store)
-    assert overshoot(totals, budget) <= (2 * workers if workers > 1 else 0)
+    assert overshoot(totals, budget) <= 2 * workers
     assert ledger_totals(store.root)["calls"] == before["calls"] + len(totals)
 
 
@@ -974,16 +908,15 @@ def test_refine_budget_overshoot_is_bounded(tmp_path, monkeypatch, workers):
 def endpoint_down_cases():
     """Every call k of the shop run, each on one setting, round-robin."""
     settings = [(False, 1), (True, 1), (False, 4), (True, 4)]
-    for k in range(SHOP_HTTP_LEDGER["calls"]):
+    for k in range(SHOP_LEDGER["calls"]):
         http, workers = settings[k % len(settings)]
-        if k < (SHOP_HTTP_LEDGER if http else SHOP_LEDGER)["calls"]:
-            oracle = "http" if http else "mock"
-            yield pytest.param(http, workers, k, id=f"{oracle}-w{workers}-k{k}")
+        oracle = "http" if http else "mock"
+        yield pytest.param(http, workers, k, id=f"{oracle}-w{workers}-k{k}")
 
 
 @pytest.mark.parametrize("http, workers, k", endpoint_down_cases())
 def test_resume_after_the_endpoint_goes_down_at_any_call(tmp_path, monkeypatch, http,
-                                                         workers, k):
+                                                         workers, k, one_worker_bytes):
     served = Served(monkeypatch, (), http=http)
     served.down = k
     config, store = shop_store(tmp_path, "r", http=http, workers=workers)
@@ -997,6 +930,7 @@ def test_resume_after_the_endpoint_goes_down_at_any_call(tmp_path, monkeypatch, 
         stage(config, store)
     assert content_hash(store.root) == SHOP_CONTENT_HASH
     assert ledger_totals(store.root)["calls"] == len(served.served)
+    assert record_bytes(store.root) == one_worker_bytes
 
 
 # ----------------------------------------------------------------------
