@@ -15,7 +15,6 @@ from .actions import (
     render_action,
 )
 from .model import (
-    ConflictTrigger,
     Element,
     InteractionTriplet,
     Observation,
@@ -32,7 +31,6 @@ from .model import (
 __all__ = [
     "Action",
     "ActionKind",
-    "ConflictTrigger",
     "Element",
     "InteractionTriplet",
     "Observation",

@@ -102,7 +102,7 @@ _FORMATS = {
 _HEAD = re.compile(r"([a-z_]+)(?:\s+(.*))?", re.DOTALL)
 
 
-def parse_action(text: str) -> Action:
+def parse_action(text: str, low_level_instruction: str = "") -> Action:
     """Parse a wire string into an Action; raise MalformedAction otherwise."""
     if not isinstance(text, str):
         raise MalformedAction(f"action must be a string, got {type(text).__name__}")
@@ -128,7 +128,8 @@ def parse_action(text: str) -> Action:
         else:
             raise MalformedAction(f"element_id must be a non-negative integer: {raw!r}")
     try:
-        return Action(kind=kind, element_id=element_id, value=value)
+        return Action(kind=kind, element_id=element_id, value=value,
+                      low_level_instruction=low_level_instruction)
     except InvalidAction as exc:
         raise MalformedAction(str(exc)) from None
 

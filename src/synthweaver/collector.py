@@ -18,14 +18,7 @@ from .actions import Action, ActionKind, ELEMENT_KINDS, render_action
 from .config import RunConfig
 from .environment import TransitionOutcome
 from .errors import ElementNotFound, SchemaViolation
-from .model import (
-    ConflictTrigger,
-    Observation,
-    Step,
-    Task,
-    Trajectory,
-    classify_terminal,
-)
+from .model import Observation, Step, Task, Trajectory, classify_terminal
 from .oracle import (
     NextActionReply,
     OracleClient,
@@ -77,18 +70,6 @@ class StallDetector:
     def reset(self) -> None:
         self.noop_streak = 0
         self.signatures.clear()
-
-
-_MISSING_ARGS_WORDS = ("missing", "insufficient", "parameter")
-
-
-def classify_trigger(stalled: bool, analysis: str) -> ConflictTrigger:
-    if stalled:
-        return ConflictTrigger.STALL
-    lowered = analysis.lower()
-    if any(word in lowered for word in _MISSING_ARGS_WORDS):
-        return ConflictTrigger.MISSING_ARGS
-    return ConflictTrigger.EXISTS_UI
 
 
 class Collector:
@@ -193,7 +174,6 @@ class Collector:
                 index=len(steps),
                 observation=obs,
                 action=action,
-                task_snapshot=task.text,
                 reasoning=reply.reasoning,
                 state_summary=reply.state_summary,
             )
@@ -218,8 +198,7 @@ class Collector:
                 obs_after = session.observe()
                 check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
                 if check.need_to_refine:
-                    trigger = classify_trigger(stalled, check.analysis)
-                    task = task.refined(step.index, check.high_level_task, trigger)
+                    task = task.refined(step.index, check.high_level_task, stalled=stalled)
                     stall.reset()
                     self.on_event(
                         "collect.refined",
@@ -227,7 +206,7 @@ class Collector:
                             "site": task.site,
                             "task_id": task.id,
                             "step_index": step.index,
-                            "trigger": trigger.value,
+                            "stalled": stalled,
                             "text": task.text,
                         },
                     )

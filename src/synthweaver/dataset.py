@@ -107,10 +107,13 @@ def export_dataset(
     """Write dataset.jsonl, observations.jsonl, and manifest.json.
 
     Output bytes are a pure function of the inputs: trajectories are sorted
-    by (site, trajectory id) and all hashing uses canonical JSON.
+    by (site, trajectory id) and all hashing uses canonical JSON. The
+    manifest is removed before the data files are rewritten and written
+    last, so one that is present describes them.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     ordered = sorted(trajectories, key=lambda t: (t.site, t.id))
     sink = ObservationSink()
     lines: list[str] = []

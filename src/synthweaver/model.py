@@ -27,12 +27,6 @@ class Terminal(str, Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-class ConflictTrigger(str, Enum):
-    EXISTS_UI = "exists_ui"
-    MISSING_ARGS = "missing_args"
-    STALL = "stall"
-
-
 @dataclass(frozen=True)
 class Element:
     """One addressable node of a page's accessibility view."""
@@ -112,11 +106,12 @@ def observation_fingerprint(obs: Observation) -> tuple[str, str, tuple[Element, 
 
 @dataclass(frozen=True)
 class RefinementEvent:
-    """One in-flight task rewrite: where it happened, what it replaced, why."""
+    """One in-flight task rewrite: the step after which it happened, the text
+    it replaced, and whether the stall detector had fired."""
 
     step_index: int
     prior_text: str
-    trigger_reason: str
+    stalled: bool
 
 
 @dataclass(frozen=True)
@@ -132,20 +127,21 @@ class Task:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lineage", tuple(self.lineage))
 
-    def refined(self, step_index: int, new_text: str, trigger: ConflictTrigger) -> "Task":
+    def refined(self, step_index: int, new_text: str, *, stalled: bool) -> "Task":
         """Return a copy carrying new_text, recording the prior text in lineage."""
-        event = RefinementEvent(step_index, self.text, trigger.value)
+        event = RefinementEvent(step_index, self.text, stalled)
         return replace(self, text=new_text, lineage=self.lineage + (event,))
 
 
 @dataclass(frozen=True)
 class Step:
-    """One (observation, action) pair with the task text in force at the time."""
+    """One (observation, action) pair. The task text in force at raw step i
+    is the `prior_text` of the first lineage event with `step_index >= i`,
+    or else the final text."""
 
     index: int
     observation: Observation
     action: Action
-    task_snapshot: str
     reasoning: str = ""
     state_summary: str = ""
 
@@ -249,7 +245,7 @@ def task_to_dict(task: Task) -> dict[str, Any]:
             {
                 "step_index": ev.step_index,
                 "prior_text": ev.prior_text,
-                "trigger_reason": ev.trigger_reason,
+                "stalled": ev.stalled,
             }
             for ev in task.lineage
         ],
@@ -263,7 +259,7 @@ def task_from_dict(d: dict[str, Any]) -> Task:
         category=d["category"],
         site=d["site"],
         lineage=tuple(
-            RefinementEvent(ev["step_index"], ev["prior_text"], ev["trigger_reason"])
+            RefinementEvent(ev["step_index"], ev["prior_text"], ev["stalled"])
             for ev in d.get("lineage", [])
         ),
     )
@@ -276,7 +272,6 @@ def step_to_dict(step: Step) -> dict[str, Any]:
         "observation_ref": step.observation.ref,
         "action": render_action(step.action),
         "low_level_instruction": step.action.low_level_instruction,
-        "task_snapshot": step.task_snapshot,
         "reasoning": step.reasoning,
         "state_summary": step.state_summary,
     }
@@ -290,15 +285,11 @@ def step_from_dict(d: dict[str, Any], observations: Mapping[str, Observation]) -
         raise SchemaError(
             f"step {d.get('index')} refers to no stored observation", field="observation_ref"
         ) from None
-    action = parse_action(d["action"])
-    lli = d.get("low_level_instruction", "")
-    if lli:
-        action = replace(action, low_level_instruction=lli)
+    action = parse_action(d["action"], d.get("low_level_instruction", ""))
     return Step(
         index=d["index"],
         observation=observation,
         action=action,
-        task_snapshot=d["task_snapshot"],
         reasoning=d.get("reasoning", ""),
         state_summary=d.get("state_summary", ""),
     )

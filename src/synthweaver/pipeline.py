@@ -12,12 +12,17 @@ units, which submit nothing, take every thread. So any stage has at most
 on the mock backend. Explore, collect and refine write their records through
 the map's ordered commit, so record files have the same bytes at any worker
 count and on either backend.
+
+Refine stores one judgment per raw trajectory, an edit over its raw step
+indices, and no copy of the trajectory: export and stats apply each
+judgment to its raw record as they read it (`_refined_trajectories`).
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from decimal import Decimal
 from typing import Any, Callable, Iterator
 
@@ -27,7 +32,14 @@ from .collector import Collector
 from .config import RunConfig, SiteSpec
 from .dataset import _mean, corpus_stats, export_dataset, ExportResult
 from .environment import SimulatorSession, load_site_graph
-from .errors import ConfigError, MalformedAction, SchemaError, SchemaViolation
+from .errors import (
+    ConfigError,
+    EditContractViolation,
+    InvalidAction,
+    MalformedAction,
+    SchemaError,
+    SchemaViolation,
+)
 from .explorer import ExplorationResult, Explorer
 from .model import (
     Task,
@@ -43,11 +55,12 @@ from .oracle import (
     MockScript,
     MockTransport,
     OracleClient,
+    RefineDecision,
     TemplateName,
     render,
 )
 from .promptvars import task_list_block
-from .refiner import RefineOutcome, Refiner, judge_trajectory
+from .refiner import Judgment, Refiner, apply_edits, judge_trajectory, judgment_from_dict
 from .runstore import ObservationStore, RunStore
 
 
@@ -140,7 +153,8 @@ def _reading(store: RunStore, name: str) -> Iterator[Iterator[dict[str, Any]]]:
         if exc.path is not None:
             raise
         raise SchemaError(str(exc), path=path) from None
-    except (LookupError, TypeError, ValueError, MalformedAction) as exc:
+    except (LookupError, TypeError, ValueError, MalformedAction, InvalidAction,
+            EditContractViolation) as exc:
         raise SchemaError(
             f"a record does not have the expected shape ({type(exc).__name__}: {exc})",
             path=path,
@@ -277,52 +291,39 @@ def _raw_trajectories(store: RunStore, observations: ObservationStore) -> list[T
 def _refined_trajectories(
     store: RunStore, observations: ObservationStore
 ) -> tuple[list[Trajectory], list[dict[str, Any]]]:
-    """The refined trajectories, and the judge's decision and score for each."""
-    trajectories, decisions = [], []
-    with _reading(store, rs.TRAJECTORIES_REFINED) as records:
-        for r in records:
-            trajectories.append(trajectory_from_dict(r, observations))
-            decisions.append(
-                {"site": r["task"]["site"], "decision": r["decision"], "score": r["score"]}
-            )
+    """The refined trajectories in raw order, each its judgment applied to its
+    raw record, and every judgment's decision and score. Only the raw records
+    a judgment keeps are decoded."""
+    with _reading(store, rs.JUDGMENTS) as records:
+        judgments = {j.trajectory_id: j for j in map(judgment_from_dict, records)}
+    kept = []
+    with _reading(store, rs.TRAJECTORIES_RAW) as records:
+        for record in records:
+            judgment = judgments.get(record["task"]["id"])
+            if judgment is not None and judgment.decision is not RefineDecision.DROP:
+                kept.append((trajectory_from_dict(record, observations), judgment))
+    with _reading(store, rs.JUDGMENTS):  # a judgment that does not apply is misshapen
+        trajectories = [apply_edits(raw, judgment) for raw, judgment in kept]
+    decisions = [
+        {"site": j.site, "decision": j.decision.value, "score": j.score}
+        for j in judgments.values()
+    ]
     return trajectories, decisions
 
 
 def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
     store.load_state()  # refuses a run of another format
-    with _reading(store, rs.TRAJECTORIES_REFINED) as records:
-        done = {r["task"]["id"] for r in records}
-    with _reading(store, rs.DROPS) as records:
-        done |= {r["trajectory_id"] for r in records}
+    with _reading(store, rs.JUDGMENTS) as records:
+        done = {r["trajectory_id"] for r in records}
     observations = store.observations()
     jobs = [t for t in _raw_trajectories(store, observations) if t.id not in done]
 
     with _stage(config, store, "refine") as client:
-        refiner = Refiner(client, config, on_event=store.event)
+        refiner = Refiner(client, on_event=store.event)
 
-        def commit(outcome: RefineOutcome) -> str:
-            if outcome.refined is not None:
-                # Its steps keep observations of the raw trajectory, all stored.
-                store.append_record(
-                    rs.TRAJECTORIES_REFINED,
-                    {
-                        "decision": outcome.decision,
-                        "score": outcome.score,
-                        **trajectory_to_dict(outcome.refined),
-                    },
-                )
-            else:
-                store.append_record(
-                    rs.DROPS,
-                    {
-                        "site": outcome.site,
-                        "trajectory_id": outcome.trajectory_id,
-                        "decision": "drop",
-                        "score": outcome.score,
-                        "reason": outcome.drop_reason,
-                    },
-                )
-            return outcome.decision
+        def commit(judgment: Judgment) -> str:
+            store.append_record(rs.JUDGMENTS, asdict(judgment))
+            return judgment.decision.value
 
         decisions = client.map(refiner.refine_trajectory, jobs, commit=commit)
     return {
@@ -342,22 +343,24 @@ def run_export(config: RunConfig, store: RunStore, *, window: int | None = None)
     refined, _ = _refined_trajectories(store, store.observations())
     # Export calls no oracle: its events count against an empty ledger.
     with _stage_events(store, "export", CostLedger()):
+        # No manifest outlives the files it describes: both go before the
+        # dataset is rewritten, and come back only once it is whole.
+        store.path(rs.MANIFEST).unlink(missing_ok=True)
         result = export_dataset(
             refined,
             store.dataset_dir(),
             window=config.context_window if window is None else window,
         )
-        manifest = store.read_json(rs.MANIFEST, default={})
-        manifest.update(
+        store.write_json(
+            rs.MANIFEST,
             {
                 # The seed explore sampled with; the config's if explore has
                 # committed no site.
                 "seed": state.get("seed", config.seed),
                 "sites": [site.name for site in config.sites],
                 "dataset": result.manifest,
-            }
+            },
         )
-        store.write_json(rs.MANIFEST, manifest)
     return result
 
 
@@ -417,8 +420,6 @@ def run_stats(
     observations = store.observations()
     refined, decisions = _refined_trajectories(store, observations)
     raw = _raw_trajectories(store, observations)
-    with _reading(store, rs.DROPS) as records:
-        decisions += [{"site": r["site"], "decision": "drop", "score": r["score"]} for r in records]
     with _stage(config, store, "stats") as client:
         stats = corpus_stats(raw, refined, decisions, client.ledger.stage_cost_by_site("collect"))
         if with_diversity:

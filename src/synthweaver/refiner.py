@@ -1,18 +1,21 @@
 """Post-hoc trajectory refinement: keep, reorder-and-repair, or drop.
 
 A judge oracle reads a step-indexed summary of each finished trajectory and
-returns an edit program. Applying the edits either yields a cleaned
-trajectory that ends in a final `none` answer, or a drop record.
-`judge_trajectory` also asks `stats`' quality judge.
+returns an edit program. Refine stores it as one `Judgment` per trajectory:
+the retained raw step indices and what happens to the end. An edit that
+breaks the contract is stored as a drop. `apply_edits`, a pure function,
+turns a raw trajectory and its judgment into the cleaned trajectory, which
+ends in a final `none` answer; export and stats call it as they read the
+raw records. `judge_trajectory` also asks `stats`' quality judge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Any
 
 from .actions import ActionKind, make_action, render_action
-from .config import RunConfig
 from .errors import EditContractViolation, SchemaViolation
 from .model import Step, Terminal, Trajectory
 from .oracle import (
@@ -61,46 +64,89 @@ def judge_trajectory(
         return None
 
 
-def apply_edits(
-    trajectory: Trajectory, reply: RefineTrajectoryReply
-) -> Trajectory | None:
-    """Apply a validated edit program; None means the trajectory is dropped.
+class EditEnd(str, Enum):
+    """What an edit does to the end of the retained steps."""
 
-    Raises EditContractViolation when the edited step list would not end in
-    a final non-empty `none`, or retains a terminal action mid-sequence.
+    KEEP = "keep"
+    MODIFY = "modify"  # the last retained step becomes the final answer
+    APPEND = "append"  # a final answer step follows the last retained step
+
+
+@dataclass(frozen=True)
+class Judgment:
+    """The judge's verdict on one trajectory, one line of `judgments.jsonl`
+    (`dataclasses.asdict`). `order` lists the retained steps by raw index;
+    `final_none_value` is the answer a `modify` or `append` end writes, else
+    empty; `reason` is a drop's reason, a refine's modification reason, or
+    empty for a keep."""
+
+    site: str
+    trajectory_id: str
+    decision: RefineDecision
+    score: int | None
+    order: tuple[int, ...] = ()
+    end: EditEnd = EditEnd.KEEP
+    final_none_value: str = ""
+    reason: str = ""
+
+
+def judgment_from_dict(d: dict[str, Any]) -> Judgment:
+    """A stored judgment; a missing or unknown key is a TypeError."""
+    return Judgment(**{**d, "decision": RefineDecision(d["decision"]),
+                       "order": tuple(d["order"]), "end": EditEnd(d["end"])})
+
+
+def judgment_of(trajectory: Trajectory, reply: RefineTrajectoryReply) -> Judgment:
+    """The judgment a validated reply gives of `trajectory`, before its edit
+    is checked by `apply_edits`."""
+    end = (EditEnd.MODIFY if reply.modify_end
+           else EditEnd.APPEND if reply.append_end else EditEnd.KEEP)
+    reasons = {RefineDecision.REFINE: reply.modification_reason,
+               RefineDecision.DROP: reply.drop_reason}
+    return Judgment(
+        site=trajectory.site,
+        trajectory_id=trajectory.id,
+        decision=reply.decision,
+        score=reply.score,
+        order=reply.order,
+        end=end,
+        final_none_value="" if end is EditEnd.KEEP else reply.final_none_value,
+        reason=reasons.get(reply.decision, ""),
+    )
+
+
+def apply_edits(trajectory: Trajectory, judgment: Judgment) -> Trajectory | None:
+    """The trajectory a judgment leaves of a raw one; None means it is dropped.
+
+    Steps are re-indexed from 0, so the judge of `stats` reads an edited
+    trajectory as the judge of `refine` reads a raw one. Raises
+    EditContractViolation when the edited step list would not end in a final
+    non-empty `none`, or retains a terminal action mid-sequence.
     """
-    if reply.decision is RefineDecision.DROP:
+    if judgment.decision is RefineDecision.DROP:
         return None
-    if reply.decision is RefineDecision.KEEP:
+    if judgment.decision is RefineDecision.KEEP:
         last = trajectory.steps[-1].action
         if last.kind is not ActionKind.NONE or not last.value:
             raise EditContractViolation("kept trajectory does not end in a final answer")
         return trajectory
 
-    retained = [trajectory.steps[i] for i in reply.order]
+    if not all(0 <= i < len(trajectory.steps) for i in judgment.order):
+        raise EditContractViolation(f"order {list(judgment.order)} names a step not recorded")
+    retained = [trajectory.steps[i] for i in judgment.order]
     if not retained:
         raise EditContractViolation("refine retained no steps")
-    final_task = trajectory.task.text
-    if reply.modify_end:
-        last = retained[-1]
-        retained[-1] = replace(
-            last,
-            action=make_action(ActionKind.NONE, None, reply.final_none_value),
-        )
-    elif reply.append_end:
+    if judgment.end is EditEnd.MODIFY:
+        answer = make_action(ActionKind.NONE, None, judgment.final_none_value)
+        retained[-1] = replace(retained[-1], action=answer)
+    elif judgment.end is EditEnd.APPEND:
         last = retained[-1]
         if last.action.kind in (ActionKind.NONE, ActionKind.STOP):
             raise EditContractViolation(
                 "append_end after a terminal action would leave it mid-sequence"
             )
-        retained.append(
-            Step(
-                index=len(retained),
-                observation=last.observation,
-                action=make_action(ActionKind.NONE, None, reply.final_none_value),
-                task_snapshot=final_task,
-            )
-        )
+        answer = make_action(ActionKind.NONE, None, judgment.final_none_value)
+        retained.append(Step(index=len(retained), observation=last.observation, action=answer))
     for position, step in enumerate(retained[:-1]):
         if step.action.kind in (ActionKind.NONE, ActionKind.STOP):
             raise EditContractViolation(
@@ -116,30 +162,14 @@ def apply_edits(
     return Trajectory(task=trajectory.task, steps=reindexed, terminal=Terminal.COMPLETED_NONE)
 
 
-@dataclass(frozen=True)
-class RefineOutcome:
-    site: str
-    trajectory_id: str
-    decision: str
-    score: int | None
-    refined: Trajectory | None
-    drop_reason: str
-
-
 class Refiner:
-    def __init__(
-        self,
-        oracle: OracleClient,
-        config: RunConfig,
-        *,
-        on_event: EventHook = noop_event,
-    ) -> None:
+    def __init__(self, oracle: OracleClient, *, on_event: EventHook = noop_event) -> None:
         self.oracle = oracle
-        self.config = config
         self.on_event = on_event
 
-    def refine_trajectory(self, trajectory: Trajectory) -> RefineOutcome:
-        """Judge one trajectory; judge failures degrade to drops, never raise."""
+    def refine_trajectory(self, trajectory: Trajectory) -> Judgment:
+        """Judge one trajectory; judge failures and edits that break the
+        contract degrade to drops, never raise."""
         parsed: RefineTrajectoryReply | None = judge_trajectory(
             self.oracle,
             TemplateName.REFINE_TRAJECTORY,
@@ -148,12 +178,13 @@ class Refiner:
         )
         if parsed is None:
             return self._drop(trajectory, None, "unparseable judge reply")
-        if parsed.decision is RefineDecision.DROP:
-            return self._drop(trajectory, parsed.score, parsed.drop_reason)
+        judgment = judgment_of(trajectory, parsed)
         try:
-            refined = apply_edits(trajectory, parsed)
+            refined = apply_edits(trajectory, judgment)
         except EditContractViolation as exc:
             return self._drop(trajectory, parsed.score, str(exc))
+        if refined is None:
+            return self._drop(trajectory, parsed.score, parsed.drop_reason)
         self.on_event(
             "refine.decision",
             {
@@ -161,30 +192,20 @@ class Refiner:
                 "trajectory_id": trajectory.id,
                 "decision": parsed.decision.value,
                 "score": parsed.score,
-                "kept_steps": len(refined.steps) if refined else 0,
+                "kept_steps": len(refined.steps),
             },
         )
-        return RefineOutcome(
-            site=trajectory.site,
-            trajectory_id=trajectory.id,
-            decision=parsed.decision.value,
-            score=parsed.score,
-            refined=refined,
-            drop_reason="",
-        )
+        return judgment
 
-    def _drop(
-        self, trajectory: Trajectory, score: int | None, reason: str
-    ) -> RefineOutcome:
+    def _drop(self, trajectory: Trajectory, score: int | None, reason: str) -> Judgment:
         self.on_event(
             "refine.drop",
             {"site": trajectory.site, "trajectory_id": trajectory.id, "reason": reason},
         )
-        return RefineOutcome(
+        return Judgment(
             site=trajectory.site,
             trajectory_id=trajectory.id,
-            decision="drop",
+            decision=RefineDecision.DROP,
             score=score,
-            refined=None,
-            drop_reason=reason,
+            reason=reason,
         )

@@ -7,6 +7,10 @@ open while it runs (`kept_open`), and every line is flushed as it is written.
 The state file carries the run format's `schema_version`, which every stage
 checks, through `load_state`, before it writes anything.
 
+Each trajectory is stored once, in `trajectories_raw.jsonl`. Refine's
+`judgments.jsonl` holds one judgment per raw trajectory, an edit over its raw
+step indices, which export and stats apply as they read the raw records.
+
 Observations are stored once per run, in `observations.jsonl`, one line per
 distinct observation in the form the dataset export writes (see
 `model.Observation.stored_line`). Trajectory steps and triplets hold only
@@ -29,15 +33,14 @@ from .errors import SchemaError
 from .model import Observation, canonical_json, check_schema_version, read_json_file
 
 # The format of a run directory; a change to what one holds bumps it.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 OBSERVATIONS = "observations.jsonl"
 TASKS = "tasks.jsonl"
 TRIPLETS = "triplets.jsonl"
 TRAJECTORIES_RAW = "trajectories_raw.jsonl"
 COLLECT_FAILURES = "collect_failures.jsonl"
-TRAJECTORIES_REFINED = "trajectories_refined.jsonl"
-DROPS = "drops.jsonl"
+JUDGMENTS = "judgments.jsonl"
 EVENTS = "events.jsonl"
 STATE = "state.json"
 MANIFEST = "manifest.json"

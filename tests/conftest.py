@@ -87,13 +87,12 @@ def obs(url: str = "https://example.com/", tree: str = "RootWebArea \"t\"",
     return Observation(url=url, accessibility_tree=tree, elements=els, screenshot_ref=screenshot)
 
 
-def step(index: int, action: Action, task: str = "task", url: str = "https://example.com/",
+def step(index: int, action: Action, url: str = "https://example.com/",
          summary: str = "") -> Step:
     return Step(
         index=index,
         observation=obs(url=url),
         action=action,
-        task_snapshot=task,
         state_summary=summary,
     )
 

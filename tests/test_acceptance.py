@@ -37,7 +37,7 @@ from synthweaver.errors import (
 from synthweaver.explorer import sample_probes
 from synthweaver.model import Observation, Step, Task, Terminal, Trajectory
 from synthweaver.oracle import TemplateName, extract_json, parse_reply, render
-from synthweaver.refiner import apply_edits
+from synthweaver.refiner import apply_edits, judgment_of
 from tests.conftest import SHOP_GRAPH, make_client, shop_config_dict, write_config
 
 
@@ -87,12 +87,11 @@ def _obs(tag: str) -> Observation:
     )
 
 
-def _step(index: int, action: Action, tag: str | None = None, task: str = "Answer the question") -> Step:
+def _step(index: int, action: Action, tag: str | None = None) -> Step:
     return Step(
         index=index,
         observation=_obs(tag if tag is not None else f"p{index}"),
         action=action,
-        task_snapshot=task,
         state_summary=f"s{index}",
     )
 
@@ -280,7 +279,7 @@ def test_04_edit_order_validation():
             context={"k": 2, "expected_task": stopped.task.text},
         )
         with pytest.raises(EditContractViolation):
-            apply_edits(stopped, keep)
+            apply_edits(stopped, judgment_of(stopped, keep))
 
 
 def test_05_edit_application_fidelity():
@@ -311,7 +310,7 @@ def test_05_edit_application_fidelity():
                 },
                 context={"k": k, "expected_task": trajectory.task.text},
             )
-            out = apply_edits(trajectory, reply)
+            out = apply_edits(trajectory, judgment_of(trajectory, reply))
             assert out is not None
             assert len(out.steps) <= len(trajectory.steps) + 1
             last = out.steps[-1].action
@@ -338,7 +337,6 @@ def test_05_edit_application_fidelity():
                 appended = out.steps[-1]
                 assert appended.observation == trajectory.steps[order[-1]].observation
                 assert appended.action == make_action(ActionKind.NONE, None, final_value)
-                assert appended.task_snapshot == trajectory.task.text
 
         # Case-study shape: a 21-step trajectory whose middle is a 12-step
         # repeated-click loop refines down to the 9 essential steps.
@@ -360,7 +358,7 @@ def test_05_edit_application_fidelity():
             },
             context={"k": 21, "expected_task": long_trajectory.task.text},
         )
-        out = apply_edits(long_trajectory, reply)
+        out = apply_edits(long_trajectory, judgment_of(long_trajectory, reply))
         assert len(out.steps) == 9
         assert [s.index for s in out.steps] == list(range(9))
         assert out.steps[-1].action.kind is ActionKind.NONE
@@ -462,7 +460,7 @@ def test_08_end_to_end_determinism(tmp_path):
         def record_set(run_id: str, name: str) -> frozenset[str]:
             return frozenset((runs / run_id / name).read_text().splitlines())
 
-        for name in ("tasks.jsonl", "trajectories_raw.jsonl", "trajectories_refined.jsonl"):
+        for name in ("tasks.jsonl", "trajectories_raw.jsonl", "judgments.jsonl"):
             assert record_set("a", name) == record_set("w4", name), name
         assert manifest("w4")["content_hash"] == manifest("a")["content_hash"]
         assert elapsed < 60.0, f"three pipeline runs took {elapsed:.1f}s"

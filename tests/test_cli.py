@@ -53,7 +53,7 @@ def with_inline_observations(run) -> None:
     for line in (run / "observations.jsonl").read_text().splitlines():
         record = json.loads(line)
         bodies[record["ref"]] = record["observation"]
-    for name in ("triplets.jsonl", "trajectories_raw.jsonl", "trajectories_refined.jsonl"):
+    for name in ("triplets.jsonl", "trajectories_raw.jsonl"):
         records = [json.loads(line) for line in (run / name).read_text().splitlines()]
         for record in records:
             if name == "triplets.jsonl":
@@ -102,17 +102,18 @@ class TestFullRun:
         assert "stats written" in out
 
         for name in (
-            "tasks.jsonl", "triplets.jsonl", "trajectories_raw.jsonl",
-            "trajectories_refined.jsonl", "drops.jsonl", "events.jsonl",
-            "state.json", "manifest.json", "ledger.json", "stats.json",
+            "tasks.jsonl", "triplets.jsonl", "trajectories_raw.jsonl", "judgments.jsonl",
+            "events.jsonl", "state.json", "manifest.json", "ledger.json", "stats.json",
         ):
             assert (run / name).exists(), name
+        for name in ("trajectories_refined.jsonl", "drops.jsonl"):
+            assert not (run / name).exists(), name
         assert (run / "dataset" / "dataset.jsonl").exists()
         assert (run / "dataset" / "observations.jsonl").exists()
         assert (run / "dataset" / "manifest.json").exists()
 
         state = json.loads((run / "state.json").read_text())
-        assert state == {"schema_version": 2, "explored_sites": ["shop"], "seed": 7}
+        assert state == {"schema_version": 3, "explored_sites": ["shop"], "seed": 7}
         events = map(json.loads, (run / "events.jsonl").read_text().splitlines())
         finished = [e["stage"] for e in events if e["kind"] == "stage.end" and e["outcome"] == "ok"]
         assert finished == ["explore", "collect", "refine", "export", "stats"]
@@ -242,8 +243,7 @@ class TestWorkers:
         def lines(run_id: str, name: str) -> set[str]:
             return set((runs / run_id / name).read_text().splitlines())
 
-        for name in ("tasks.jsonl", "trajectories_raw.jsonl",
-                     "trajectories_refined.jsonl", "drops.jsonl"):
+        for name in ("tasks.jsonl", "trajectories_raw.jsonl", "judgments.jsonl"):
             assert lines("w1", name) == lines("w4", name), name
         m1 = json.loads((runs / "w1" / "dataset" / "manifest.json").read_text())
         m4 = json.loads((runs / "w4" / "dataset" / "manifest.json").read_text())
@@ -394,7 +394,7 @@ class TestExitCodes:
         assert not (tmp_path / "runs" / "r" / "ledger.json").exists()
 
     @pytest.mark.parametrize("name,command", [
-        ("state.json", "explore"), ("manifest.json", "export"),
+        ("state.json", "explore"), ("state.json", "export"),
     ])
     def test_run_document_that_is_not_an_object_is_usage_error(
         self, capsys, tmp_path, name, command
@@ -503,7 +503,7 @@ class TestExitCodes:
         assert f"error: {bad}: " in err
 
     @pytest.mark.parametrize("name,command", [
-        ("trajectories_raw.jsonl", "refine"), ("trajectories_refined.jsonl", "export"),
+        ("trajectories_raw.jsonl", "refine"), ("judgments.jsonl", "export"),
     ])
     @pytest.mark.parametrize("defect", ["5", "{}", "fly [x]"])
     @pytest.mark.parametrize("where", ["first", "last"])
@@ -515,8 +515,12 @@ class TestExitCodes:
         path = run / name
         lines = path.read_text().splitlines(keepends=True)
         if defect == "fly [x]":
+            # A raw step's action, or a judgment's end, that does not parse.
             record = json.loads(lines[0])
-            record["steps"][0]["action"] = defect
+            if name == "judgments.jsonl":
+                record["end"] = defect
+            else:
+                record["steps"][0]["action"] = defect
             defect = canonical_json(record)
         path.write_text("".join([defect + "\n", *lines] if where == "first"
                                 else [*lines, defect + "\n"]))
@@ -527,7 +531,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name,command", [
         ("trajectories_raw.jsonl", "refine"), ("trajectories_raw.jsonl", "stats"),
-        ("trajectories_refined.jsonl", "export"), ("trajectories_refined.jsonl", "stats"),
+        ("trajectories_raw.jsonl", "export"),
     ])
     def test_trajectory_without_steps_is_usage_error(
         self, capsys, tmp_path, finished_run, name, command
@@ -546,6 +550,30 @@ class TestExitCodes:
                        f"(ValueError: trajectory {record['task']['id']} has no steps)\n")
         assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == before
 
+    @pytest.mark.parametrize("command", ["export", "stats"])
+    @pytest.mark.parametrize("edit,shown", [
+        ({"decision": "refine", "order": [0, -1]},
+         "EditContractViolation: order [0, -1] names a step not recorded"),
+        ({"decision": "refine", "end": "modify"},
+         "InvalidAction: none requires a non-empty value"),
+        ({"decision": "refine", "order": [0]},
+         "EditContractViolation: edited trajectory does not end in a final answer"),
+    ], ids=["order out of range", "empty answer", "no final answer"])
+    def test_judgment_that_does_not_apply_is_usage_error(
+        self, capsys, tmp_path, finished_run, command, edit, shown
+    ):
+        run = tmp_path / "runs" / "r"
+        shutil.copytree(finished_run, run)
+        path = run / "judgments.jsonl"
+        first, *rest = path.read_text().splitlines(True)
+        path.write_text("".join([canonical_json({**json.loads(first), **edit}) + "\n", *rest]))
+        before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+        config = write_config(tmp_path)
+        code, _, err = run_cli(capsys, command, "--config", str(config), "--run", "r")
+        assert code == cli.EXIT_USAGE
+        assert err == f"error: {path}: a record does not have the expected shape ({shown})\n"
+        assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == before
+
     def test_decoder_error_names_the_record_file(self, capsys, tmp_path, finished_run):
         run = tmp_path / "runs" / "r"
         shutil.copytree(finished_run, run)
@@ -554,7 +582,7 @@ class TestExitCodes:
         observations.write_text("".join(observations.read_text().splitlines(True)[1:]))
         code, _, err = run_cli(capsys, "stats", "--config", str(config), "--run", "r")
         assert code == cli.EXIT_USAGE
-        assert err.startswith(f"error: {run / 'trajectories_refined.jsonl'}: observation_ref: ")
+        assert err.startswith(f"error: {run / 'trajectories_raw.jsonl'}: observation_ref: ")
 
         shutil.copytree(finished_run, run, dirs_exist_ok=True)
         tasks = run / "tasks.jsonl"
@@ -620,7 +648,7 @@ class TestExitCodes:
         assert "by_site_stage" in err
 
     @pytest.mark.parametrize("command", ["explore", "collect", "refine", "export", "stats"])
-    @pytest.mark.parametrize("found", ["absent", "1", "3", "inline_observations"])
+    @pytest.mark.parametrize("found", ["absent", "1", "2", "4", "inline_observations"])
     def test_run_of_another_format_is_rejected(
         self, capsys, tmp_path, finished_run, command, found
     ):

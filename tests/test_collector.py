@@ -1,4 +1,4 @@
-"""Collection stage: stall detection, conflict triggers, the episode loop."""
+"""Collection stage: stall detection, in-flight task rewrites, the episode loop."""
 from __future__ import annotations
 
 import itertools
@@ -9,12 +9,11 @@ import pytest
 from synthweaver.collector import (
     Collector,
     StallDetector,
-    classify_trigger,
     error_signature,
     normalize_url,
 )
 from synthweaver.environment import SimulatorSession
-from synthweaver.model import ConflictTrigger, Task, Terminal
+from synthweaver.model import Task, Terminal, Trajectory
 from tests.conftest import make_client, shop_client
 
 
@@ -104,22 +103,10 @@ class TestStallDetector:
                     assert got == expected, (pattern, i)
 
 
-class TestClassifyTrigger:
-    def test_stall_wins(self):
-        got = classify_trigger(True, "the button is missing a parameter")
-        assert got is ConflictTrigger.STALL
-
-    @pytest.mark.parametrize("analysis", [
-        "the username is missing",
-        "Insufficient details were provided",
-        "a required PARAMETER is absent",
-    ])
-    def test_missing_args_keywords(self, analysis):
-        assert classify_trigger(False, analysis) is ConflictTrigger.MISSING_ARGS
-
-    def test_default_exists_ui(self):
-        got = classify_trigger(False, "the page has no such control at all")
-        assert got is ConflictTrigger.EXISTS_UI
+def text_at(trajectory: Trajectory, index: int) -> str:
+    """The task text in force at raw step `index`, read from the lineage."""
+    return next((ev.prior_text for ev in trajectory.task.lineage if ev.step_index >= index),
+                trajectory.task.text)
 
 
 def shop_collector(config, events=None):
@@ -163,28 +150,28 @@ class TestCollectShop:
         t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert t.terminal is Terminal.COMPLETED_NONE
         assert len(t.task.lineage) == 1
-        assert t.task.lineage[0].trigger_reason == "stall"
+        assert t.task.lineage[0].stalled is True
         assert t.task.lineage[0].step_index == 3
         assert t.task.text.startswith("Identify the product")
-        # snapshots: steps 0-3 carry the original text, 4+ the refined text
-        assert t.steps[3].task_snapshot == task.text
-        assert t.steps[4].task_snapshot == t.task.text
+        # steps 0-3 ran under the original text, 4+ under the refined text
+        assert [text_at(t, i) for i in (0, 3)] == [task.text] * 2
+        assert [text_at(t, i) for i in (4, len(t.steps) - 1)] == [t.task.text] * 2
         refined_events = [d for k, d in events if k == "collect.refined"]
-        assert refined_events and refined_events[0]["trigger"] == "stall"
+        assert refined_events and refined_events[0]["stalled"] is True
 
     def test_exists_ui_refinement(self, shop_config, shop_graph):
         collector = shop_collector(shop_config)
         task = make_task("Arrange the Health & Household products from least to most expensive")
         t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert len(t.task.lineage) == 1
-        assert t.task.lineage[0].trigger_reason == "exists_ui"
+        assert t.task.lineage[0].stalled is False
 
     def test_missing_args_refinement(self, shop_config, shop_graph):
         collector = shop_collector(shop_config)
         task = make_task("Update your MegaShop account password to a new secure value")
         t = collector.collect_trajectory(task, SimulatorSession(shop_graph))
         assert len(t.task.lineage) == 1
-        assert t.task.lineage[0].trigger_reason == "missing_args"
+        assert t.task.lineage[0].stalled is False
         assert t.steps[-1].action.value == "Signed in as demo"
 
 

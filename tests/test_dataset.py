@@ -16,14 +16,14 @@ from synthweaver.dataset import (
     observation_ref,
     split_examples,
 )
-from synthweaver.model import ConflictTrigger, Task, Terminal, Trajectory
+from synthweaver.model import Task, Terminal, Trajectory
 from tests.conftest import click_action, none_action, obs, step, stop_action
 
 
 def make_trajectory(n_steps: int, text="the task", task_id="t-s-0001", site="shop") -> Trajectory:
     actions = [click_action(i + 1) for i in range(n_steps - 1)] + [none_action("ans")]
     steps = tuple(
-        step(i, a, task=text, url=f"https://s.test/p{i}") for i, a in enumerate(actions)
+        step(i, a, url=f"https://s.test/p{i}") for i, a in enumerate(actions)
     )
     task = Task(id=task_id, text=text, category="c", site=site)
     return Trajectory(task=task, steps=steps, terminal=Terminal.COMPLETED_NONE)
@@ -162,7 +162,7 @@ class TestCorpusStats:
             raw.append(make_trajectory(3, task_id=f"t-shop-{i:04d}"))
         for i in range(5, 8):
             t = make_trajectory(2, task_id=f"t-shop-{i:04d}")
-            task = t.task.refined(0, "the refined task", ConflictTrigger.STALL)
+            task = t.task.refined(0, "the refined task", stalled=True)
             t = Trajectory(task=task, steps=t.steps[:-1] + (step(1, stop_action()),),
                            terminal=Terminal.STOPPED_BY_AGENT)
             raw.append(t)

@@ -9,7 +9,6 @@ import pytest
 
 from synthweaver.actions import ActionKind, make_action
 from synthweaver.model import (
-    ConflictTrigger,
     Element,
     Observation,
     Task,
@@ -64,21 +63,21 @@ class TestClassifyTerminal:
 class TestTaskLineage:
     def test_refined_records_prior_text(self):
         task = make_task("original")
-        refined = task.refined(3, "rewritten", ConflictTrigger.STALL)
+        refined = task.refined(3, "rewritten", stalled=True)
         assert refined.text == "rewritten"
         assert refined.id == task.id
         assert len(refined.lineage) == 1
         assert refined.lineage[0].prior_text == "original"
         assert refined.lineage[0].step_index == 3
-        assert refined.lineage[0].trigger_reason == "stall"
+        assert refined.lineage[0].stalled is True
         assert task.lineage == ()
 
     def test_lineage_accumulates_in_order(self):
         task = make_task("v1")
-        task = task.refined(1, "v2", ConflictTrigger.EXISTS_UI)
-        task = task.refined(4, "v3", ConflictTrigger.MISSING_ARGS)
+        task = task.refined(1, "v2", stalled=False)
+        task = task.refined(4, "v3", stalled=True)
         assert [e.prior_text for e in task.lineage] == ["v1", "v2"]
-        assert [e.trigger_reason for e in task.lineage] == ["exists_ui", "missing_args"]
+        assert [e.stalled for e in task.lineage] == [False, True]
 
 
 class TestFingerprint:
@@ -114,11 +113,11 @@ class TestSerialization:
         assert observation_from_dict(observation_to_dict(o)) == o
 
     def test_task_round_trip_with_lineage(self):
-        task = make_task().refined(2, "new", ConflictTrigger.STALL)
+        task = make_task().refined(2, "new", stalled=True)
         assert task_from_dict(task_to_dict(task)) == task
 
     def test_task_carries_its_site(self):
-        task = replace(make_task(), site="shop").refined(1, "new", ConflictTrigger.STALL)
+        task = replace(make_task(), site="shop").refined(1, "new", stalled=False)
         data = task_to_dict(task)
         assert data["site"] == "shop"
         assert task_from_dict(data).site == "shop"

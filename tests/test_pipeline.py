@@ -2,6 +2,7 @@
 worker-count invariance of the overlapped oracle calls."""
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import shutil
@@ -10,15 +11,18 @@ import threading
 import time
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from synthweaver import cli, explorer, pipeline, runstore
+from synthweaver import cli, explorer, pipeline, refiner, runstore
+from synthweaver.actions import render_action
 from synthweaver.config import OracleSettings, parse_config
+from synthweaver.dataset import export_dataset
 from synthweaver.environment import SimulatorSession
 from synthweaver.errors import BudgetExhausted, TransportError
 from synthweaver.oracle import (
-    CostLedger, MockScript, MockTransport, OracleClient, RawCompletion, Usage)
+    CostLedger, MockScript, MockTransport, OracleClient, RawCompletion, RefineDecision, Usage)
 from synthweaver.runstore import RunStore
 from tests.conftest import SHOP_MOCK, shop_config_dict, write_config
 
@@ -28,14 +32,14 @@ SHOP_CONTENT_HASH = "64a87fa3c64e81dafada73ad79dbbe7bafc7e2b4cb6220bf5d0e9ce945f
 SHOP_LEDGER = {"calls": 183, "tokens": 155_550, "total_cost_usd": "0.475800"}
 SHOP_COLLECT_USD = "0.369200"
 # SHA-256 of the files of that run, at one worker, whose bytes run formats 1
-# and 2 share; for `stats.json`, format 1's file without its `oracle` key,
-# which copied `ledger.json`.
+# to 3 share, and of format 3's `judgments.jsonl`; for `stats.json`, format
+# 1's file without its `oracle` key, which copied `ledger.json`.
 SHOP_DIGESTS = {
     "ledger.json": "66c6f9db5004ca7729009e81ec07d15d50d25357266a5895b6a90709b93c643e",
     "stats.json": "aa79ff76be38579d1ff38876732707f165cb3b3b0274a110db8fb297c1cfde4c",
     "triplets.jsonl": "e66036709d9d3307f98676d1660f5b7ac1b4607c5da42e5df482068c9c138964",
     "observations.jsonl": "a765d91b5b8c870ad1faaa4938e30a53037e02f28438ddb6902e3a41e338a13e",
-    "drops.jsonl": "ee41f3f0c8f813465bc6d51c27d126eceb7b145ac1aa72ab6edf711b923eb224",
+    "judgments.jsonl": "a28ef8ffdf98e562ca64cda232b794c2f5dedbf7ea25103ce4b20d40e1004b3f",
     "dataset/dataset.jsonl": "02aaa0a8a602bdc2818b4aa188184278f87dfe5cf0dc4971623d3fc0c0252122",
     "dataset/observations.jsonl":
         "9c565fb5bcad66f613b5f8380e043b3bbdd96b5279d982bded7fe0cd7a72e4d8",
@@ -91,12 +95,109 @@ def test_shop_run_stores_each_fact_once(tmp_path, capsys):
     for path in run.rglob("*"):
         if path.is_file():
             text = path.read_text()
-            for key in ('"task_type"', '"refine_count"', '"stages"'):
+            for key in ('"task_type"', '"refine_count"', '"stages"', '"task_snapshot"',
+                        '"trigger_reason"'):
                 assert key not in text, (path.name, key)
     assert "oracle" not in json.loads((run / "stats.json").read_text())
     digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
                for name in SHOP_DIGESTS}
     assert digests == SHOP_DIGESTS
+
+
+def test_judgments_are_edits_over_the_raw_steps(tmp_path):
+    # Each judgment names the raw steps it keeps. Applied to the raw records
+    # outside the pipeline, the judgments give the pinned dataset.
+    config, store = shop_store(tmp_path, "r")
+    for stage in (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine):
+        stage(config, store)
+    raw = {t.id: t for t in pipeline._raw_trajectories(store, store.observations())}
+    judgments = {j.trajectory_id: j for j in map(
+        refiner.judgment_from_dict, store.read_records("judgments.jsonl"))}
+    assert list(judgments) == list(raw)
+    for tid, judgment in judgments.items():
+        n_steps = len(raw[tid].steps)
+        assert all(0 <= i < n_steps for i in judgment.order), tid
+        if judgment.decision is RefineDecision.KEEP:
+            assert judgment.order == tuple(range(n_steps)), tid
+        if judgment.decision is RefineDecision.DROP:
+            assert judgment.order == () and judgment.reason, tid
+    refined = {tid: refiner.apply_edits(raw[tid], j) for tid, j in judgments.items()}
+
+    modify, appended = judgments["t-shop-0007"], judgments["t-shop-0011"]
+    assert (modify.end, appended.end) == (refiner.EditEnd.MODIFY, refiner.EditEnd.APPEND)
+    for judgment, added in ((modify, 0), (appended, 1)):
+        steps, raw_steps = refined[judgment.trajectory_id].steps, raw[judgment.trajectory_id].steps
+        assert len(steps) == len(judgment.order) + added
+        assert [s.observation.ref for s in steps[:len(judgment.order)]] == [
+            raw_steps[i].observation.ref for i in judgment.order]
+        assert [s.index for s in steps] == list(range(len(steps)))
+        assert steps[-1].action.value == judgment.final_none_value
+    # A modify end rewrites the last retained action; an append end keeps it.
+    assert raw[modify.trajectory_id].steps[modify.order[-1]].action.kind.value == "stop"
+    assert (render_action(refined[appended.trajectory_id].steps[-2].action)
+            == render_action(raw[appended.trajectory_id].steps[appended.order[-1]].action))
+
+    kept = [t for t in refined.values() if t is not None]
+    result = export_dataset(kept, tmp_path / "out", window=config.context_window)
+    assert result.manifest["content_hash"] == SHOP_CONTENT_HASH
+
+
+def test_export_decodes_only_the_trajectories_a_judgment_keeps(tmp_path, monkeypatch):
+    config, store = shop_store(tmp_path, "r")
+    for stage in (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine):
+        stage(config, store)
+    decoded = []
+    decode = pipeline.trajectory_from_dict
+
+    def counted(record, observations):
+        decoded.append(record["task"]["id"])
+        return decode(record, observations)
+
+    monkeypatch.setattr(pipeline, "trajectory_from_dict", counted)
+    result = pipeline.run_export(config, store)
+    kept = [r["trajectory_id"] for r in store.read_records("judgments.jsonl")
+            if r["decision"] != "drop"]
+    assert decoded == kept and len(kept) == 14
+    assert result.manifest["content_hash"] == SHOP_CONTENT_HASH
+
+
+def test_failed_export_leaves_no_manifest_that_disagrees_with_the_files(
+    tmp_path, capsys, monkeypatch
+):
+    # The disk fills while export rewrites the dataset of an earlier export:
+    # any manifest left must describe the files, and the next export mends it.
+    config = write_config(tmp_path)
+    for command in ("explore", "collect", "refine", "export"):
+        assert cli.main([command, "--config", str(config), "--run", "r"]) == cli.EXIT_OK
+    export = ["export", "--config", str(config), "--run", "r", "--window"]
+    assert cli.main([*export, "0"]) == cli.EXIT_OK
+    run = tmp_path / "runs" / "r"
+    data = run / "dataset"
+    write_bytes = Path.write_bytes
+
+    def full_disk(path, payload):
+        if path == data / "observations.jsonl":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_bytes(path, payload)
+
+    monkeypatch.setattr(Path, "write_bytes", full_disk)
+    with pytest.raises(OSError):
+        cli.main([*export, "1"])
+    monkeypatch.undo()
+    files = (data / "dataset.jsonl").read_bytes() + b"\0" + (data / "observations.jsonl").read_bytes()
+    manifests = {"manifest.json": ("dataset", "content_hash"),
+                 "dataset/manifest.json": ("content_hash",)}
+    for name, keys in manifests.items():
+        if (run / name).exists():
+            manifest = json.loads((run / name).read_text())
+            for key in keys:
+                manifest = manifest[key]
+            assert manifest == hashlib.sha256(files).hexdigest(), name
+    capsys.readouterr()
+    assert cli.main(export[:-1]) == cli.EXIT_OK
+    assert f"content_hash {SHOP_CONTENT_HASH[:16]} " in capsys.readouterr().out
+    assert content_hash(run) == SHOP_CONTENT_HASH
+    assert json.loads((data / "manifest.json").read_text())["content_hash"] == SHOP_CONTENT_HASH
 
 
 def test_collect_threads_share_one_graph(tmp_path, monkeypatch):
@@ -650,8 +751,7 @@ COLLECT = ("next_action", "refine_task")
 JUDGES = ("refine_trajectory", "judge_diversity", "judge_quality")
 STAGES = (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine,
           pipeline.run_export, pipeline.run_stats)
-RECORDS = ("trajectories_raw.jsonl", "collect_failures.jsonl",
-           "trajectories_refined.jsonl", "drops.jsonl")
+RECORDS = ("trajectories_raw.jsonl", "collect_failures.jsonl", "judgments.jsonl")
 
 
 def record_bytes(run) -> dict:
@@ -862,7 +962,7 @@ def test_refine_fills_two_calls_per_worker_on_http(tmp_path, monkeypatch, worker
 def test_refine_width_changes_no_record(tmp_path, monkeypatch):
     # Within each pair, the first judgment sleeps longer, so judgments in
     # flight finish out of job order; refine commits them in job order, so
-    # its files keep the mock's bytes.
+    # `judgments.jsonl` keeps the mock's bytes.
     config, mock = shop_store(tmp_path, "mock")
     for stage in STAGES:
         stage(config, mock)
@@ -872,9 +972,8 @@ def test_refine_width_changes_no_record(tmp_path, monkeypatch):
         config, http = shop_store(tmp_path, f"http{workers}", http=True, workers=workers)
         for stage in STAGES:
             stage(config, http)
-        for name in ("trajectories_refined.jsonl", "drops.jsonl"):
-            assert (http.root / name).read_bytes() == (mock.root / name).read_bytes(), (
-                workers, name)
+        assert (http.root / "judgments.jsonl").read_bytes() == (
+            mock.root / "judgments.jsonl").read_bytes(), workers
         assert content_hash(http.root) == SHOP_CONTENT_HASH
         assert ledger_totals(http.root) == SHOP_LEDGER
         stats.add((http.root / "stats.json").read_bytes())
@@ -946,9 +1045,8 @@ def referenced_refs(run) -> set[str]:
     for line in (run / "triplets.jsonl").read_text().splitlines():
         record = json.loads(line)
         refs |= {record["before_ref"], record["after_ref"]}
-    for name in ("trajectories_raw.jsonl", "trajectories_refined.jsonl"):
-        for line in (run / name).read_text().splitlines():
-            refs |= {step["observation_ref"] for step in json.loads(line)["steps"]}
+    for line in (run / "trajectories_raw.jsonl").read_text().splitlines():
+        refs |= {step["observation_ref"] for step in json.loads(line)["steps"]}
     return refs
 
 

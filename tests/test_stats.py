@@ -102,8 +102,8 @@ def test_quality_reply_that_never_validates_is_not_judged(tmp_path, capsys):
         "overall": {"mean_score": 80.0, "n_judged": 13},
         "by_site": {"shop": {"mean_score": 80.0, "n_judged": 13}},
     }
-    refined = map(json.loads, (run / "trajectories_refined.jsonl").read_text().splitlines())
-    (cable,) = [r["task"]["id"] for r in refined
+    raw = map(json.loads, (run / "trajectories_raw.jsonl").read_text().splitlines())
+    (cable,) = [r["task"]["id"] for r in raw
                 if r["task"]["text"].startswith("Find the price of the cheapest USB cable")]
     assert judge_failures(run) == [{"site": "shop", "judge": "quality", "trajectory_id": cable}]
 
