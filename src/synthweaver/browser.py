@@ -115,8 +115,8 @@ class BrowserSession:
             }
         }
         reply = self._request("POST", "/session", payload, connect=True)
-        value = reply.get("value", {})
-        session_id = value.get("sessionId") or reply.get("sessionId")
+        value = reply.get("value")
+        session_id = (isinstance(value, dict) and value.get("sessionId")) or reply.get("sessionId")
         if not session_id:
             raise ProtocolError(f"session creation returned no sessionId: {reply}")
         self._session = f"/session/{session_id}"
@@ -146,6 +146,7 @@ class BrowserSession:
         connect: bool = False,
         tolerate_error: bool = False,
     ) -> dict[str, Any]:
+        """The reply body, a JSON object; any other reply is a ProtocolError."""
         try:
             status, raw = request_json(method, f"{self._base}{path}", payload, {}, self._timeout)
         except NoReply as exc:
@@ -158,10 +159,14 @@ class BrowserSession:
             raise ProtocolError(
                 f"non-JSON reply from {method} {path}: {raw.decode('utf-8', 'replace')[:200]}"
             ) from None
+        if not isinstance(body, dict):
+            raise ProtocolError(f"reply from {method} {path} is not a JSON object: {body!r:.200}")
         if status >= 300:  # a redirect that urllib did not follow is an error too
-            error = (body.get("value") or {}).get("error", "")
+            value = body.get("value")
+            detail = value if isinstance(value, dict) else {}
+            error = detail.get("error", "")
             if error == "no such element":
-                raise ElementNotFound((body.get("value") or {}).get("message", error))
+                raise ElementNotFound(detail.get("message", error))
             if tolerate_error:
                 return body
             raise ProtocolError(
@@ -183,8 +188,8 @@ class BrowserSession:
             f"{self._session}/element",
             {"using": "css selector", "value": f'[data-swid="{element_id}"]'},
         )
-        value = body.get("value", {})
-        for key, handle in value.items():
+        value = body.get("value")
+        for key, handle in value.items() if isinstance(value, dict) else ():
             if key.startswith("element-") or key == "ELEMENT":
                 return handle
         raise ProtocolError(f"element reply carried no handle: {value}")
@@ -206,16 +211,23 @@ class BrowserSession:
         raw = self._execute_script(OBSERVE_SCRIPT)
         if not isinstance(raw, dict):
             raise ProtocolError(f"observe script returned {type(raw).__name__}, not an object")
-        elements = tuple(
-            Element(
-                id=int(e["id"]),
-                role=str(e.get("role", "generic")),
-                name=str(e.get("name", "")),
-                interactive=bool(e.get("interactive", False)),
+        entries = raw.get("elements", [])
+        try:
+            elements = tuple(
+                Element(
+                    id=int(e["id"]),
+                    role=str(e.get("role", "generic")),
+                    name=str(e.get("name", "")),
+                    interactive=bool(e.get("interactive", False)),
+                )
+                for e in entries
+                if not e.get("below", False)
             )
-            for e in raw.get("elements", [])
-            if not e.get("below", False)
-        )
+        except (AttributeError, LookupError, TypeError, ValueError):
+            raise ProtocolError(
+                f"observe script returned elements that are not objects with an "
+                f"integer id: {str(entries)[:200]}"
+            ) from None
         title = str(raw.get("title", ""))
         lines = [f'RootWebArea "{title}"']
         lines += [f'  {e.role} "{e.name}" [{e.id}]' for e in elements]

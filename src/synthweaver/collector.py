@@ -19,14 +19,7 @@ from .config import RunConfig
 from .environment import TransitionOutcome
 from .errors import ElementNotFound, SchemaViolation
 from .model import Observation, Step, Task, Trajectory, classify_terminal
-from .oracle import (
-    NextActionReply,
-    OracleClient,
-    RefineTaskReply,
-    RenderedPrompt,
-    TemplateName,
-    render,
-)
+from .oracle import NextActionReply, OracleClient, RenderedPrompt, TemplateName, render
 from .promptvars import element_lines, history_hint, img_info, page_context, state_action_block
 from .runstore import EventHook, noop_event
 
@@ -135,7 +128,9 @@ class Collector:
         obs_after: Observation,
         *,
         stalled: bool,
-    ) -> RefineTaskReply:
+    ) -> str | None:
+        """The task rewritten to match what the site supports, or None when it
+        needs no rewrite."""
         window = history[-self.config.context_window :]
         previous = [ev.prior_text for ev in task.lineage]
         prompt = render(
@@ -196,9 +191,9 @@ class Collector:
             )
             if len(task.lineage) < cfg.max_refines_per_task:
                 obs_after = session.observe()
-                check = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
-                if check.need_to_refine:
-                    task = task.refined(step.index, check.high_level_task, stalled=stalled)
+                rewrite = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
+                if rewrite is not None:
+                    task = task.refined(step.index, rewrite, stalled=stalled)
                     stall.reset()
                     self.on_event(
                         "collect.refined",

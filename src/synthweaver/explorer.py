@@ -24,13 +24,7 @@ from .actions import Action, ActionKind, make_action, render_action
 from .config import RunConfig, SiteSpec
 from .errors import ElementNotFound, EmptyPlan, SchemaViolation
 from .model import InteractionTriplet, Observation, Task
-from .oracle import (
-    CategorizationReply,
-    OracleClient,
-    TemplateName,
-    UNINTERACTIVE_CATEGORY,
-    render,
-)
+from .oracle import OracleClient, TemplateName, UNINTERACTIVE_CATEGORY, render
 from .oracle.client import run_now
 from .promptvars import (
     describe_interaction,
@@ -84,8 +78,9 @@ class UrlPool:
 
 def categorize_page(
     oracle: OracleClient, obs: Observation, *, site: str
-) -> CategorizationReply:
-    """Ask the oracle to group the page's elements; enforce full coverage."""
+) -> dict[str, tuple[Action, ...]]:
+    """Ask the oracle to group the page's elements into categories of probes;
+    enforce full coverage."""
     prompt = render(
         TemplateName.CATEGORIZE,
         {
@@ -96,14 +91,14 @@ def categorize_page(
             "const_uninteractive_category": UNINTERACTIVE_CATEGORY,
         },
     )
-    parsed: CategorizationReply = oracle.call(
+    categories: dict[str, tuple[Action, ...]] = oracle.call(
         prompt,
         site=site,
         context={"element_ids": sorted(obs.element_ids())},
     )
-    if not any(parsed.categories.values()):
+    if not any(categories.values()):
         raise EmptyPlan(f"no interactive category proposed for {obs.url}")
-    return parsed
+    return categories
 
 
 def propose_task(
@@ -120,8 +115,7 @@ def propose_task(
             "website_name": site.name,
         },
     )
-    proposal = oracle.call(prompt, site=site.name)
-    return " ".join(proposal.high_level_instruction.split())
+    return oracle.call(prompt, site=site.name)
 
 
 def sample_probes(rng: random.Random, probes: Sequence[Action], k: int) -> list[Action]:
@@ -294,7 +288,7 @@ class Explorer:
             obs = session.observe()
             pages_visited += 1
             try:
-                reply = categorize_page(self.oracle, obs, site=site.name)
+                categories = categorize_page(self.oracle, obs, site=site.name)
             except EmptyPlan:
                 self.on_event("explore.empty_plan", {"site": site.name, "url": url})
                 continue
@@ -310,10 +304,10 @@ class Explorer:
                     "site": site.name,
                     "url": url,
                     "depth": depth,
-                    "categories": {k: len(v) for k, v in reply.categories.items()},
+                    "categories": {k: len(v) for k, v in categories.items()},
                 },
             )
-            for category, candidates in reply.categories.items():
+            for category, candidates in categories.items():
                 for probe in sample_probes(page_rng, candidates, cfg.probes_per_category):
                     if not proposals.room(cfg.max_tasks_per_site):
                         break

@@ -12,15 +12,11 @@ from .client import (
     extract_json,
 )
 from .replies import (
-    CategorizationReply,
     DIVERSITY_SUBSCORE_KEYS,
-    DiversityReply,
+    EditEnd,
+    Judgment,
     NextActionReply,
-    QualityReply,
     RefineDecision,
-    RefineTaskReply,
-    RefineTrajectoryReply,
-    TaskProposal,
     parse_reply,
 )
 from .templates import (
@@ -33,24 +29,20 @@ from .templates import (
 )
 
 __all__ = [
-    "CategorizationReply",
     "CostLedger",
     "DIVERSITY_SUBSCORE_KEYS",
-    "DiversityReply",
+    "EditEnd",
     "HttpTransport",
+    "Judgment",
     "MockScript",
     "MockTransport",
     "NextActionReply",
     "OracleClient",
     "Pricing",
     "PromptTemplate",
-    "QualityReply",
     "RawCompletion",
     "RefineDecision",
-    "RefineTaskReply",
-    "RefineTrajectoryReply",
     "RenderedPrompt",
-    "TaskProposal",
     "TemplateName",
     "UNINTERACTIVE_CATEGORY",
     "Usage",

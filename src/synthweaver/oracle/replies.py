@@ -1,8 +1,11 @@
-"""Typed oracle replies and their strict schema validation.
+"""Strict schema validation of oracle replies, into the values the stages keep.
 
 Every reply is validated here, so invalid shapes (duplicate edit indices,
 out-of-range scores, inconsistent yes/no fields) are never observable by the
-pipeline stages downstream of the oracle client.
+pipeline stages downstream of the oracle client. A parser checks every field
+of its template's reply, also those no stage reads, and returns only what
+its stage keeps: a page's categories, a task text, a next action, a rewrite
+or None, a judgment, a score.
 """
 
 from __future__ import annotations
@@ -23,45 +26,37 @@ class RefineDecision(str, Enum):
 
 
 @dataclass(frozen=True)
-class CategorizationReply:
-    analysis: str
-    # Probes target an element, so each is a click, type or hover.
-    categories: dict[str, tuple[Action, ...]]
-    uninteractive: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TaskProposal:
-    sub_instruction: str
-    analysis: str
-    high_level_instruction: str
-
-
-@dataclass(frozen=True)
 class NextActionReply:
     state_summary: str
     reasoning: str
     action: Action
 
 
-@dataclass(frozen=True)
-class RefineTaskReply:
-    analysis: str
-    need_to_refine: bool
-    high_level_task: str
+class EditEnd(str, Enum):
+    """What an edit does to the end of the retained steps."""
+
+    KEEP = "keep"
+    MODIFY = "modify"  # the last retained step becomes the final answer
+    APPEND = "append"  # a final answer step follows the last retained step
 
 
 @dataclass(frozen=True)
-class RefineTrajectoryReply:
-    task: str
-    score: int
+class Judgment:
+    """The judge's verdict on one trajectory, one line of `judgments.jsonl`
+    (`dataclasses.asdict`). `order` lists the retained steps by raw index;
+    `final_none_value` is the answer a `modify` or `append` end writes, else
+    empty; `reason` is a drop's reason, a refine's modification reason, or
+    empty for a keep. A parsed reply names no trajectory: its `site` and
+    `trajectory_id` are empty until the refiner fills them."""
+
+    site: str
+    trajectory_id: str
     decision: RefineDecision
-    order: tuple[int, ...]
-    modify_end: bool
-    append_end: bool
-    final_none_value: str
-    drop_reason: str
-    modification_reason: str
+    score: int | None
+    order: tuple[int, ...] = ()
+    end: EditEnd = EditEnd.KEEP
+    final_none_value: str = ""
+    reason: str = ""
 
 
 DIVERSITY_SUBSCORE_KEYS = (
@@ -70,20 +65,6 @@ DIVERSITY_SUBSCORE_KEYS = (
     "goal_coverage",
     "redundancy_minimization",
 )
-
-
-@dataclass(frozen=True)
-class DiversityReply:
-    score: int
-    subscores: dict[str, int]
-    analysis: str
-    representative_examples: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class QualityReply:
-    score: int
-    analysis: str
 
 
 # ======================================================================
@@ -133,8 +114,10 @@ def _yes_no(value: Any, key: str) -> bool:
 
 def _parse_categorize(
     payload: dict[str, Any], context: dict[str, Any]
-) -> CategorizationReply:
-    analysis = _as_str(_require(payload, "Analysis"), "Analysis")
+) -> dict[str, tuple[Action, ...]]:
+    """Each category's probes; a probe targets an element, so each is a
+    click, type or hover."""
+    _as_str(_require(payload, "Analysis"), "Analysis")
     raw = _require(payload, "Categorization")
     if not isinstance(raw, dict):
         raise SchemaViolation("Categorization must be an object")
@@ -175,18 +158,17 @@ def _parse_categorize(
         uncovered = sorted(known_set - seen_ids)
         if uncovered:
             raise SchemaViolation(f"page elements left uncategorized: {uncovered}")
-    return CategorizationReply(analysis=analysis, categories=categories, uninteractive=uninteractive)
+    return categories
 
 
-def _parse_propose_task(payload: dict[str, Any]) -> TaskProposal:
+def _parse_propose_task(payload: dict[str, Any]) -> str:
+    """The proposed task, its whitespace collapsed."""
     high = _as_str(_require(payload, "High-Level-Instruction"), "High-Level-Instruction")
     if not high.strip():
         raise SchemaViolation("High-Level-Instruction must be non-empty")
-    return TaskProposal(
-        sub_instruction=_as_str(_require(payload, "Sub-Instruction"), "Sub-Instruction"),
-        analysis=_as_str(_require(payload, "Analysis"), "Analysis"),
-        high_level_instruction=high,
-    )
+    _as_str(_require(payload, "Sub-Instruction"), "Sub-Instruction")
+    _as_str(_require(payload, "Analysis"), "Analysis")
+    return " ".join(high.split())
 
 
 def _parse_next_action(payload: dict[str, Any]) -> NextActionReply:
@@ -220,20 +202,21 @@ def _parse_next_action(payload: dict[str, Any]) -> NextActionReply:
     return NextActionReply(state_summary=summary, reasoning=reasoning, action=action)
 
 
-def _parse_refine_task(payload: dict[str, Any]) -> RefineTaskReply:
-    analysis = _as_str(_require(payload, "Analysis"), "Analysis")
+def _parse_refine_task(payload: dict[str, Any]) -> str | None:
+    """The rewritten task, or None when the task needs no rewrite."""
+    _as_str(_require(payload, "Analysis"), "Analysis")
     need = _yes_no(_require(payload, "Need-to-Refine"), "Need-to-Refine")
     task = _as_str(_require(payload, "High-Level-Task"), "High-Level-Task")
     if need and not task.strip():
         raise SchemaViolation("Need-to-Refine=yes requires a non-empty High-Level-Task")
     if not need and task.strip():
         raise SchemaViolation("Need-to-Refine=no requires an empty High-Level-Task")
-    return RefineTaskReply(analysis=analysis, need_to_refine=need, high_level_task=task.strip())
+    return task.strip() if need else None
 
 
-def _parse_refine_trajectory(
-    payload: dict[str, Any], context: dict[str, Any]
-) -> RefineTrajectoryReply:
+def _parse_refine_trajectory(payload: dict[str, Any], context: dict[str, Any]) -> Judgment:
+    """The judgment of a trajectory of `k` steps, with an empty `site` and
+    `trajectory_id`."""
     k = context.get("k")
     if not isinstance(k, int):
         raise SchemaViolation("refine_trajectory validation requires trajectory length k")
@@ -284,20 +267,22 @@ def _parse_refine_trajectory(
             make_action(ActionKind.NONE, None, final_none)
         except InvalidAction as exc:
             raise SchemaViolation(f"final_none_value: {exc}") from None
-    return RefineTrajectoryReply(
-        task=task,
-        score=score,
+    end = EditEnd.MODIFY if modify_end else EditEnd.APPEND if append_end else EditEnd.KEEP
+    reasons = {RefineDecision.REFINE: modification_reason, RefineDecision.DROP: drop_reason}
+    return Judgment(
+        site="",
+        trajectory_id="",
         decision=decision,
+        score=score,
         order=order,
-        modify_end=modify_end,
-        append_end=append_end,
-        final_none_value=final_none,
-        drop_reason=drop_reason,
-        modification_reason=modification_reason,
+        end=end,
+        final_none_value="" if end is EditEnd.KEEP else final_none,
+        reason=reasons.get(decision, ""),
     )
 
 
-def _parse_diversity(payload: dict[str, Any]) -> DiversityReply:
+def _parse_diversity(payload: dict[str, Any]) -> dict[str, Any]:
+    """`{"score", "subscores"}`."""
     score = _as_int(_require(payload, "score"), "score", lo=0, hi=100)
     raw_sub = _require(payload, "subscores")
     if not isinstance(raw_sub, dict):
@@ -312,25 +297,22 @@ def _parse_diversity(payload: dict[str, Any]) -> DiversityReply:
     examples = _require(payload, "representative_examples")
     if not isinstance(examples, list) or not all(isinstance(e, str) for e in examples):
         raise SchemaViolation("representative_examples must be a list of strings")
-    return DiversityReply(
-        score=score,
-        subscores=subscores,
-        analysis=_as_str(_require(payload, "analysis"), "analysis"),
-        representative_examples=tuple(examples),
-    )
+    _as_str(_require(payload, "analysis"), "analysis")
+    return {"score": score, "subscores": subscores}
 
 
-def _parse_quality(payload: dict[str, Any]) -> QualityReply:
-    return QualityReply(
-        score=_as_int(_require(payload, "score"), "score", lo=0, hi=100),
-        analysis=_as_str(_require(payload, "analysis"), "analysis"),
-    )
+def _parse_quality(payload: dict[str, Any]) -> int:
+    """The score."""
+    score = _as_int(_require(payload, "score"), "score", lo=0, hi=100)
+    _as_str(_require(payload, "analysis"), "analysis")
+    return score
 
 
 def parse_reply(
     template: TemplateName, payload: Any, context: dict[str, Any] | None = None
 ) -> Any:
-    """Dispatch strict validation for one template's reply payload."""
+    """Dispatch strict validation for one template's reply payload; return
+    what its stage keeps."""
     if not isinstance(payload, dict):
         raise SchemaViolation("reply must be a JSON object")
     context = context or {}

@@ -16,6 +16,9 @@ count and on either backend.
 Refine stores one judgment per raw trajectory, an edit over its raw step
 indices, and no copy of the trajectory: export and stats apply each
 judgment to its raw record as they read it (`_refined_trajectories`).
+Export decodes only the raw records a judgment keeps; stats decodes each
+raw record once and takes both its raw and its refined figures from that
+pass.
 """
 
 from __future__ import annotations
@@ -289,26 +292,32 @@ def _raw_trajectories(store: RunStore, observations: ObservationStore) -> list[T
 
 
 def _refined_trajectories(
-    store: RunStore, observations: ObservationStore
-) -> tuple[list[Trajectory], list[dict[str, Any]]]:
+    store: RunStore, observations: ObservationStore, *, with_raw: bool = False
+) -> tuple[list[Trajectory], list[dict[str, Any]], list[Trajectory]]:
     """The refined trajectories in raw order, each its judgment applied to its
-    raw record, and every judgment's decision and score. Only the raw records
-    a judgment keeps are decoded."""
+    raw record, every judgment's decision and score, and, `with_raw`, every
+    raw trajectory. Each raw record is decoded at most once; without
+    `with_raw`, only those a judgment keeps are, and the last list is empty."""
     with _reading(store, rs.JUDGMENTS) as records:
         judgments = {j.trajectory_id: j for j in map(judgment_from_dict, records)}
-    kept = []
+    raw, kept = [], []
     with _reading(store, rs.TRAJECTORIES_RAW) as records:
         for record in records:
             judgment = judgments.get(record["task"]["id"])
-            if judgment is not None and judgment.decision is not RefineDecision.DROP:
-                kept.append((trajectory_from_dict(record, observations), judgment))
+            keeps = judgment is not None and judgment.decision is not RefineDecision.DROP
+            if keeps or with_raw:
+                trajectory = trajectory_from_dict(record, observations)
+                if with_raw:
+                    raw.append(trajectory)
+                if keeps:
+                    kept.append((trajectory, judgment))
     with _reading(store, rs.JUDGMENTS):  # a judgment that does not apply is misshapen
-        trajectories = [apply_edits(raw, judgment) for raw, judgment in kept]
+        trajectories = [apply_edits(t, judgment) for t, judgment in kept]
     decisions = [
         {"site": j.site, "decision": j.decision.value, "score": j.score}
         for j in judgments.values()
     ]
-    return trajectories, decisions
+    return trajectories, decisions, raw
 
 
 def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
@@ -340,7 +349,7 @@ def run_refine(config: RunConfig, store: RunStore) -> dict[str, int]:
 
 def run_export(config: RunConfig, store: RunStore, *, window: int | None = None) -> ExportResult:
     state = store.load_state()
-    refined, _ = _refined_trajectories(store, store.observations())
+    refined, _, _ = _refined_trajectories(store, store.observations())
     # Export calls no oracle: its events count against an empty ledger.
     with _stage_events(store, "export", CostLedger()):
         # No manifest outlives the files it describes: both go before the
@@ -379,7 +388,7 @@ def _judge_diversity(client: OracleClient, config: RunConfig, store: RunStore) -
         except SchemaViolation:
             store.event("stats.judge_failed", {"site": name, "judge": "diversity"})
             return None
-        return {"score": reply.score, "subscores": dict(reply.subscores), "n_sampled": len(sample)}
+        return {**reply, "n_sampled": len(sample)}
 
     return dict(zip(names, client.map(judge, names)))
 
@@ -388,17 +397,17 @@ def _judge_quality(
     client: OracleClient, refined: list[Trajectory], on_event: rs.EventHook
 ) -> dict[str, Any]:
     """Mean quality, overall and by site, of trajectories whose reply validates."""
-    replies = client.map(
+    judged = client.map(
         lambda t: judge_trajectory(client, TemplateName.JUDGE_QUALITY, t), refined
     )
     scores_by_site: dict[str, list[float]] = {}
-    for trajectory, reply in zip(refined, replies):
-        if reply is None:
+    for trajectory, score in zip(refined, judged):
+        if score is None:
             on_event("stats.judge_failed", {
                 "site": trajectory.site, "judge": "quality", "trajectory_id": trajectory.id,
             })
         else:
-            scores_by_site.setdefault(trajectory.site, []).append(reply.score)
+            scores_by_site.setdefault(trajectory.site, []).append(score)
     all_scores = [s for scores in scores_by_site.values() for s in scores]
     return {
         "overall": {"mean_score": _mean(all_scores), "n_judged": len(all_scores)},
@@ -417,9 +426,7 @@ def run_stats(
     with_diversity: bool = True,
 ) -> dict[str, Any]:
     store.load_state()  # refuses a run of another format
-    observations = store.observations()
-    refined, decisions = _refined_trajectories(store, observations)
-    raw = _raw_trajectories(store, observations)
+    refined, decisions, raw = _refined_trajectories(store, store.observations(), with_raw=True)
     with _stage(config, store, "stats") as client:
         stats = corpus_stats(raw, refined, decisions, client.ledger.stage_cost_by_site("collect"))
         if with_diversity:

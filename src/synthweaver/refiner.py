@@ -1,8 +1,9 @@
 """Post-hoc trajectory refinement: keep, reorder-and-repair, or drop.
 
 A judge oracle reads a step-indexed summary of each finished trajectory and
-returns an edit program. Refine stores it as one `Judgment` per trajectory:
-the retained raw step indices and what happens to the end. An edit that
+returns an edit program, which its parser validates into a `Judgment`: the
+retained raw step indices and what happens to the end. Refine names it by
+the trajectory's site and id and stores one per trajectory; an edit that
 breaks the contract is stored as a drop. `apply_edits`, a pure function,
 turns a raw trajectory and its judgment into the cleaned trajectory, which
 ends in a final `none` answer; export and stats call it as they read the
@@ -11,20 +12,13 @@ raw records. `judge_trajectory` also asks `stats`' quality judge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 from typing import Any
 
 from .actions import ActionKind, make_action, render_action
 from .errors import EditContractViolation, SchemaViolation
 from .model import Step, Terminal, Trajectory
-from .oracle import (
-    OracleClient,
-    RefineDecision,
-    RefineTrajectoryReply,
-    TemplateName,
-    render,
-)
+from .oracle import EditEnd, Judgment, OracleClient, RefineDecision, TemplateName, render
 from .runstore import EventHook, noop_event
 
 
@@ -64,55 +58,10 @@ def judge_trajectory(
         return None
 
 
-class EditEnd(str, Enum):
-    """What an edit does to the end of the retained steps."""
-
-    KEEP = "keep"
-    MODIFY = "modify"  # the last retained step becomes the final answer
-    APPEND = "append"  # a final answer step follows the last retained step
-
-
-@dataclass(frozen=True)
-class Judgment:
-    """The judge's verdict on one trajectory, one line of `judgments.jsonl`
-    (`dataclasses.asdict`). `order` lists the retained steps by raw index;
-    `final_none_value` is the answer a `modify` or `append` end writes, else
-    empty; `reason` is a drop's reason, a refine's modification reason, or
-    empty for a keep."""
-
-    site: str
-    trajectory_id: str
-    decision: RefineDecision
-    score: int | None
-    order: tuple[int, ...] = ()
-    end: EditEnd = EditEnd.KEEP
-    final_none_value: str = ""
-    reason: str = ""
-
-
 def judgment_from_dict(d: dict[str, Any]) -> Judgment:
     """A stored judgment; a missing or unknown key is a TypeError."""
     return Judgment(**{**d, "decision": RefineDecision(d["decision"]),
                        "order": tuple(d["order"]), "end": EditEnd(d["end"])})
-
-
-def judgment_of(trajectory: Trajectory, reply: RefineTrajectoryReply) -> Judgment:
-    """The judgment a validated reply gives of `trajectory`, before its edit
-    is checked by `apply_edits`."""
-    end = (EditEnd.MODIFY if reply.modify_end
-           else EditEnd.APPEND if reply.append_end else EditEnd.KEEP)
-    reasons = {RefineDecision.REFINE: reply.modification_reason,
-               RefineDecision.DROP: reply.drop_reason}
-    return Judgment(
-        site=trajectory.site,
-        trajectory_id=trajectory.id,
-        decision=reply.decision,
-        score=reply.score,
-        order=reply.order,
-        end=end,
-        final_none_value="" if end is EditEnd.KEEP else reply.final_none_value,
-        reason=reasons.get(reply.decision, ""),
-    )
 
 
 def apply_edits(trajectory: Trajectory, judgment: Judgment) -> Trajectory | None:
@@ -170,7 +119,7 @@ class Refiner:
     def refine_trajectory(self, trajectory: Trajectory) -> Judgment:
         """Judge one trajectory; judge failures and edits that break the
         contract degrade to drops, never raise."""
-        parsed: RefineTrajectoryReply | None = judge_trajectory(
+        parsed: Judgment | None = judge_trajectory(
             self.oracle,
             TemplateName.REFINE_TRAJECTORY,
             trajectory,
@@ -178,20 +127,20 @@ class Refiner:
         )
         if parsed is None:
             return self._drop(trajectory, None, "unparseable judge reply")
-        judgment = judgment_of(trajectory, parsed)
+        judgment = replace(parsed, site=trajectory.site, trajectory_id=trajectory.id)
         try:
             refined = apply_edits(trajectory, judgment)
         except EditContractViolation as exc:
-            return self._drop(trajectory, parsed.score, str(exc))
+            return self._drop(trajectory, judgment.score, str(exc))
         if refined is None:
-            return self._drop(trajectory, parsed.score, parsed.drop_reason)
+            return self._drop(trajectory, judgment.score, judgment.reason)
         self.on_event(
             "refine.decision",
             {
                 "site": trajectory.site,
                 "trajectory_id": trajectory.id,
-                "decision": parsed.decision.value,
-                "score": parsed.score,
+                "decision": judgment.decision.value,
+                "score": judgment.score,
                 "kept_steps": len(refined.steps),
             },
         )

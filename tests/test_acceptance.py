@@ -37,7 +37,7 @@ from synthweaver.errors import (
 from synthweaver.explorer import sample_probes
 from synthweaver.model import Observation, Step, Task, Terminal, Trajectory
 from synthweaver.oracle import TemplateName, extract_json, parse_reply, render
-from synthweaver.refiner import apply_edits, judgment_of
+from synthweaver.refiner import apply_edits
 from tests.conftest import SHOP_GRAPH, make_client, shop_config_dict, write_config
 
 
@@ -279,7 +279,7 @@ def test_04_edit_order_validation():
             context={"k": 2, "expected_task": stopped.task.text},
         )
         with pytest.raises(EditContractViolation):
-            apply_edits(stopped, judgment_of(stopped, keep))
+            apply_edits(stopped, keep)
 
 
 def test_05_edit_application_fidelity():
@@ -310,7 +310,7 @@ def test_05_edit_application_fidelity():
                 },
                 context={"k": k, "expected_task": trajectory.task.text},
             )
-            out = apply_edits(trajectory, judgment_of(trajectory, reply))
+            out = apply_edits(trajectory, reply)
             assert out is not None
             assert len(out.steps) <= len(trajectory.steps) + 1
             last = out.steps[-1].action
@@ -358,7 +358,7 @@ def test_05_edit_application_fidelity():
             },
             context={"k": 21, "expected_task": long_trajectory.task.text},
         )
-        out = apply_edits(long_trajectory, judgment_of(long_trajectory, reply))
+        out = apply_edits(long_trajectory, reply)
         assert len(out.steps) == 9
         assert [s.index for s in out.steps] == list(range(9))
         assert out.steps[-1].action.kind is ActionKind.NONE

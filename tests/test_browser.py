@@ -49,6 +49,8 @@ class FakeBrowser:
         self.fail_url = False
         # When set, every request from the fail_from-th logged one on gets a 500.
         self.fail_from: int | None = None
+        # A POST whose path ends with a key gets its (status, whole body) instead.
+        self.canned: dict[str, tuple[int, object]] = {}
 
     def new_page(self) -> None:
         self.url = "about:blank"
@@ -65,6 +67,9 @@ class FakeBrowser:
 
     def down(self) -> bool:
         return self.fail_from is not None and len(self.log) >= self.fail_from
+
+    def canned_reply(self, path: str) -> tuple[int, object] | None:
+        return next((r for suffix, r in self.canned.items() if path.endswith(suffix)), None)
 
     def find(self, element_id: int) -> dict | None:
         for e in self.elements:
@@ -87,7 +92,10 @@ class _Handler(BaseHTTPRequestHandler):
         return json.loads(raw) if raw else {}
 
     def _reply(self, status: int, value: object) -> None:
-        payload = json.dumps({"value": value}).encode()
+        self._send(status, {"value": value})
+
+    def _send(self, status: int, body: object) -> None:
+        payload = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -103,6 +111,8 @@ class _Handler(BaseHTTPRequestHandler):
         fake.log.append(("POST", self.path, body))
         if fake.down():
             self._down()
+        elif (canned := fake.canned_reply(self.path)) is not None:
+            self._send(*canned)
         elif self.path == "/session":
             fake.new_page()
             self._reply(200, {"sessionId": "fake-sess", "capabilities": {}})
@@ -640,6 +650,73 @@ class TestFaultSweep:
             for command in self.STAGES:
                 assert stage(command)[0] == cli.EXIT_OK, k
             assert content_hash() == expected, k
+
+
+class TestMalformedReplies:
+    """A reply of the wrong shape is a ProtocolError, never a Python error
+    from reading it."""
+
+    @pytest.mark.parametrize("body,message", [
+        ([1, 2], "is not a JSON object"),
+        ({"value": "fake-sess"}, "no sessionId"),
+    ])
+    def test_session_reply(self, fake_endpoint, body, message):
+        fake, endpoint = fake_endpoint
+        fake.canned["/session"] = (200, body)
+        with pytest.raises(ProtocolError, match=message):
+            make_session(endpoint)
+
+    def test_error_reply_whose_value_is_not_an_object(self, fake_endpoint):
+        fake, endpoint = fake_endpoint
+        fake.canned["/url"] = (500, {"value": "no route"})
+        with pytest.raises(ProtocolError, match="-> 500"):
+            make_session(endpoint)
+        assert ("DELETE", "/session/fake-sess", None) in fake.log
+
+    @pytest.mark.parametrize("elements", [
+        [{"role": "button", "name": "Add"}],   # no id
+        ["button"],                            # not an object
+        [{"id": "one"}],                       # id not a number
+        {"id": 1},                             # not a list
+    ])
+    def test_malformed_elements(self, fake_endpoint, elements):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint)
+        fake.canned["/execute/sync"] = (200, {"value": {"url": "u", "elements": elements}})
+        with pytest.raises(ProtocolError, match="integer id"):
+            session.observe()
+
+    def test_observe_reply_that_is_not_an_object(self, fake_endpoint):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint)
+        fake.canned["/execute/sync"] = (200, "just text")
+        with pytest.raises(ProtocolError, match="is not a JSON object"):
+            session.observe()
+
+    def test_element_reply_whose_value_is_not_an_object(self, fake_endpoint):
+        fake, endpoint = fake_endpoint
+        session = make_session(endpoint)
+        fake.canned["/element"] = (200, {"value": ["h1"]})
+        outcome = session.execute(parse_action("click [1]"))
+        assert outcome.error == "element reply carried no handle: ['h1']"
+
+    def test_cli_reports_one_error_line(self, fake_endpoint, tmp_path, capsys):
+        fake, endpoint = fake_endpoint
+        fake.canned["/execute/sync"] = (200, {"value": {"url": "u", "elements": [{}]}})
+        script = tmp_path / "fake.mock.json"
+        script.write_text(json.dumps(TestSessionsClosed.SCRIPT))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "runs_dir": str(tmp_path / "runs"),
+            "oracle": {"backend": "mock", "mock_script": str(script)},
+            "browser": {"endpoint_url": endpoint},
+            "sites": [{"name": "fake", "start_url": "https://fake.test/home"}],
+        }))
+        code = cli.main(["explore", "--config", str(config), "--run", "r"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert err.startswith("error: observe script returned elements") and "Traceback" not in err
+        assert fake.log[-1][:2] == ("DELETE", "/session/fake-sess")
 
 
 class TestKeySequence:

@@ -23,11 +23,14 @@ from synthweaver.errors import (
 )
 from synthweaver.oracle import (
     CostLedger,
+    EditEnd,
     HttpTransport,
+    Judgment,
     MockScript,
     MockTransport,
     OracleClient,
     RawCompletion,
+    RefineDecision,
     Usage,
     extract_json,
     parse_reply,
@@ -139,14 +142,14 @@ class TestRefineTaskReply:
             TemplateName.REFINE_TASK,
             {"Analysis": "conflict", "Need-to-Refine": "YES", "High-Level-Task": " new task "},
         )
-        assert reply.need_to_refine and reply.high_level_task == "new task"
+        assert reply == "new task"
 
     def test_no_requires_empty_task(self):
         reply = parse_reply(
             TemplateName.REFINE_TASK,
             {"Analysis": "fine", "Need-to-Refine": "No", "High-Level-Task": ""},
         )
-        assert not reply.need_to_refine
+        assert reply is None
 
     @pytest.mark.parametrize(
         "payload",
@@ -193,7 +196,10 @@ class TestRefineTrajectoryReply:
             refine_payload(decision="refine", order=[0, 2], modification_reason="cut a step"),
             REFINE_CTX,
         )
-        assert reply.order == (0, 2)
+        # A parsed judgment names no trajectory; a keep end writes no answer.
+        assert reply == Judgment(site="", trajectory_id="", decision=RefineDecision.REFINE,
+                                 score=80, order=(0, 2), end=EditEnd.KEEP,
+                                 final_none_value="", reason="cut a step")
 
     def test_valid_drop(self):
         reply = parse_reply(
@@ -202,7 +208,8 @@ class TestRefineTrajectoryReply:
                            drop_reason="went nowhere", score=5),
             REFINE_CTX,
         )
-        assert reply.decision.value == "drop"
+        assert (reply.decision, reply.order, reply.reason) == (
+            RefineDecision.DROP, (), "went nowhere")
 
     @pytest.mark.parametrize(
         "overrides",
@@ -229,6 +236,8 @@ class TestRefineTrajectoryReply:
             # The edit makes it the answer of a `none` step, which may not hold ']'.
             dict(decision="refine", order=[0, 1], modify_end=True, final_none_value="a]b"),
             dict(decision="refine", order=[0, 1], append_end=True, final_none_value="a]b"),
+            dict(drop_reason=None),
+            dict(modification_reason=3),
         ],
     )
     def test_violations(self, overrides):
@@ -255,7 +264,7 @@ def diversity_payload(**overrides):
 class TestDiversityReply:
     def test_valid(self):
         reply = parse_reply(TemplateName.JUDGE_DIVERSITY, diversity_payload())
-        assert reply.score == 70
+        assert reply == {"score": 70, "subscores": diversity_payload()["subscores"]}
 
     @pytest.mark.parametrize(
         "overrides",
@@ -269,6 +278,7 @@ class TestDiversityReply:
                             "goal_coverage": 20, "redundancy_minimization": 15,
                             "extra": 0}),
             dict(representative_examples="not a list"),
+            dict(analysis=7),
         ],
     )
     def test_violations(self, overrides):
@@ -297,8 +307,7 @@ class TestCategorizeReply:
     def test_valid_with_coverage(self):
         reply = parse_reply(TemplateName.CATEGORIZE, categorize_payload(),
                             {"element_ids": [1, 2, 3]})
-        assert set(reply.categories) == {"Navigation", "Forms"}
-        assert reply.uninteractive == (3,)
+        assert set(reply) == {"Navigation", "Forms"}
 
     def test_phantom_id_rejected(self):
         with pytest.raises(SchemaViolation, match="not on the page"):
@@ -332,11 +341,11 @@ class TestCategorizeReply:
     def test_probes_are_actions(self):
         reply = parse_reply(TemplateName.CATEGORIZE, categorize_payload(),
                             {"element_ids": [1, 2, 3]})
-        assert reply.categories == {
+        assert reply == {
             "Navigation": (make_action(ActionKind.CLICK, 1),),
             "Forms": (make_action(ActionKind.TYPE, 2, "abc"),),
         }
-        assert reply.categories["Forms"][0].low_level_instruction == "Type abc"
+        assert reply["Forms"][0].low_level_instruction == "Type abc"
 
     @pytest.mark.parametrize("category,value", [
         ("Navigation", "x"),     # a click has no value slot
@@ -348,17 +357,49 @@ class TestCategorizeReply:
         with pytest.raises(SchemaViolation, match="invalid probe on element"):
             parse_reply(TemplateName.CATEGORIZE, payload, {"element_ids": [1, 2, 3]})
 
+    # Fields no stage reads are still checked.
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: p.pop("Analysis"),
+            lambda p: p.update(Analysis=["a page"]),
+            lambda p: p["Categorization"].update(uninteractive_elements=["3"]),
+        ],
+    )
+    def test_violations(self, mutate):
+        payload = categorize_payload()
+        mutate(payload)
+        with pytest.raises(SchemaViolation):
+            parse_reply(TemplateName.CATEGORIZE, payload, {"element_ids": [1, 2, 3]})
+
+
+PROPOSAL = {"Sub-Instruction": "s", "Analysis": "a", "High-Level-Instruction": "Find a cable"}
+
 
 class TestProposeAndQuality:
+    def test_propose_collapses_whitespace(self):
+        payload = {**PROPOSAL, "High-Level-Instruction": "  Find the\n cheapest   cable "}
+        assert parse_reply(TemplateName.PROPOSE_TASK, payload) == "Find the cheapest cable"
+
     def test_propose_requires_instruction(self):
         with pytest.raises(SchemaViolation):
             parse_reply(TemplateName.PROPOSE_TASK,
                         {"Sub-Instruction": "s", "Analysis": "a", "High-Level-Instruction": " "})
 
+    @pytest.mark.parametrize("missing", ["Sub-Instruction", "Analysis"])
+    def test_propose_violations(self, missing):
+        payload = {k: v for k, v in PROPOSAL.items() if k != missing}
+        with pytest.raises(SchemaViolation, match=missing):
+            parse_reply(TemplateName.PROPOSE_TASK, payload)
+
     def test_quality_score_range(self):
-        assert parse_reply(TemplateName.JUDGE_QUALITY, {"score": 0, "analysis": "meh"}).score == 0
+        assert parse_reply(TemplateName.JUDGE_QUALITY, {"score": 0, "analysis": "meh"}) == 0
         with pytest.raises(SchemaViolation):
             parse_reply(TemplateName.JUDGE_QUALITY, {"score": 101, "analysis": "x"})
+
+    def test_quality_violations(self):
+        with pytest.raises(SchemaViolation, match="analysis"):
+            parse_reply(TemplateName.JUDGE_QUALITY, {"score": 50, "analysis": None})
 
 
 # ======================================================================
@@ -620,8 +661,7 @@ class TestOracleClient:
         transport = FlakyTransport(2, ['{"score": 50, "analysis": "ok"}'])
         client = flaky_client(transport, sleep=sleeps.append,
                               transport_retries=3, backoff_base_s=0.5)
-        reply = client.call(quality_prompt())
-        assert reply.score == 50
+        assert client.call(quality_prompt()) == 50
         assert sleeps == [0.5, 1.0]  # base * 2^attempt
 
     def test_transport_exhaustion_raises(self):
@@ -634,8 +674,7 @@ class TestOracleClient:
         transport = FlakyTransport(0, ["not json at all",
                                        '{"score": 40, "analysis": "fixed"}'])
         client = flaky_client(transport)
-        reply = client.call(quality_prompt())
-        assert reply.score == 40
+        assert client.call(quality_prompt()) == 40
         assert client.ledger.calls == 2
         assert "previous reply was rejected" in transport.prompts[1].text
         assert transport.prompts[1].text.startswith(transport.prompts[0].text)

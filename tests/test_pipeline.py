@@ -161,6 +161,25 @@ def test_export_decodes_only_the_trajectories_a_judgment_keeps(tmp_path, monkeyp
     assert result.manifest["content_hash"] == SHOP_CONTENT_HASH
 
 
+def test_stats_decodes_each_raw_trajectory_once(tmp_path, monkeypatch):
+    config, store = shop_store(tmp_path, "r")
+    for stage in (pipeline.run_explore, pipeline.run_collect, pipeline.run_refine):
+        stage(config, store)
+    decoded = []
+    decode = pipeline.trajectory_from_dict
+
+    def counted(record, observations):
+        decoded.append(record["task"]["id"])
+        return decode(record, observations)
+
+    monkeypatch.setattr(pipeline, "trajectory_from_dict", counted)
+    stats = pipeline.run_stats(config, store)
+    raw = [r["task"]["id"] for r in store.read_records("trajectories_raw.jsonl")]
+    assert decoded == raw and len(raw) == 15
+    overall = stats["overall"]
+    assert (overall["n_trajectories_raw"], overall["n_trajectories_refined"]) == (15, 14)
+
+
 def test_failed_export_leaves_no_manifest_that_disagrees_with_the_files(
     tmp_path, capsys, monkeypatch
 ):
