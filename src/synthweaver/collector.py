@@ -84,6 +84,17 @@ class Collector:
     # next-action selection
     # ------------------------------------------------------------------
 
+    def _history_vars(
+        self, history: tuple[Step, ...], *, stalled: bool = False
+    ) -> dict[str, str]:
+        """A prompt's history sections: the episode's last `context_window`
+        steps, numbered by their position in the episode."""
+        window = history[-self.config.context_window :]
+        return {
+            "hint_for_history": history_hint(window, stalled=stalled),
+            "previous_state_action": state_action_block(window, len(history) - len(window)),
+        }
+
     def _next_action_prompt(
         self, task: Task, obs: Observation, history: tuple[Step, ...]
     ) -> RenderedPrompt:
@@ -95,8 +106,7 @@ class Collector:
                 "page_context": page_context(obs),
                 "elements": element_lines(obs.elements),
                 "img_info": img_info(obs),
-                "hint_for_history": history_hint(history),
-                "previous_state_action": state_action_block(history),
+                **self._history_vars(history),
             },
             images=(obs.screenshot_ref,) if obs.screenshot_ref else (),
         )
@@ -131,7 +141,6 @@ class Collector:
     ) -> str | None:
         """The task rewritten to match what the site supports, or None when it
         needs no rewrite."""
-        window = history[-self.config.context_window :]
         previous = [ev.prior_text for ev in task.lineage]
         prompt = render(
             TemplateName.REFINE_TASK,
@@ -140,8 +149,7 @@ class Collector:
                 "previous_high_level_tasks": (
                     "\n".join(f"- {t}" for t in previous) if previous else "(none)"
                 ),
-                "hint_for_history": history_hint(window, stalled=stalled),
-                "previous_state_action": state_action_block(window),
+                **self._history_vars(history, stalled=stalled),
                 "curr_url": obs_after.url,
                 "curr_state_context": page_context(obs_after),
                 "img_info": img_info(obs_after),
@@ -163,16 +171,10 @@ class Collector:
 
         while len(steps) < cfg.step_budget:
             obs = session.observe()
-            reply = self.next_action(task, obs, tuple(steps[-cfg.context_window :]))
+            reply = self.next_action(task, obs, tuple(steps))
             action = reply.action
-            step = Step(
-                index=len(steps),
-                observation=obs,
-                action=action,
-                reasoning=reply.reasoning,
-                state_summary=reply.state_summary,
-            )
-            steps.append(step)
+            index = len(steps)
+            steps.append(Step(observation=obs, action=action, state_summary=reply.state_summary))
             if action.kind in (ActionKind.NONE, ActionKind.STOP):
                 break
             outcome = self._execute(session, action)
@@ -182,7 +184,7 @@ class Collector:
                 {
                     "site": task.site,
                     "task_id": task.id,
-                    "index": step.index,
+                    "index": index,
                     "action": render_action(action),
                     "changed": outcome.changed,
                     "error": outcome.error,
@@ -193,14 +195,14 @@ class Collector:
                 obs_after = session.observe()
                 rewrite = self.check_refine(task, tuple(steps), obs_after, stalled=stalled)
                 if rewrite is not None:
-                    task = task.refined(step.index, rewrite, stalled=stalled)
+                    task = task.refined(index, rewrite, stalled=stalled)
                     stall.reset()
                     self.on_event(
                         "collect.refined",
                         {
                             "site": task.site,
                             "task_id": task.id,
-                            "step_index": step.index,
+                            "step_index": index,
                             "stalled": stalled,
                             "text": task.text,
                         },

@@ -135,14 +135,12 @@ class Task:
 
 @dataclass(frozen=True)
 class Step:
-    """One (observation, action) pair. The task text in force at raw step i
-    is the `prior_text` of the first lineage event with `step_index >= i`,
-    or else the final text."""
+    """One (observation, action) pair; its index is its position in the
+    trajectory. The task text in force at raw step i is the `prior_text` of
+    the first lineage event with `step_index >= i`, or else the final text."""
 
-    index: int
     observation: Observation
     action: Action
-    reasoning: str = ""
     state_summary: str = ""
 
 
@@ -268,11 +266,9 @@ def task_from_dict(d: dict[str, Any]) -> Task:
 def step_to_dict(step: Step) -> dict[str, Any]:
     # Actions cross file boundaries only as wire strings.
     return {
-        "index": step.index,
         "observation_ref": step.observation.ref,
         "action": render_action(step.action),
         "low_level_instruction": step.action.low_level_instruction,
-        "reasoning": step.reasoning,
         "state_summary": step.state_summary,
     }
 
@@ -282,17 +278,9 @@ def step_from_dict(d: dict[str, Any], observations: Mapping[str, Observation]) -
     try:
         observation = observations[d["observation_ref"]]
     except KeyError:
-        raise SchemaError(
-            f"step {d.get('index')} refers to no stored observation", field="observation_ref"
-        ) from None
+        raise SchemaError("step refers to no stored observation", field="observation_ref") from None
     action = parse_action(d["action"], d.get("low_level_instruction", ""))
-    return Step(
-        index=d["index"],
-        observation=observation,
-        action=action,
-        reasoning=d.get("reasoning", ""),
-        state_summary=d.get("state_summary", ""),
-    )
+    return Step(observation=observation, action=action, state_summary=d.get("state_summary", ""))
 
 
 def trajectory_to_dict(t: Trajectory) -> dict[str, Any]:

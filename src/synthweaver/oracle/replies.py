@@ -28,7 +28,6 @@ class RefineDecision(str, Enum):
 @dataclass(frozen=True)
 class NextActionReply:
     state_summary: str
-    reasoning: str
     action: Action
 
 
@@ -173,7 +172,7 @@ def _parse_propose_task(payload: dict[str, Any]) -> str:
 
 def _parse_next_action(payload: dict[str, Any]) -> NextActionReply:
     summary = _as_str(_require(payload, "state_observation_summary"), "state_observation_summary")
-    reasoning = _as_str(_require(payload, "reasoning"), "reasoning")
+    _as_str(_require(payload, "reasoning"), "reasoning")
     nxt = _require(payload, "next_action")
     if not isinstance(nxt, dict):
         raise SchemaViolation("next_action must be an object")
@@ -199,7 +198,7 @@ def _parse_next_action(payload: dict[str, Any]) -> NextActionReply:
         action = make_action(kind_raw, element_id, value, lli)
     except InvalidAction as exc:
         raise SchemaViolation(f"invalid next action: {exc}") from None
-    return NextActionReply(state_summary=summary, reasoning=reasoning, action=action)
+    return NextActionReply(state_summary=summary, action=action)
 
 
 def _parse_refine_task(payload: dict[str, Any]) -> str | None:

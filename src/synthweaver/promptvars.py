@@ -44,18 +44,19 @@ def describe_interaction(action: Action, before: Observation) -> str:
     return f'Click the "{name}" {role}'
 
 
-def state_action_block(steps: tuple[Step, ...]) -> str:
-    """Numbered state/action pairs for history sections, oldest first."""
+def state_action_block(steps: tuple[Step, ...], start: int = 0) -> str:
+    """Numbered state/action pairs for history sections, oldest first; the
+    first is numbered `start`, its index in the episode."""
     if not steps:
         return "(none)"
     lines: list[str] = []
-    for step in steps:
+    for index, step in enumerate(steps, start):
         summary = step.state_summary or step.observation.url
-        lines.append(f"State {step.index}: {summary}")
+        lines.append(f"State {index}: {summary}")
         wire = render_action(step.action)
         if step.action.low_level_instruction:
             wire = f"{wire} ({step.action.low_level_instruction})"
-        lines.append(f"Action {step.index}: {wire}")
+        lines.append(f"Action {index}: {wire}")
     return "\n".join(lines)
 
 

@@ -28,11 +28,11 @@ def summarize_trajectory(trajectory: Trajectory) -> str:
         f"Length of trajectory: {len(trajectory.steps)}",
         f"High-level task: {trajectory.task.text}",
     ]
-    for step in trajectory.steps:
+    for index, step in enumerate(trajectory.steps):
         summary = step.state_summary or step.observation.url or "(no summary)"
         wire = render_action(step.action)
-        lines.append(f"State {step.index}: {summary}")
-        lines.append(f"Action {step.index}: {wire}")
+        lines.append(f"State {index}: {summary}")
+        lines.append(f"Action {index}: {wire}")
     return "\n".join(lines)
 
 
@@ -67,10 +67,9 @@ def judgment_from_dict(d: dict[str, Any]) -> Judgment:
 def apply_edits(trajectory: Trajectory, judgment: Judgment) -> Trajectory | None:
     """The trajectory a judgment leaves of a raw one; None means it is dropped.
 
-    Steps are re-indexed from 0, so the judge of `stats` reads an edited
-    trajectory as the judge of `refine` reads a raw one. Raises
-    EditContractViolation when the edited step list would not end in a final
-    non-empty `none`, or retains a terminal action mid-sequence.
+    Raises EditContractViolation when the order names a step not recorded or
+    one step twice, or when the edited step list would not end in a final
+    non-empty `none` or retains a terminal action mid-sequence.
     """
     if judgment.decision is RefineDecision.DROP:
         return None
@@ -82,6 +81,8 @@ def apply_edits(trajectory: Trajectory, judgment: Judgment) -> Trajectory | None
 
     if not all(0 <= i < len(trajectory.steps) for i in judgment.order):
         raise EditContractViolation(f"order {list(judgment.order)} names a step not recorded")
+    if len(set(judgment.order)) != len(judgment.order):
+        raise EditContractViolation(f"order {list(judgment.order)} names a step twice")
     retained = [trajectory.steps[i] for i in judgment.order]
     if not retained:
         raise EditContractViolation("refine retained no steps")
@@ -95,7 +96,7 @@ def apply_edits(trajectory: Trajectory, judgment: Judgment) -> Trajectory | None
                 "append_end after a terminal action would leave it mid-sequence"
             )
         answer = make_action(ActionKind.NONE, None, judgment.final_none_value)
-        retained.append(Step(index=len(retained), observation=last.observation, action=answer))
+        retained.append(Step(observation=last.observation, action=answer))
     for position, step in enumerate(retained[:-1]):
         if step.action.kind in (ActionKind.NONE, ActionKind.STOP):
             raise EditContractViolation(
@@ -104,11 +105,7 @@ def apply_edits(trajectory: Trajectory, judgment: Judgment) -> Trajectory | None
     last = retained[-1]
     if last.action.kind is not ActionKind.NONE or not last.action.value:
         raise EditContractViolation("edited trajectory does not end in a final answer")
-    reindexed = tuple(
-        step if step.index == i else replace(step, index=i)
-        for i, step in enumerate(retained)
-    )
-    return Trajectory(task=trajectory.task, steps=reindexed, terminal=Terminal.COMPLETED_NONE)
+    return Trajectory(task=trajectory.task, steps=tuple(retained), terminal=Terminal.COMPLETED_NONE)
 
 
 class Refiner:

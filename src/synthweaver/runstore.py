@@ -33,7 +33,7 @@ from .errors import SchemaError
 from .model import Observation, canonical_json, check_schema_version, read_json_file
 
 # The format of a run directory; a change to what one holds bumps it.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 OBSERVATIONS = "observations.jsonl"
 TASKS = "tasks.jsonl"

@@ -87,14 +87,8 @@ def obs(url: str = "https://example.com/", tree: str = "RootWebArea \"t\"",
     return Observation(url=url, accessibility_tree=tree, elements=els, screenshot_ref=screenshot)
 
 
-def step(index: int, action: Action, url: str = "https://example.com/",
-         summary: str = "") -> Step:
-    return Step(
-        index=index,
-        observation=obs(url=url),
-        action=action,
-        state_summary=summary,
-    )
+def step(action: Action, url: str = "https://example.com/", summary: str = "") -> Step:
+    return Step(observation=obs(url=url), action=action, state_summary=summary)
 
 
 def none_action(value: str = "done") -> Action:

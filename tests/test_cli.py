@@ -113,7 +113,7 @@ class TestFullRun:
         assert (run / "dataset" / "manifest.json").exists()
 
         state = json.loads((run / "state.json").read_text())
-        assert state == {"schema_version": 3, "explored_sites": ["shop"], "seed": 7}
+        assert state == {"schema_version": 4, "explored_sites": ["shop"], "seed": 7}
         events = map(json.loads, (run / "events.jsonl").read_text().splitlines())
         finished = [e["stage"] for e in events if e["kind"] == "stage.end" and e["outcome"] == "ok"]
         assert finished == ["explore", "collect", "refine", "export", "stats"]
@@ -554,11 +554,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit,shown", [
         ({"decision": "refine", "order": [0, -1]},
          "EditContractViolation: order [0, -1] names a step not recorded"),
+        ({"decision": "refine", "order": [0, 0, 1, 2]},
+         "EditContractViolation: order [0, 0, 1, 2] names a step twice"),
         ({"decision": "refine", "end": "modify"},
          "InvalidAction: none requires a non-empty value"),
         ({"decision": "refine", "order": [0]},
          "EditContractViolation: edited trajectory does not end in a final answer"),
-    ], ids=["order out of range", "empty answer", "no final answer"])
+    ], ids=["order out of range", "repeated step", "empty answer", "no final answer"])
     def test_judgment_that_does_not_apply_is_usage_error(
         self, capsys, tmp_path, finished_run, command, edit, shown
     ):
@@ -648,7 +650,7 @@ class TestExitCodes:
         assert "by_site_stage" in err
 
     @pytest.mark.parametrize("command", ["explore", "collect", "refine", "export", "stats"])
-    @pytest.mark.parametrize("found", ["absent", "1", "2", "4", "inline_observations"])
+    @pytest.mark.parametrize("found", ["absent", "1", "2", "3", "5", "inline_observations"])
     def test_run_of_another_format_is_rejected(
         self, capsys, tmp_path, finished_run, command, found
     ):

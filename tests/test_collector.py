@@ -124,7 +124,6 @@ class TestCollectShop:
         assert len(t.steps) == 3
         assert t.task.lineage == ()
         assert collector.oracle.ledger.stage_cost_by_site("collect")["shop"] > Decimal("0")
-        assert [s.index for s in t.steps] == [0, 1, 2]
         assert t.steps[-1].action.value.endswith("$3.99")
 
     def test_budget_exhaustion(self, shop_config, shop_graph):

@@ -23,7 +23,7 @@ from tests.conftest import click_action, none_action, obs, step, stop_action
 def make_trajectory(n_steps: int, text="the task", task_id="t-s-0001", site="shop") -> Trajectory:
     actions = [click_action(i + 1) for i in range(n_steps - 1)] + [none_action("ans")]
     steps = tuple(
-        step(i, a, url=f"https://s.test/p{i}") for i, a in enumerate(actions)
+        step(a, url=f"https://s.test/p{i}") for i, a in enumerate(actions)
     )
     task = Task(id=task_id, text=text, category="c", site=site)
     return Trajectory(task=task, steps=steps, terminal=Terminal.COMPLETED_NONE)
@@ -163,12 +163,12 @@ class TestCorpusStats:
         for i in range(5, 8):
             t = make_trajectory(2, task_id=f"t-shop-{i:04d}")
             task = t.task.refined(0, "the refined task", stalled=True)
-            t = Trajectory(task=task, steps=t.steps[:-1] + (step(1, stop_action()),),
+            t = Trajectory(task=task, steps=t.steps[:-1] + (step(stop_action()),),
                            terminal=Terminal.STOPPED_BY_AGENT)
             raw.append(t)
         for i in range(8, 10):
             t = make_trajectory(4, task_id=f"t-shop-{i:04d}")
-            t = Trajectory(task=t.task, steps=t.steps[:-1] + (step(3, click_action(9)),),
+            t = Trajectory(task=t.task, steps=t.steps[:-1] + (step(click_action(9)),),
                            terminal=Terminal.BUDGET_EXCEEDED)
             raw.append(t)
         refined = raw[:6]

@@ -35,23 +35,23 @@ def make_task(text: str = "do the thing") -> Task:
 
 class TestClassifyTerminal:
     def test_completed_none(self):
-        steps = (step(0, click_action()), step(1, none_action("answer")))
+        steps = (step(click_action()), step(none_action("answer")))
         assert classify_terminal(steps, 30) is Terminal.COMPLETED_NONE
 
     def test_stopped_by_agent(self):
-        steps = (step(0, stop_action("blocked")),)
+        steps = (step(stop_action("blocked")),)
         assert classify_terminal(steps, 30) is Terminal.STOPPED_BY_AGENT
 
     def test_budget_exceeded(self):
-        steps = tuple(step(i, click_action()) for i in range(4))
+        steps = tuple(step(click_action()) for _ in range(4))
         assert classify_terminal(steps, 4) is Terminal.BUDGET_EXCEEDED
 
     def test_stop_wins_over_budget(self):
-        steps = tuple(step(i, click_action()) for i in range(3)) + (step(3, stop_action()),)
+        steps = tuple(step(click_action()) for _ in range(3)) + (step(stop_action()),)
         assert classify_terminal(steps, 4) is Terminal.STOPPED_BY_AGENT
 
     def test_non_terminal_raises(self):
-        steps = (step(0, click_action()),)
+        steps = (step(click_action()),)
         with pytest.raises(ValueError):
             classify_terminal(steps, 30)
 
@@ -127,13 +127,16 @@ class TestSerialization:
 
     def test_step_round_trip_preserves_low_level_instruction(self):
         action = make_action(ActionKind.TYPE, 4, "abc", low_level_instruction="Type abc")
-        s = step(0, action)
-        back = step_from_dict(step_to_dict(s), {s.observation.ref: s.observation})
+        s = step(action)
+        record = step_to_dict(s)
+        assert sorted(record) == ["action", "low_level_instruction", "observation_ref",
+                                  "state_summary"]
+        back = step_from_dict(record, {s.observation.ref: s.observation})
         assert back == s
         assert back.action.low_level_instruction == "Type abc"
 
     def test_trajectory_round_trip(self):
-        steps = (step(0, click_action()), step(1, none_action("ok")))
+        steps = (step(click_action()), step(none_action("ok")))
         t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE)
         back = trajectory_from_dict(trajectory_to_dict(t), observations_of(t))
         assert back == t
@@ -141,7 +144,7 @@ class TestSerialization:
     def test_legacy_cost_key_still_loads(self):
         # Trajectory files once carried a per-episode cost; the ledger is
         # now the only cost account, so the key is written no more and ignored.
-        steps = (step(0, click_action()), step(1, none_action("ok")))
+        steps = (step(click_action()), step(none_action("ok")))
         t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE)
         record = trajectory_to_dict(t)
         assert "cost_usd" not in record
@@ -153,8 +156,8 @@ class TestSerialization:
                  lambda: make_action(ActionKind.PRESS, None, "ctrl+a")]
         for _ in range(50):
             n = rng.randint(1, 6)
-            steps = tuple(step(i, rng.choice(kinds)()) for i in range(n - 1))
-            steps += (step(n - 1, none_action(f"ans-{rng.randint(0, 99)}")),)
+            steps = tuple(step(rng.choice(kinds)()) for _ in range(n - 1))
+            steps += (step(none_action(f"ans-{rng.randint(0, 99)}")),)
             t = Trajectory(task=make_task(), steps=steps, terminal=Terminal.COMPLETED_NONE)
             assert trajectory_from_dict(trajectory_to_dict(t), observations_of(t)) == t
 

@@ -127,6 +127,8 @@ class TestNextActionReply:
             lambda p: p["next_action"]["action"].update(type="type", value=""),
             lambda p: p["next_action"]["action"].update(type="stop", element_id="",
                                                         value="has ] bracket"),
+            # Checked though no stage keeps it.
+            lambda p: p.update(reasoning=["a list"]),
         ],
     )
     def test_violations(self, mutate):

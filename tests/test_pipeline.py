@@ -32,8 +32,8 @@ SHOP_CONTENT_HASH = "64a87fa3c64e81dafada73ad79dbbe7bafc7e2b4cb6220bf5d0e9ce945f
 SHOP_LEDGER = {"calls": 183, "tokens": 155_550, "total_cost_usd": "0.475800"}
 SHOP_COLLECT_USD = "0.369200"
 # SHA-256 of the files of that run, at one worker, whose bytes run formats 1
-# to 3 share, and of format 3's `judgments.jsonl`; for `stats.json`, format
-# 1's file without its `oracle` key, which copied `ledger.json`.
+# to 4 share, and of formats 3 and 4's `judgments.jsonl`; for `stats.json`,
+# format 1's file without its `oracle` key, which copied `ledger.json`.
 SHOP_DIGESTS = {
     "ledger.json": "66c6f9db5004ca7729009e81ec07d15d50d25357266a5895b6a90709b93c643e",
     "stats.json": "aa79ff76be38579d1ff38876732707f165cb3b3b0274a110db8fb297c1cfde4c",
@@ -130,7 +130,6 @@ def test_judgments_are_edits_over_the_raw_steps(tmp_path):
         assert len(steps) == len(judgment.order) + added
         assert [s.observation.ref for s in steps[:len(judgment.order)]] == [
             raw_steps[i].observation.ref for i in judgment.order]
-        assert [s.index for s in steps] == list(range(len(steps)))
         assert steps[-1].action.value == judgment.final_none_value
     # A modify end rewrites the last retained action; an append end keeps it.
     assert raw[modify.trajectory_id].steps[modify.order[-1]].action.kind.value == "stop"

@@ -67,9 +67,9 @@ class TestHistoryBlocks:
         assert "first step" in history_hint(()).lower()
 
     def test_state_action_block_lines(self):
-        s0 = step(0, click_action(4), summary="home page")
-        s1 = step(1, make_action(ActionKind.SCROLL, None, "down",
-                                 low_level_instruction="Scroll down"))
+        s0 = step(click_action(4), summary="home page")
+        s1 = step(make_action(ActionKind.SCROLL, None, "down",
+                              low_level_instruction="Scroll down"))
         block = state_action_block((s0, s1))
         lines = block.splitlines()
         assert lines[0] == "State 0: home page"
@@ -77,8 +77,14 @@ class TestHistoryBlocks:
         assert lines[2] == "State 1: https://example.com/"  # url fallback
         assert lines[3] == "Action 1: scroll [down] (Scroll down)"
 
+    def test_state_action_block_numbers_from_start(self):
+        # A history window is numbered by its steps' places in the episode.
+        block = state_action_block((step(click_action(4)), step(click_action(5))), 7)
+        assert [line.split(":")[0] for line in block.splitlines()] == [
+            "State 7", "Action 7", "State 8", "Action 8"]
+
     def test_history_hint_counts_and_stall_suffix(self):
-        steps = (step(0, click_action(1)), step(1, click_action(2)))
+        steps = (step(click_action(1)), step(click_action(2)))
         hint = history_hint(steps)
         assert "2" in hint and "oldest first" in hint
         stalled = history_hint(steps, stalled=True)

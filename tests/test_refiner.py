@@ -24,7 +24,7 @@ def make_task(text: str = "the task") -> Task:
 
 
 def make_trajectory(actions, terminal=Terminal.COMPLETED_NONE, text="the task") -> Trajectory:
-    steps = tuple(step(i, a, summary=f"summary {i}") for i, a in enumerate(actions))
+    steps = tuple(step(a, summary=f"summary {i}") for i, a in enumerate(actions))
     return Trajectory(task=make_task(text), steps=steps, terminal=terminal)
 
 
@@ -49,7 +49,7 @@ class TestSummarize:
 
     def test_falls_back_to_url_without_summary(self):
         t = Trajectory(task=make_task(),
-                       steps=(step(0, none_action("x"), url="https://a.test/p"),),
+                       steps=(step(none_action("x"), url="https://a.test/p"),),
                        terminal=Terminal.COMPLETED_NONE)
         assert "State 0: https://a.test/p" in summarize_trajectory(t)
 
@@ -75,9 +75,10 @@ class TestApplyEdits:
         t = make_trajectory([click_action(1), click_action(2), click_action(3),
                              none_action("ans")])
         out = apply_edits(t, judgment(decision=RefineDecision.REFINE, order=(0, 2, 3)))
-        assert [s.index for s in out.steps] == [0, 1, 2]
         assert [s.action for s in out.steps] == [click_action(1), click_action(3),
                                                  none_action("ans")]
+        # A step's index is its position: raw step 2 is the edited one's step 1.
+        assert "State 1: summary 2" in summarize_trajectory(out).splitlines()
         assert out.terminal is Terminal.COMPLETED_NONE
         assert out.task == t.task
 
@@ -98,7 +99,6 @@ class TestApplyEdits:
         assert out.steps[-1].action.value == "found it"
         # the appended step reuses the last retained observation
         assert out.steps[-1].observation == t.steps[1].observation
-        assert out.steps[-1].index == 2
 
     def test_append_after_terminal_violates(self):
         t = make_trajectory([click_action(1), none_action("ans")])
@@ -121,6 +121,13 @@ class TestApplyEdits:
         t = make_trajectory([click_action(1), none_action("ans")])
         with pytest.raises(EditContractViolation, match="names a step not recorded"):
             apply_edits(t, judgment(decision=RefineDecision.REFINE, order=order))
+
+    def test_order_naming_a_step_twice_violates(self):
+        # The reply parser refuses a repeat too, but a stored judgment is
+        # applied without it.
+        t = make_trajectory([click_action(1), click_action(2), none_action("ans")])
+        with pytest.raises(EditContractViolation, match="names a step twice"):
+            apply_edits(t, judgment(decision=RefineDecision.REFINE, order=(0, 0, 1, 2)))
 
     def test_refine_empty_order_violates(self):
         t = make_trajectory([click_action(1), none_action("ans")])

@@ -179,9 +179,9 @@ class TestJson:
 class TestStateAndEvents:
     def test_default_state(self, tmp_path):
         store = RunStore(tmp_path / "run")
-        assert store.load_state() == {"schema_version": 3, "explored_sites": []}
+        assert store.load_state() == {"schema_version": 4, "explored_sites": []}
 
-    @pytest.mark.parametrize("stamp", [True, 1.0, "1", None, 2.0, "2", 3.0, "3"])
+    @pytest.mark.parametrize("stamp", [True, 1.0, "1", None, 2.0, "2", 3.0, "3", 4.0, "4"])
     def test_state_stamped_with_another_format_is_refused(self, tmp_path, stamp):
         store = RunStore(tmp_path / "run")
         store.write_json(runstore.STATE, {"schema_version": stamp})

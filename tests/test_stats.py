@@ -14,9 +14,15 @@ from synthweaver.oracle import MockTransport
 from synthweaver.runstore import RunStore
 from tests.conftest import SHOP_MOCK, shop_client, write_config
 
-# sha256 of each judge's prompts on the shop fixture, sorted and joined by
-# NUL; taken before the trajectory judges shared one prompt builder.
-JUDGE_PROMPTS_SHA256 = {
+# sha256 of each template's prompts on the shop fixture, sorted and joined by
+# NUL. The judges' were taken before the trajectory judges shared one prompt
+# builder; explore's and collect's before steps lost their stored index, so
+# collect's history blocks are numbered by position as they were by index.
+PROMPTS_SHA256 = {
+    "categorize": "4a3d947067689d1c6e87f22e834d06e8233d4f2447513f870f1cbd7c2096944f",
+    "propose_task": "298dca64c3985eb089acad548150b5eed1b377bda1174c9568f5e6a08b3364df",
+    "next_action": "303e9b13a7d5c910f4c6ed104e7eeaea588d33456c9b2a618040df0ff4251e11",
+    "refine_task": "7f47188123740a28a3efcb882a252dfd17ed0a06418c4ec99bd8162ac08fd794",
     "judge_diversity": "262d323eff669c81290b0fae4494da2390099804f1aae503855c46d8a34cbf94",
     "judge_quality": "a8bc7030c7b51eb7aba933431ba2d6851ff9eae124268512b24c8c945f3f21af",
     "refine_trajectory": "c0380987a28b5ae63b823a72f6e11b123556c8187b195414043095208e154895",
@@ -112,7 +118,7 @@ def test_judge_prompts_keep_their_bytes(tmp_path, sent):
     config, _ = refined_shop_run(tmp_path)
     assert stage(config, "r", "stats", "--judge-quality") == cli.EXIT_OK
     digests = {}
-    for template in JUDGE_PROMPTS_SHA256:
+    for template in PROMPTS_SHA256:
         texts = sorted(p.text for p in sent if p.template.value == template)
         digests[template] = hashlib.sha256("\0".join(texts).encode()).hexdigest()
-    assert digests == JUDGE_PROMPTS_SHA256
+    assert digests == PROMPTS_SHA256
